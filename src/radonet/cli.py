@@ -213,7 +213,14 @@ def check_artifact(path_str: str) -> tuple[Path, dict]:
     if not prov_path.exists():
         raise CliError(f"{path_str}: missing provenance.json (not a pipeline artifact)",
                        kind="missing-input")
-    prov = json.loads(prov_path.read_text())
+    try:
+        prov = json.loads(prov_path.read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise CliError(f"{path_str}: provenance.json is not valid JSON ({exc})",
+                       kind="stale-upstream")
+    if not isinstance(prov, dict) or not isinstance(prov.get("upstream", {}), dict):
+        raise CliError(f"{path_str}: provenance.json must hold a JSON object whose "
+                       "upstream entry is an object", kind="stale-upstream")
     current = content_hash(root)
     if prov.get("content_hash") != current:
         raise CliError(
@@ -469,30 +476,26 @@ def cmd_eval(args) -> None:
         # piecewise-linear knot budget from coarse-grid models
         n_pts = cfg["eval"]["xi_points"]
         if n_pts is None:
-            xi_eval = model.xi_grid
+            xi_eval = None
         else:
             n_pts = max(int(n_pts), model.xi_grid.size)
             xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
-        dxi_native = float(model.xi_grid[1] - model.xi_grid[0])
-        n_pos = 0
-        n_total = 0
+        # one call for the whole split: each trunk runs once, while the
+        # branches run row by row, so the bytes match evaluating each sample
+        # on its own (a many-row branch matmul rounds differently)
+        pred = radaptive_predict_graph(model, ds.inputs, xi=xi_eval)
+        # mesh usability is judged on the model's own computational grid,
+        # where the coordinate net predicts its knots
+        det = grid_jacobian(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
         n_monotone = 0
         for i in range(ds.n_samples):
-            # mesh usability is judged on the model's own computational grid,
-            # where the coordinate net predicts its knots
-            native = radaptive_predict_graph(model, ds.inputs[i])
-            det = grid_jacobian(native.knots.reshape(1, -1), dxi_native)[0]
-            n_pos += int(np.sum(det > 0.0))
-            n_total += det.size
-            graph = (native if xi_eval is model.xi_grid else
-                     radaptive_predict_graph(model, ds.inputs[i], xi=xi_eval))
-            fixed = monotone_fix(graph.knots, domain)
+            fixed = monotone_fix(pred.knots[i], domain)
             n_monotone += bool(np.all(np.diff(fixed) > 0.0))
-            preds[i] = recover_uniform(GraphPrediction(fixed, graph.values),
+            preds[i] = recover_uniform(GraphPrediction(fixed, pred.values[i]),
                                        grid, domain, mode="clamp")
         summary["family"] = "radaptive"
-        summary["xi_points"] = int(xi_eval.size)
-        summary["prefix_jacobian_positive_fraction"] = n_pos / n_total
+        summary["xi_points"] = int(pred.knots.shape[1])
+        summary["prefix_jacobian_positive_fraction"] = int(np.sum(det > 0.0)) / det.size
         summary["monotone_mesh_fraction"] = n_monotone / ds.n_samples
     else:
         preds = model_predict(model, ds.inputs, grid.reshape(-1, 1))

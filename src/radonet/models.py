@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .nn import MlpParams, mlp_backward, mlp_forward, load_checkpoint, save_checkpoint
-from .reconstruct import GraphPrediction
 
 BUNDLE_VERSION = 2
 
@@ -91,16 +90,6 @@ def deeponet_backward_batch(model: DeepOnetModel, cache: tuple,
     branch_grads = mlp_backward(model.branch, b_cache, pred_grad @ t_out)
     trunk_grads = mlp_backward(model.trunk, t_cache, pred_grad.T @ b_out)
     return branch_grads, trunk_grads
-
-
-def deeponet_eval(model: DeepOnetModel, a_enc: np.ndarray,
-                  queries: np.ndarray) -> np.ndarray:
-    """Predicted values of one input function at a batch of query points."""
-    a = np.asarray(a_enc, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"a_enc must be a single encoded input, got shape {a.shape}")
-    pred, _ = deeponet_forward_batch(model, a[None, :], queries)
-    return pred[0]
 
 
 def _softplus(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,15 +286,6 @@ def shift_backward_batch(model: ShiftDeepOnetModel, cache: tuple,
     return branch_grads, trunk_grads, scale_grads, shift_grads
 
 
-def shift_deeponet_eval(model: ShiftDeepOnetModel, a_enc: np.ndarray,
-                        queries: np.ndarray) -> np.ndarray:
-    a = np.asarray(a_enc, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"a_enc must be a single encoded input, got shape {a.shape}")
-    pred, _ = shift_forward_batch(model, a[None, :], queries)
-    return pred[0]
-
-
 @dataclass
 class RAdaptiveSystem:
     """Coordinate net + solution net sharing one uniform computational grid.
@@ -330,9 +310,39 @@ class RAdaptiveSystem:
         self.coord_net = CoordinateNet.wrap(self.coord_net)
 
 
-def radaptive_predict_graph(system: RAdaptiveSystem, a_enc: np.ndarray,
-                            xi: np.ndarray | None = None) -> GraphPrediction:
-    """Predict the solution graph {(y_j, u_j)} over a computational grid.
+@dataclass
+class RAdaptivePrediction:
+    """Predicted solution graphs of N inputs over a computational grid xi.
+
+    Row i of knots and values is sample i's graph {(knots[i, j], values[i, j])};
+    native_knots[i] is its mesh on the system's own xi_grid (the same array
+    as knots when no other xi was asked for).
+    """
+
+    native_knots: np.ndarray
+    knots: np.ndarray
+    values: np.ndarray
+
+
+def _rowwise_forward(model: DeepOnetModel, a: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """deeponet_forward_batch's predictions, with the trunk run once for all rows.
+
+    The branch pass and the branch-trunk product run one input row at a time,
+    exactly as a single-input call runs them: numpy hands a one-row matmul to
+    BLAS gemv and a many-row one to gemm, and the two round differently, so
+    batching them would move every prediction by an ulp or so.
+    """
+    t_out, _ = mlp_forward(model.trunk, model.normalize_queries(queries))
+    pred = np.empty((a.shape[0], t_out.shape[0]))
+    for i in range(a.shape[0]):
+        b_out, _ = mlp_forward(model.branch, a[i:i + 1])
+        pred[i] = (b_out @ t_out.T)[0]
+    return pred
+
+
+def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
+                            xi: np.ndarray | None = None) -> RAdaptivePrediction:
+    """Predict the solution graphs {(y_j, u_j)} of (N, d_in) encoded inputs.
 
     The mesh knots come from the coordinate net on the system's own xi_grid;
     on any other grid xi they are the linear interpolant of those native
@@ -341,17 +351,21 @@ def radaptive_predict_graph(system: RAdaptiveSystem, a_enc: np.ndarray,
     computational coordinate and is evaluated on xi itself: denser grids
     sharpen the recovered solution near steep features, where the mesh
     packs many query points.
+
+    Each trunk runs once per call, since its output does not depend on the
+    input; each branch still runs row by row (see _rowwise_forward), so every
+    row is bit-identical to a call with that input alone.
     """
-    a = np.asarray(a_enc, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"a_enc must be a single encoded input, got shape {a.shape}")
-    y = mesh_forward_batch(system.coord_net, a[None, :], system.xi_grid)[0][0]
+    a = _as_2d(inputs, system.coord_net.branch.layer_sizes[0], "inputs")
+    g = _rowwise_forward(system.coord_net, a, system.xi_grid)
+    native, _ = monotone_head(g, system.xi_grid)
     if xi is None:
-        xi = system.xi_grid
+        xi, knots = system.xi_grid, native
     else:
-        y = np.interp(np.ravel(xi), system.xi_grid, y)
-    u = deeponet_eval(system.sol_net, a, xi)
-    return GraphPrediction(knots=y, values=u)
+        xi = np.ravel(xi)
+        knots = np.stack([np.interp(xi, system.xi_grid, y) for y in native])
+    values = _rowwise_forward(system.sol_net, a, xi)
+    return RAdaptivePrediction(native_knots=native, knots=knots, values=values)
 
 
 # ---------------------------------------------------------------------------

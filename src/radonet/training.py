@@ -188,7 +188,8 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
     """Fit a model with Adam and a stepped learning-rate decay.
 
     Returns (best_model, report): the snapshot with the lowest validation
-    error seen at any cadence point, never the possibly-worse final state.
+    error seen at epoch 0, at any cadence point or after the final epoch,
+    which need not be the final state.
     When no validation split is supplied the training set doubles as one.
     Validation targets are read at val_queries, by default the training
     queries.
@@ -252,7 +253,7 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
         if not np.isfinite(epoch_loss):
             report.aborted = True
             break
-        if epoch % config.validation_cadence == 0:
+        if epoch % config.validation_cadence == 0 or epoch == config.epochs:
             if validate(epoch):
                 best_model = _model_copy(model)
 

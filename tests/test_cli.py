@@ -239,6 +239,23 @@ def test_stale_artifact_refusal(micro, tmp_path, capsys):
     assert read_error(capsys)["kind"] == "stale-upstream"
 
 
+def test_malformed_provenance_is_refused(micro, tmp_path, capsys):
+    import shutil
+
+    prov = json.loads((micro["data"] / "provenance.json").read_text())
+    for name, text in (("truncated", '{"stage": "datagen", "content_'),
+                       ("not_an_object", '["datagen"]'),
+                       ("upstream_not_an_object", json.dumps(dict(prov, upstream=[])))):
+        corrupt = tmp_path / name
+        shutil.copytree(micro["data"], corrupt)
+        (corrupt / "provenance.json").write_text(text)
+        run_cli("preprocess", "--config", str(micro["cfg"]), "--dataset", str(corrupt),
+                "--out", str(tmp_path / f"p_{name}"), expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "stale-upstream"
+        assert "provenance.json" in err["message"]
+
+
 def test_missing_inputs(micro, tmp_path, capsys):
     run_cli("preprocess", "--config", str(micro["cfg"]),
             "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "p"),

@@ -113,10 +113,10 @@ def test_system_wraps_plain_coordinate_net_and_interpolates_dense_grids():
     xi = np.linspace(-1.0, 2.0, 13)
     system = RAdaptiveSystem(coord_net=plain, sol_net=sol, xi_grid=xi)
     assert isinstance(system.coord_net, CoordinateNet)
-    a = np.array([0.2, -0.5, 0.9])
-    native = radaptive_predict_graph(system, a)
-    assert native.knots[0] == -1.0 and native.knots[-1] == 2.0
-    assert np.all(np.diff(native.knots) > 0.0)
+    a = np.array([[0.2, -0.5, 0.9]])
+    native = radaptive_predict_graph(system, a).knots[0]
+    assert native[0] == -1.0 and native[-1] == 2.0
+    assert np.all(np.diff(native) > 0.0)
     xi_dense = np.linspace(-1.0, 2.0, 50)
     dense = radaptive_predict_graph(system, a, xi=xi_dense)
-    np.testing.assert_array_equal(dense.knots, np.interp(xi_dense, xi, native.knots))
+    np.testing.assert_array_equal(dense.knots[0], np.interp(xi_dense, xi, native))

@@ -6,13 +6,12 @@ from radonet.models import (
     RAdaptiveSystem,
     ShiftDeepOnetModel,
     deeponet_backward_batch,
-    deeponet_eval,
     deeponet_forward_batch,
     load_bundle,
+    mesh_forward_batch,
     radaptive_predict_graph,
     save_bundle,
     shift_backward_batch,
-    shift_deeponet_eval,
     shift_forward_batch,
 )
 from radonet.nn import mlp_init, substream
@@ -70,17 +69,6 @@ def test_deeponet_forward_matches_loop_reference():
                                    rtol=1e-12, atol=1e-12)
 
 
-def test_deeponet_eval_single_input():
-    model = make_deeponet(seed=2)
-    a = np.array([0.5, 0.2, 0.1])
-    q = np.linspace(0.0, 1.0, 9)
-    single = deeponet_eval(model, a, q)
-    batch, _ = deeponet_forward_batch(model, a[None, :], q.reshape(-1, 1))
-    np.testing.assert_array_equal(single, batch[0])
-    with pytest.raises(ValueError):
-        deeponet_eval(model, a[None, :], q)
-
-
 def test_deeponet_backward_matches_finite_differences():
     rng = substream(6, "don-grad")
     model = make_deeponet(n_in=2, n_basis=3, seed=77)
@@ -118,15 +106,6 @@ def test_shift_forward_matches_loop_reference():
         pred, _ = shift_forward_batch(model, a, q)
         np.testing.assert_allclose(pred, shift_forward_loops(model, a, q),
                                    rtol=1e-11, atol=1e-11)
-
-
-def test_shift_eval_single_input():
-    model = make_shift(seed=13)
-    a = np.array([0.1, -0.4, 0.9])
-    q = np.linspace(0.0, 1.0, 6)
-    single = shift_deeponet_eval(model, a, q)
-    batch, _ = shift_forward_batch(model, a[None, :], q.reshape(-1, 1))
-    np.testing.assert_array_equal(single, batch[0])
 
 
 def test_shift_backward_matches_finite_differences():
@@ -167,15 +146,37 @@ def test_radaptive_graph_default_and_custom_grid():
     system = RAdaptiveSystem(coord_net=make_deeponet(seed=3),
                              sol_net=make_deeponet(seed=4),
                              xi_grid=np.linspace(0.0, 1.0, 9))
-    a = np.array([0.4, 0.1, 0.3])
+    a = np.array([[0.4, 0.1, 0.3]])
     g_default = radaptive_predict_graph(system, a)
-    assert g_default.knots.shape == (9,)
+    assert g_default.knots.shape == (1, 9)
     xi_dense = np.linspace(0.0, 1.0, 33)
     g_dense = radaptive_predict_graph(system, a, xi=xi_dense)
-    assert g_dense.knots.shape == (33,)
+    assert g_dense.knots.shape == (1, 33)
     # dense grid contains the default one every 4th point
-    np.testing.assert_allclose(g_dense.knots[::4], g_default.knots, rtol=1e-12)
-    np.testing.assert_allclose(g_dense.values[::4], g_default.values, rtol=1e-12)
+    np.testing.assert_allclose(g_dense.knots[0, ::4], g_default.knots[0], rtol=1e-12)
+    np.testing.assert_allclose(g_dense.values[0, ::4], g_default.values[0], rtol=1e-12)
+
+
+def test_radaptive_batch_rows_match_single_input_forward():
+    # every row of a batched call is bit-identical to that input run alone
+    # through the single-input forward passes, on the native and a dense grid
+    xi_grid = np.linspace(0.0, 1.0, 9)
+    system = RAdaptiveSystem(coord_net=make_deeponet(seed=5),
+                             sol_net=make_deeponet(seed=6), xi_grid=xi_grid)
+    inputs = substream(9, "rad-batch").standard_normal((5, 3))
+    xi_dense = np.linspace(0.0, 1.0, 41)
+    native = radaptive_predict_graph(system, inputs)
+    dense = radaptive_predict_graph(system, inputs, xi=xi_dense)
+    assert native.knots.shape == native.values.shape == (5, 9)
+    assert dense.knots.shape == dense.values.shape == (5, 41)
+    for i, a in enumerate(inputs):
+        knots = mesh_forward_batch(system.coord_net, a[None, :], xi_grid)[0][0]
+        for pred, xi, on_xi in ((native, xi_grid, knots),
+                                (dense, xi_dense, np.interp(xi_dense, xi_grid, knots))):
+            np.testing.assert_array_equal(pred.native_knots[i], knots)
+            np.testing.assert_array_equal(pred.knots[i], on_xi)
+            np.testing.assert_array_equal(
+                pred.values[i], deeponet_forward_batch(system.sol_net, a[None, :], xi)[0][0])
 
 
 @pytest.mark.parametrize("kind", ["deeponet", "shift", "radaptive"])
@@ -192,14 +193,14 @@ def test_bundle_roundtrip(tmp_path, kind):
     save_bundle(out, model, input_encoding="test-encoding")
     loaded = load_bundle(out)
     assert type(loaded) is type(model)
-    a = np.array([0.3, 0.6, 0.2])
+    a = np.array([[0.3, 0.6, 0.2]])
     q = np.linspace(0.0, 1.0, 5)
     if kind == "deeponet":
-        np.testing.assert_array_equal(deeponet_eval(model, a, q),
-                                      deeponet_eval(loaded, a, q))
+        np.testing.assert_array_equal(deeponet_forward_batch(model, a, q)[0][0],
+                                      deeponet_forward_batch(loaded, a, q)[0][0])
     elif kind == "shift":
-        np.testing.assert_array_equal(shift_deeponet_eval(model, a, q),
-                                      shift_deeponet_eval(loaded, a, q))
+        np.testing.assert_array_equal(shift_forward_batch(model, a, q)[0][0],
+                                      shift_forward_batch(loaded, a, q)[0][0])
     else:
         g1 = radaptive_predict_graph(model, a)
         g2 = radaptive_predict_graph(loaded, a)

@@ -178,3 +178,19 @@ def test_train_validation_args():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def test_train_validates_after_the_final_epoch():
+    # epochs not a multiple of the cadence: the final state is still a
+    # candidate for the best snapshot
+    rng = substream(8, "final")
+    inputs = rng.uniform(-1.0, 1.0, size=(20, 2))
+    queries = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
+    targets = inputs[:, :1] * np.sin(2.0 * np.pi * queries.T) + 0.3 * inputs[:, 1:]
+    cfg = TrainConfig(epochs=25, base_lr=3e-3, validation_cadence=10, seed=2)
+    model, report = train(tiny_model(seed=4), inputs, targets, queries, cfg)
+    assert [epoch for epoch, _ in report.validation_history] == [0, 10, 20, 25]
+    assert report.best_epoch == 25
+    from radonet.reconstruct import rel_l2_error
+    err = rel_l2_error(model_predict(model, inputs, queries), targets)
+    assert err == pytest.approx(report.best_error, rel=1e-12)
