@@ -45,8 +45,8 @@ from .models import (
 )
 from .nn import mlp_init, substream
 from .pde_data import dataset_build, load_dataset, save_dataset
-from .reconstruct import GraphPrediction, monotone_fix, recover_uniform
-from .training import TrainConfig, grid_jacobian, model_predict, train
+from .reconstruct import interp_linear_1d, monotone_fix
+from .training import TrainConfig, grid_jacobian, model_predict, train, train_pair
 
 DEFAULT_CONFIG = {
     "problem": "advection",
@@ -193,7 +193,8 @@ def content_hash(root: Path) -> str:
     return h.hexdigest()
 
 
-def write_provenance(out: Path, stage: str, cfg: dict, upstream: dict) -> None:
+def write_provenance(out: Path, stage: str, cfg: dict, upstream: dict,
+                     wall_seconds: dict | None = None) -> None:
     doc = {
         "stage": stage,
         "package_version": __version__,
@@ -201,6 +202,10 @@ def write_provenance(out: Path, stage: str, cfg: dict, upstream: dict) -> None:
         "content_hash": content_hash(out),
         "upstream": upstream,
     }
+    if wall_seconds is not None:
+        # wall times differ between identical runs, so they stay out of the
+        # hashed files and live here
+        doc["wall_seconds"] = wall_seconds
     (out / "provenance.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -293,7 +298,6 @@ def _report_dict(report) -> dict:
         "best_epoch": int(report.best_epoch),
         "best_error": float(report.best_error),
         "final_loss": float(report.final_loss),
-        "wall_seconds": float(report.wall_seconds),
         "aborted": bool(report.aborted),
         "epochs_run": int(report.epochs_run),
     }
@@ -411,17 +415,19 @@ def cmd_train(args) -> None:
         va_in = None if vset is None else val_ds.inputs[vset.sample_ids]
 
         coord = _make_deeponet(cfg, n_in, bounds, role="coord")
-        coord, coord_rep = train(
-            coord, tr_in, pset.x, queries, tc, loss="coordinate", weights=pset.w_coord,
-            dxi=dxi, val_inputs=va_in, val_targets=None if vset is None else vset.x)
         sol = _make_deeponet(cfg, n_in, bounds, role="sol")
-        sol, sol_rep = train(
-            sol, tr_in, pset.u, queries, tc, loss="weighted", weights=pset.w_sol,
-            val_inputs=va_in, val_targets=None if vset is None else vset.u)
+        # the two nets share nothing, so they may train at the same time
+        (coord, coord_rep), (sol, sol_rep) = train_pair(
+            lambda: train(coord, tr_in, pset.x, queries, tc, loss="coordinate",
+                          weights=pset.w_coord, dxi=dxi, val_inputs=va_in,
+                          val_targets=None if vset is None else vset.x),
+            lambda: train(sol, tr_in, pset.u, queries, tc, loss="weighted",
+                          weights=pset.w_sol, val_inputs=va_in,
+                          val_targets=None if vset is None else vset.u))
         system = RAdaptiveSystem(coord_net=coord, sol_net=sol, xi_grid=xi)
         save_bundle(out, system, input_encoding=encoding,
                     extra={"problem": problem, "family": family})
-        reports = {"coord": _report_dict(coord_rep), "sol": _report_dict(sol_rep)}
+        run_reports = {"coord": coord_rep, "sol": sol_rep}
     else:
         n_points = int(cfg["model"]["output_points"])
         queries, targets = _uniform_targets(train_ds, n_points, domain, periodic)
@@ -439,12 +445,14 @@ def cmd_train(args) -> None:
                               val_queries=val.x_grid.reshape(-1, 1))
         save_bundle(out, model, input_encoding=encoding,
                     extra={"problem": problem, "family": family})
-        reports = {"model": _report_dict(report)}
+        run_reports = {"model": report}
 
+    reports = {k: _report_dict(r) for k, r in run_reports.items()}
     (out / "report.json").write_text(json.dumps(
         {"family": family, "problem": problem, "reports": reports},
         indent=2, sort_keys=True) + "\n")
-    write_provenance(out, "train", cfg, upstream)
+    write_provenance(out, "train", cfg, upstream,
+                     wall_seconds={k: float(r.wall_seconds) for k, r in run_reports.items()})
     best = {k: r["best_error"] for k, r in reports.items()}
     print(f"trained {family} model on {problem}; best validation errors {best}")
 
@@ -491,8 +499,7 @@ def cmd_eval(args) -> None:
         for i in range(ds.n_samples):
             fixed = monotone_fix(pred.knots[i], domain)
             n_monotone += bool(np.all(np.diff(fixed) > 0.0))
-            preds[i] = recover_uniform(GraphPrediction(fixed, pred.values[i]),
-                                       grid, domain, mode="clamp")
+            preds[i] = interp_linear_1d(fixed, pred.values[i], grid, mode="clamp")
         summary["family"] = "radaptive"
         summary["xi_points"] = int(pred.knots.shape[1])
         summary["prefix_jacobian_positive_fraction"] = int(np.sum(det > 0.0)) / det.size

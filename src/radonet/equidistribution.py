@@ -9,6 +9,8 @@ values together with Jacobians and the loss weights used in training.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -399,6 +401,8 @@ class PreprocessedSet:
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
+        if self.x.ndim < 2:
+            raise ValueError(f"x must have a sample axis and a knot axis, got shape {self.x.shape}")
         n = self.x.shape[0]
         for name in ("u", "det_j", "w_sol", "w_coord"):
             if getattr(self, name).shape != self.x.shape:
@@ -427,13 +431,17 @@ class PreprocessedSet:
         )
 
 
+# the container's columns, in file order, with their on-disk dtypes
+_COLUMN_DTYPES = {**{name: "<f8" for name in PreprocessedSet._FLOAT_COLUMNS},
+                  "sample_ids": "<i8"}
+
+
 def save_preprocessed(path, pset: PreprocessedSet) -> None:
     """Write a preprocessed set as a JSON header line + raw column bytes."""
     columns = []
     buffers = []
-    for name in (*PreprocessedSet._FLOAT_COLUMNS, "sample_ids"):
+    for name, dtype in _COLUMN_DTYPES.items():
         arr = getattr(pset, name)
-        dtype = "<i8" if name == "sample_ids" else "<f8"
         buf = np.ascontiguousarray(arr, dtype=dtype)
         columns.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
         buffers.append(buf.tobytes())
@@ -450,27 +458,61 @@ def save_preprocessed(path, pset: PreprocessedSet) -> None:
             fh.write(buf)
 
 
+def _column_specs(path, columns) -> list[tuple[str, tuple[int, ...], np.dtype]]:
+    """(name, shape, dtype) of each column a container header lists."""
+    if not isinstance(columns, list):
+        raise ValueError(f"{path}: header columns must be a list")
+    specs = []
+    for col in columns:
+        name = col.get("name") if isinstance(col, dict) else None
+        if not isinstance(name, str) or name not in _COLUMN_DTYPES \
+                or any(name == seen for seen, _, _ in specs):
+            raise ValueError(f"{path}: unknown or repeated column {name!r}")
+        if col.get("dtype") != _COLUMN_DTYPES[name]:
+            raise ValueError(f"{path}: column {name} has dtype {col.get('dtype')!r}, "
+                             f"expected {_COLUMN_DTYPES[name]!r}")
+        shape = col.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"{path}: column {name} shape {shape!r} is not a list of "
+                             "non-negative sizes")
+        specs.append((name, tuple(shape), np.dtype(_COLUMN_DTYPES[name])))
+    if len(specs) != len(_COLUMN_DTYPES):
+        missing = sorted(set(_COLUMN_DTYPES) - {name for name, _, _ in specs})
+        raise ValueError(f"{path}: missing columns {missing}")
+    return specs
+
+
 def load_preprocessed(path) -> PreprocessedSet:
-    """Read a container written by save_preprocessed, validating the header."""
+    """Read a container written by save_preprocessed, validating the header.
+
+    Anything malformed raises ValueError. The header must list every column
+    once, with the dtype save_preprocessed writes and non-negative sizes,
+    and the columns it describes must fill the rest of the file exactly;
+    that is checked before any column is read, so a corrupt header cannot
+    ask for more memory than the file holds.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not a preprocessed container ({exc})") from exc
-        if header.get("format") != "radonet-preprocessed":
-            raise ValueError(f"{path}: unexpected format tag {header.get('format')!r}")
+        if not isinstance(header, dict) or header.get("format") != "radonet-preprocessed":
+            raise ValueError(f"{path}: not a preprocessed container (no radonet format tag)")
         if header.get("format_version") != PREPROCESSED_VERSION:
             raise ValueError(
-                f"{path}: container version {header.get('format_version')} unsupported"
+                f"{path}: container version {header.get('format_version')!r} unsupported"
             )
-        data = {}
-        for col in header["columns"]:
-            shape = tuple(col["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            dtype = np.dtype(col["dtype"])
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
-                raise ValueError(f"{path}: truncated column {col['name']}")
-            data[col["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return PreprocessedSet(meta=header.get("meta", {}), **data)
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: header meta must be an object")
+        specs = _column_specs(path, header.get("columns"))
+        need = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in specs)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need != left:
+            raise ValueError(f"{path}: header describes {need} bytes of columns but "
+                             f"{left} bytes follow it")
+        data = {name: np.frombuffer(fh.read(math.prod(shape) * dtype.itemsize),
+                                    dtype=dtype).reshape(shape).copy()
+                for name, shape, dtype in specs}
+    return PreprocessedSet(meta=meta, **data)

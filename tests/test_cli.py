@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from radonet import training
 from radonet.cli import DEFAULT_CONFIG, config_hash, content_hash, main, resolve_config
 
 
@@ -141,6 +143,98 @@ def test_train_artifacts(micro):
             assert np.isfinite(rep["best_error"])
         manifest = json.loads((d / "manifest.json").read_text())
         assert manifest["input_encoding"] == "box-params(height,width,shift)"
+
+
+def test_train_content_hash_is_reproducible(micro, tmp_path):
+    # wall times go to provenance.json, which the hash leaves out, so a rerun
+    # of either family records the same content_hash
+    for name, family in (("van", ()),
+                         ("rad", ("--set", "model.family=radaptive", "--prep", str(micro["prep"])))):
+        again = tmp_path / name
+        run_cli("train", "--config", str(micro["cfg"]), *family, "--dataset", str(micro["data"]),
+                "--out", str(again))
+        first = json.loads((micro[name] / "provenance.json").read_text())
+        second = json.loads((again / "provenance.json").read_text())
+        assert second["content_hash"] == first["content_hash"]
+        reports = json.loads((again / "report.json").read_text())["reports"]
+        assert set(second["wall_seconds"]) == set(reports)
+        assert all(seconds > 0.0 for seconds in second["wall_seconds"].values())
+        assert not any("wall_seconds" in r for r in reports.values())
+
+
+def _can_train_concurrently() -> bool:
+    return len(os.sched_getaffinity(0)) >= 2 and training._openblas() is not None
+
+
+def _fork_spy(monkeypatch) -> list:
+    """Record the pid of every child forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _train_radaptive(micro, out, expect=0):
+    run_cli("train", "--config", str(micro["cfg"]), "--set", "model.family=radaptive",
+            "--dataset", str(micro["data"]), "--prep", str(micro["prep"]), "--out", str(out),
+            expect=expect)
+
+
+def test_radaptive_pair_trains_the_same_bytes_concurrently_and_in_turn(
+        micro, tmp_path, monkeypatch):
+    if not _can_train_concurrently():
+        pytest.skip("needs two usable cores and an OpenBLAS thread setter")
+    pids = _fork_spy(monkeypatch)
+    _train_radaptive(micro, tmp_path / "together")
+    assert len(pids) == 1
+    monkeypatch.setattr(training, "_openblas", lambda: None)
+    _train_radaptive(micro, tmp_path / "in_turn")
+    assert len(pids) == 1
+
+    def files(root):
+        return {f.relative_to(root).as_posix(): f.read_bytes() for f in sorted(root.rglob("*"))
+                if f.is_file() and f.name != "provenance.json"}
+
+    together, in_turn = files(tmp_path / "together"), files(tmp_path / "in_turn")
+    assert {"coord/branch.npz", "coord/trunk.npz", "sol/branch.npz", "sol/trunk.npz"} <= set(together)
+    assert together == in_turn
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_worker_failure_is_a_runtime_error(micro, tmp_path, monkeypatch, capsys, failure):
+    if not _can_train_concurrently():
+        pytest.skip("needs two usable cores and an OpenBLAS thread setter")
+    pids = _fork_spy(monkeypatch)
+    parent = os.getpid()
+
+    def broken_loss(*args):  # only the solution net, trained in the child, uses it
+        assert os.getpid() != parent, "the solution net trained in the test process"
+        if failure == "raise":
+            raise FloatingPointError("solution net diverged")
+        os._exit(3)
+
+    monkeypatch.setattr(training, "loss_weighted", broken_loss)
+    get_threads, set_threads = training._openblas()
+    threads = get_threads()
+    set_threads(2)
+    try:
+        _train_radaptive(micro, tmp_path / "broken", expect=1)
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+    err = read_error(capsys)
+    assert err["kind"] == "runtime"
+    assert ("FloatingPointError: solution net diverged" if failure == "raise"
+            else "exit code 3") in err["message"]
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(pids[0], os.WNOHANG)
 
 
 def test_eval_outputs_and_rerun_bytes(micro, tmp_path):

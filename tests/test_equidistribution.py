@@ -1,6 +1,13 @@
+import json
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from radonet import equidistribution
 from radonet.equidistribution import (
     AdaptiveSample,
     DensityField,
@@ -283,6 +290,10 @@ def test_preprocessed_container_rejects_junk(tmp_path):
     wrong.write_bytes(b'{"format": "something-else", "columns": []}\n')
     with pytest.raises(ValueError):
         load_preprocessed(wrong)
+    deep = tmp_path / "deep.rnp"
+    deep.write_bytes(b"[" * 100_000 + b"\n")
+    with pytest.raises(ValueError):
+        load_preprocessed(deep)
     _, u = box_signal()
     pset = PreprocessedSet.from_samples(
         [preprocess_sample(u, (0.0, 1.0), 8, periodic=True)])
@@ -292,3 +303,104 @@ def test_preprocessed_container_rejects_junk(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-40])
     with pytest.raises(ValueError):
         load_preprocessed(truncated)
+
+
+class _ReadGuard:
+    """A binary file that fails the test on any read longer than the file."""
+
+    def __init__(self, path, mode="rb"):
+        self._fh = open(path, mode)
+        self._size = os.path.getsize(path)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, n=-1):
+        assert 0 <= n <= self._size, f"read of {n} bytes from a {self._size}-byte file"
+        return self._fh.read(n)
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """A scratch directory and the bytes of a small valid container."""
+    root = tmp_path_factory.mktemp("rnp")
+    _, u = box_signal(m=256)
+    pset = PreprocessedSet.from_samples(
+        [preprocess_sample(np.roll(u, 40 * k), (0.0, 1.0), 8, periodic=True) for k in range(2)],
+        meta={"problem": "unit-test"})
+    save_preprocessed(root / "good.rnp", pset)
+    return root, (root / "good.rnp").read_bytes()
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                          st.floats(allow_nan=False), st.text(max_size=6))
+_SHAPES = st.one_of(st.lists(st.integers(-2**70, 2**70), max_size=4),
+                    st.lists(st.integers(0, 40), min_size=1, max_size=3), _JSON_SCALARS)
+_DTYPES = st.one_of(st.sampled_from(["<f8", "<i8", ">f8", "<f4", "|O", "O", "V8", "<U8", "x"]),
+                    _JSON_SCALARS)
+_NAMES = st.one_of(st.sampled_from(["xi", "x", "u", "sample_ids", "bogus"]), _JSON_SCALARS)
+
+
+def _header_and_body(blob: bytes):
+    line, _, body = blob.partition(b"\n")
+    return json.loads(line), body
+
+
+def _corrupt(blob: bytes, data) -> bytes:
+    kind = data.draw(st.sampled_from(["truncate", "flip", "column", "header", "body"]))
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        out = bytearray(blob)
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            out[pos] = data.draw(st.integers(0, 255))
+        return bytes(out)
+    header, body = _header_and_body(blob)
+    if kind == "column":
+        col = header["columns"][data.draw(st.integers(0, len(header["columns"]) - 1))]
+        key = data.draw(st.sampled_from(["shape", "dtype", "name", "drop"]))
+        if key == "drop":
+            header["columns"].remove(col)
+        else:
+            col[key] = data.draw({"shape": _SHAPES, "dtype": _DTYPES, "name": _NAMES}[key])
+    elif kind == "header":
+        key = data.draw(st.sampled_from(["format", "format_version", "columns", "meta"]))
+        header[key] = data.draw(_JSON_SCALARS)
+    else:
+        cut = data.draw(st.integers(-len(body), 64))
+        body = body[:cut] if cut < 0 else body + bytes(cut)
+    return json.dumps(header).encode() + b"\n" + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_containers_raise_value_error_without_large_reads(container, data):
+    root, good = container
+    path = root / "corrupt.rnp"
+    path.write_bytes(_corrupt(good, data))
+    with mock.patch.object(equidistribution, "open", _ReadGuard, create=True):
+        try:
+            pset = load_preprocessed(path)
+        except ValueError:
+            return
+    # a corruption that keeps the container well formed loads as a valid set
+    assert pset.x.shape == pset.u.shape
+    assert pset.sample_ids.shape == (pset.x.shape[0],)
+
+
+def test_container_header_cannot_claim_more_than_the_file(tmp_path, container):
+    header, body = _header_and_body(container[1])
+    for col in header["columns"]:
+        if col["name"] == "x":
+            col["shape"] = [10**12, 10**6]
+    path = tmp_path / "huge.rnp"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    with mock.patch.object(equidistribution, "open", _ReadGuard, create=True):
+        with pytest.raises(ValueError, match="bytes of columns"):
+            load_preprocessed(path)
