@@ -33,7 +33,13 @@ from .analysis import (
     optimal_error_tail,
     rate_fit,
 )
-from .equidistribution import PreprocessedSet, load_preprocessed, preprocess_sample, save_preprocessed
+from .equidistribution import (
+    PreprocessedSet,
+    fd_derivative,
+    load_preprocessed,
+    preprocess_sample,
+    save_preprocessed,
+)
 from .models import (
     CoordinateNet,
     DeepOnetModel,
@@ -44,9 +50,9 @@ from .models import (
     save_bundle,
 )
 from .nn import mlp_init, substream
-from .pde_data import dataset_build, load_dataset, save_dataset
-from .reconstruct import interp_linear_1d, monotone_fix
-from .training import TrainConfig, grid_jacobian, model_predict, train, train_pair
+from .pde_data import dataset_build, dataset_params, load_dataset, save_dataset
+from .reconstruct import recover_uniform
+from .training import TrainConfig, model_predict, train, train_pair
 
 DEFAULT_CONFIG = {
     "problem": "advection",
@@ -80,8 +86,6 @@ DEFAULT_CONFIG = {
         "base_lr": 1e-3,
         "decay_fraction": 0.1,
         "decay_interval": 2000,
-        "lambda_fit": 1.0,
-        "lambda_fold": 1.0,
         "validation_cadence": 2000,
     },
     "eval": {"split": "test", "xi_points": 513},
@@ -279,8 +283,6 @@ def _make_shift(cfg: dict, n_inputs: int, bounds) -> ShiftDeepOnetModel:
 def _uniform_targets(ds, n_points: int, domain, periodic: bool):
     """Resample a split's output fields onto n uniform query points."""
     lo, hi = domain
-    if ds.outputs.ndim != 2:
-        raise CliError("space-time outputs are not supported by this command")
     if periodic:
         q = lo + np.arange(n_points) / n_points * (hi - lo)
         period = hi - lo
@@ -311,8 +313,6 @@ def _train_config(cfg: dict) -> TrainConfig:
         base_lr=float(t["base_lr"]),
         decay_fraction=float(t["decay_fraction"]),
         decay_interval=int(t["decay_interval"]),
-        lambda_fit=float(t["lambda_fit"]),
-        lambda_fold=float(t["lambda_fold"]),
         validation_cadence=int(t["validation_cadence"]),
         seed=int(cfg["seed"]),
     )
@@ -324,8 +324,15 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def cmd_datagen(args) -> None:
     cfg = resolve_config(args)
-    counts = {split: int(n) for split, n in cfg["counts"].items()}
-    datasets = dataset_build(cfg["problem"], int(cfg["seed"]), counts, cfg["data"])
+    # refused before any sample is generated
+    try:
+        dataset_params(cfg["problem"], cfg["data"])
+    except ValueError as exc:
+        raise CliError(f"data: {exc}")
+    for split, n in cfg["counts"].items():
+        if type(n) is not int or n < 1:
+            raise CliError(f"counts.{split} must be a positive integer, got {n!r}")
+    datasets = dataset_build(cfg["problem"], int(cfg["seed"]), cfg["counts"], cfg["data"])
     out = Path(args.out)
     save_dataset(out, datasets)
     write_provenance(out, "datagen", cfg, {})
@@ -345,8 +352,6 @@ def cmd_preprocess(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for split, ds in datasets.items():
-        if ds.outputs.ndim != 2:
-            raise CliError("space-time preprocessing is not wired into the CLI")
         limit = p["ratio_limit"]
         samples = [
             preprocess_sample(row, domain, int(p["n_xi"]), m_cap=float(p["m_cap"]),
@@ -408,7 +413,6 @@ def cmd_train(args) -> None:
             vset = load_preprocessed(val_path)
         xi = pset.xi
         queries = xi.reshape(-1, 1)
-        dxi = float(xi[1] - xi[0])
         bounds = (float(xi[0]), float(xi[-1]))
         n_in = train_ds.inputs.shape[1]
         tr_in = train_ds.inputs[pset.sample_ids]
@@ -419,7 +423,7 @@ def cmd_train(args) -> None:
         # the two nets share nothing, so they may train at the same time
         (coord, coord_rep), (sol, sol_rep) = train_pair(
             lambda: train(coord, tr_in, pset.x, queries, tc, loss="coordinate",
-                          weights=pset.w_coord, dxi=dxi, val_inputs=va_in,
+                          weights=pset.w_coord, val_inputs=va_in,
                           val_targets=None if vset is None else vset.x),
             lambda: train(sol, tr_in, pset.u, queries, tc, loss="weighted",
                           weights=pset.w_sol, val_inputs=va_in,
@@ -469,14 +473,13 @@ def cmd_eval(args) -> None:
     datasets = load_dataset(ds_dir)
     split = cfg["eval"]["split"]
     ds = _load_split(datasets, split, "evaluation")
-    if ds.outputs.ndim != 2:
-        raise CliError("space-time evaluation is not wired into the CLI")
     domain, _ = _GEOMETRY[ds.problem]
     grid = ds.x_grid
     refs = ds.outputs
-    summary = {"split": split, "n_samples": int(ds.n_samples), "problem": ds.problem}
+    summary = {"split": split, "n_samples": int(ds.n_samples), "problem": ds.problem,
+               "family": model.family}
 
-    if isinstance(model, RAdaptiveSystem):
+    if model.family == "radaptive":
         preds = np.empty_like(refs)
         # the solution net is continuous along the computational axis, so
         # evaluation may sample it more densely than the training grid; the
@@ -494,19 +497,16 @@ def cmd_eval(args) -> None:
         pred = radaptive_predict_graph(model, ds.inputs, xi=xi_eval)
         # mesh usability is judged on the model's own computational grid,
         # where the coordinate net predicts its knots
-        det = grid_jacobian(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
-        n_monotone = 0
+        det = fd_derivative(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
         for i in range(ds.n_samples):
-            fixed = monotone_fix(pred.knots[i], domain)
-            n_monotone += bool(np.all(np.diff(fixed) > 0.0))
-            preds[i] = interp_linear_1d(fixed, pred.values[i], grid, mode="clamp")
-        summary["family"] = "radaptive"
+            preds[i] = recover_uniform(pred.knots[i], pred.values[i], grid, domain, "clamp")
+        # counted on the predicted knots, before recover_uniform repairs them
+        n_monotone = int(np.sum(np.all(np.diff(pred.knots, axis=1) > 0.0, axis=1)))
         summary["xi_points"] = int(pred.knots.shape[1])
         summary["prefix_jacobian_positive_fraction"] = int(np.sum(det > 0.0)) / det.size
         summary["monotone_mesh_fraction"] = n_monotone / ds.n_samples
     else:
         preds = model_predict(model, ds.inputs, grid.reshape(-1, 1))
-        summary["family"] = "shift" if isinstance(model, ShiftDeepOnetModel) else "vanilla"
 
     per = np.sqrt(np.mean((preds - refs) ** 2, axis=1) / np.mean(refs ** 2, axis=1))
     summary["mean_rel_l2"] = float(np.mean(per))
@@ -548,8 +548,6 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
         prep_dir, prep_prov = check_artifact(args.prep)
         upstream["prep"] = prep_prov["content_hash"]
         pset = load_preprocessed(prep_dir / f"{args.split}.rnp")
-        if pset.x.ndim != 2:
-            raise CliError("space-time preprocessed sets are not supported here")
         field = args.field
         if field not in ("u", "x"):
             raise CliError(f"--field must be 'u' or 'x', got {field!r}")
@@ -563,8 +561,6 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
         upstream["dataset"] = ds_prov["content_hash"]
         datasets = load_dataset(ds_dir)
         ds = _load_split(datasets, args.split, "analysis")
-        if ds.outputs.ndim != 2:
-            raise CliError("space-time outputs are not supported here")
         data = ds.outputs
         dx = float(ds.x_grid[1] - ds.x_grid[0])
         tag = f"{ds.problem}/{args.split}/u(x)"

@@ -41,14 +41,18 @@ class DensityField:
         return self.x0 + self.dx * np.arange(self.values.size)
 
 
-def _derivative(u: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
-    """Central differences; periodic wrap or first-order one-sided ends."""
+def fd_derivative(u: np.ndarray, dx: float, periodic: bool = False) -> np.ndarray:
+    """Derivative along the last axis of samples spaced dx apart.
+
+    Central differences inside; periodic wrap, or first-order one-sided
+    differences at both ends.
+    """
     if periodic:
-        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+        return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * dx)
     du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    du[0] = (u[1] - u[0]) / dx
-    du[-1] = (u[-1] - u[-2]) / dx
+    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    du[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    du[..., -1] = (u[..., -1] - u[..., -2]) / dx
     return du
 
 
@@ -84,7 +88,7 @@ def density_arclength(u_values: np.ndarray, dx: float, smoothing_passes: int = 2
         raise ValueError("smoothing_passes must be >= 0")
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
-    du = _derivative(u, dx, periodic)
+    du = fd_derivative(u, dx, periodic)
     rho = np.sqrt(1.0 + beta * du * du)
     rho = _smooth3(rho, smoothing_passes, periodic)
     return DensityField(values=rho, dx=dx, x0=x0, periodic=periodic)
@@ -239,7 +243,7 @@ def jacobian_det_1d(x: np.ndarray, dxi: float) -> np.ndarray:
         raise ValueError("adaptive coordinates must be strictly increasing")
     if dxi <= 0.0:
         raise ValueError(f"dxi must be positive, got {dxi}")
-    return _derivative(xv, dxi, periodic=False)
+    return fd_derivative(xv, dxi)
 
 
 def weight_solution(det_j: np.ndarray, cap: float = 2.0) -> np.ndarray:
@@ -320,7 +324,7 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     grid = rho.grid()
     u_tilde = _interp_periodic_aware(x, grid, u, periodic, hi)
     det_j = jacobian_det_1d(x, dxi)
-    grad_raw = np.abs(_derivative(u, dx, periodic))
+    grad_raw = np.abs(fd_derivative(u, dx, periodic))
     grad_at_knots = _interp_periodic_aware(x, grid, grad_raw, periodic, hi)
     return AdaptiveSample(
         xi=xi,
@@ -332,28 +336,6 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     )
 
 
-def preprocess_spacetime(u_xt: np.ndarray, domain: tuple[float, float], n_xi: int,
-                         m_cap: float = 2.0, mbar_cap: float = 100.0,
-                         smoothing_passes: int = 2, periodic: bool = False,
-                         beta: float = 1.0,
-                         ratio_limit: float | None = 0.3) -> list[AdaptiveSample]:
-    """Preprocess a space-time field slice by slice in the spatial direction.
-
-    Time is left uniform (transport fields are smooth in t); each row of
-    u_xt (shape (n_t, n_x)) gets its own spatial equidistribution on a
-    shared computational grid.
-    """
-    u = np.asarray(u_xt, dtype=np.float64)
-    if u.ndim != 2:
-        raise ValueError(f"expected a (n_t, n_x) field, got shape {u.shape}")
-    return [
-        preprocess_sample(u[i], domain, n_xi, m_cap=m_cap, mbar_cap=mbar_cap,
-                          smoothing_passes=smoothing_passes, periodic=periodic,
-                          beta=beta, ratio_limit=ratio_limit)
-        for i in range(u.shape[0])
-    ]
-
-
 def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> float:
     """Max relative deviation of rho(x_j) * x_xi from its mean over the mesh.
 
@@ -361,8 +343,7 @@ def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> floa
     returned number is max_j |r_j - mean| / mean over interior knots.
     """
     x = sample.x
-    dxi = sample.xi[1] - sample.xi[0]
-    x_xi = (x[2:] - x[:-2]) / (2.0 * dxi)
+    x_xi = fd_derivative(x, sample.xi[1] - sample.xi[0])[1:-1]
     rho_at = _interp_periodic_aware(
         x[1:-1], rho.grid(), rho.values, rho.periodic,
         rho.x0 + rho.dx * rho.values.size)
@@ -381,9 +362,8 @@ def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> floa
 class PreprocessedSet:
     """Stacked preprocessed samples plus provenance metadata.
 
-    Columns have shape (N, n_xi + 1) for single-time problems or
-    (N, n_t, n_xi + 1) for space-time ones. sample_ids index into the raw
-    dataset split this set was derived from.
+    Columns have shape (N, n_xi + 1). sample_ids index into the raw dataset
+    split this set was derived from.
     """
 
     xi: np.ndarray
@@ -401,8 +381,9 @@ class PreprocessedSet:
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        if self.x.ndim < 2:
-            raise ValueError(f"x must have a sample axis and a knot axis, got shape {self.x.shape}")
+        if self.x.ndim != 2:
+            raise ValueError(f"x must have a sample axis and a knot axis only, "
+                             f"got shape {self.x.shape}")
         n = self.x.shape[0]
         for name in ("u", "det_j", "w_sol", "w_coord"):
             if getattr(self, name).shape != self.x.shape:

@@ -6,12 +6,19 @@ The adaptive system pairs a coordinate net (predicting mesh locations) with
 a solution net (predicting values on that mesh) over a shared uniform
 computational grid. The coordinate net reads its output through a monotone
 head, so the mesh it predicts cannot fold.
+
+Every operator net offers one protocol to training, evaluation and bundles:
+`nets` (its MLP fields, in gradient order), `forward`/`backward` (with
+caches, for training), `predict` (no caches), `copy`, its bundle `kind` and
+the `family` that eval reports; the two-net system has a `kind` and a
+`family` too. The methods call this module's functions by their global
+names, so wrapping a module function wraps every model's use of it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +33,9 @@ COORD_HEAD = "softplus-cumtrapz"
 # below this, softplus(g) and exp(g) agree to float64 precision
 _SOFTPLUS_EXP_TAIL = -37.0
 
+# queries per forward pass in predict
+PREDICT_CHUNK = 512
+
 
 def _as_2d(arr: np.ndarray, d: int, what: str) -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)
@@ -36,28 +46,28 @@ def _as_2d(arr: np.ndarray, d: int, what: str) -> np.ndarray:
     return a
 
 
-@dataclass
-class DeepOnetModel:
-    """Branch net encodes the input function, trunk net provides the basis."""
+def _predict_chunks(forward, model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """forward's predictions with no caches kept, PREDICT_CHUNK queries at a
+    time, so memory does not grow with the grid."""
+    q = np.asarray(queries, dtype=np.float64)
+    return np.concatenate([forward(model, inputs, q[start:start + PREDICT_CHUNK])[0]
+                           for start in range(0, len(q), PREDICT_CHUNK)], axis=1)
 
-    branch: MlpParams
-    trunk: MlpParams
-    n_basis: int
-    query_lo: np.ndarray
-    query_hi: np.ndarray
 
-    def __post_init__(self):
+class _OperatorNet:
+    """What the operator nets share: query bounds, copies and bundle files.
+
+    Subclasses are dataclasses with `branch`, `trunk`, `n_basis`,
+    `query_lo` and `query_hi` fields; each net in `nets` is stored as
+    `<name without _net>.npz`.
+    """
+
+    nets = ("branch", "trunk")
+
+    def _check_queries(self) -> None:
         self.query_lo = np.atleast_1d(np.asarray(self.query_lo, dtype=np.float64))
         self.query_hi = np.atleast_1d(np.asarray(self.query_hi, dtype=np.float64))
-        if self.branch.layer_sizes[-1] != self.n_basis:
-            raise ValueError(
-                f"branch output size {self.branch.layer_sizes[-1]} != n_basis {self.n_basis}"
-            )
-        if self.trunk.layer_sizes[-1] != self.n_basis:
-            raise ValueError(
-                f"trunk output size {self.trunk.layer_sizes[-1]} != n_basis {self.n_basis}"
-            )
-        d = self.trunk.layer_sizes[0]
+        d = self.d_query
         if self.query_lo.shape != (d,) or self.query_hi.shape != (d,):
             raise ValueError(f"query bounds must have shape ({d},)")
         if not np.all(self.query_hi > self.query_lo):
@@ -71,6 +81,61 @@ class DeepOnetModel:
         """Affine map of raw query coordinates onto [-1, 1]^d for the trunk."""
         q = _as_2d(queries, self.d_query, "queries")
         return 2.0 * (q - self.query_lo) / (self.query_hi - self.query_lo) - 1.0
+
+    def copy(self):
+        """The same model with every net deep-copied."""
+        return replace(self, **{name: getattr(self, name).copy() for name in self.nets})
+
+    def _save_parts(self, out: Path, input_encoding: str) -> dict:
+        for name in self.nets:
+            save_checkpoint(out / f"{name.removesuffix('_net')}.npz", getattr(self, name))
+        return {
+            "n_basis": int(self.n_basis),
+            "query_lo": [float(v) for v in self.query_lo],
+            "query_hi": [float(v) for v in self.query_hi],
+        }
+
+    @classmethod
+    def _load_parts(cls, root: Path, manifest: dict):
+        return cls(**{name: load_checkpoint(root / f"{name.removesuffix('_net')}.npz")
+                      for name in cls.nets},
+                   n_basis=int(manifest["n_basis"]),
+                   query_lo=np.asarray(manifest["query_lo"], dtype=np.float64),
+                   query_hi=np.asarray(manifest["query_hi"], dtype=np.float64))
+
+
+@dataclass
+class DeepOnetModel(_OperatorNet):
+    """Branch net encodes the input function, trunk net provides the basis."""
+
+    branch: MlpParams
+    trunk: MlpParams
+    n_basis: int
+    query_lo: np.ndarray
+    query_hi: np.ndarray
+
+    kind = "deeponet"
+    family = "vanilla"
+
+    def __post_init__(self):
+        if self.branch.layer_sizes[-1] != self.n_basis:
+            raise ValueError(
+                f"branch output size {self.branch.layer_sizes[-1]} != n_basis {self.n_basis}"
+            )
+        if self.trunk.layer_sizes[-1] != self.n_basis:
+            raise ValueError(
+                f"trunk output size {self.trunk.layer_sizes[-1]} != n_basis {self.n_basis}"
+            )
+        self._check_queries()
+
+    def forward(self, inputs, queries):
+        return deeponet_forward_batch(self, inputs, queries)
+
+    def backward(self, cache, pred_grad):
+        return deeponet_backward_batch(self, cache, pred_grad)
+
+    def predict(self, inputs, queries):
+        return _predict_chunks(deeponet_forward_batch, self, inputs, queries)
 
 
 def deeponet_forward_batch(model: DeepOnetModel, inputs: np.ndarray,
@@ -172,6 +237,17 @@ class CoordinateNet(DeepOnetModel):
     deeponet bundle inside its radaptive bundle, which records the head.
     """
 
+    def forward(self, inputs, queries):
+        return mesh_forward_batch(self, inputs, queries)
+
+    def backward(self, cache, pred_grad):
+        return mesh_backward_batch(self, cache, pred_grad)
+
+    def predict(self, inputs, queries):
+        """Knots on the grid queries; the head runs over the whole row."""
+        q = np.asarray(queries, dtype=np.float64)
+        return monotone_head(_predict_chunks(deeponet_forward_batch, self, inputs, q), q)[0]
+
     @classmethod
     def wrap(cls, net: DeepOnetModel) -> "CoordinateNet":
         if isinstance(net, cls):
@@ -197,7 +273,7 @@ def mesh_backward_batch(model: CoordinateNet, cache: tuple, x_grad: np.ndarray):
 
 
 @dataclass
-class ShiftDeepOnetModel:
+class ShiftDeepOnetModel(_OperatorNet):
     """Operator net whose trunk queries are scaled/shifted per basis function.
 
     scale_net maps the input encoding to n_basis (d x d) matrices A_k and
@@ -213,10 +289,12 @@ class ShiftDeepOnetModel:
     query_lo: np.ndarray
     query_hi: np.ndarray
 
+    nets = ("branch", "trunk", "scale_net", "shift_net")
+    kind = "shift-deeponet"
+    family = "shift"
+
     def __post_init__(self):
-        self.query_lo = np.atleast_1d(np.asarray(self.query_lo, dtype=np.float64))
-        self.query_hi = np.atleast_1d(np.asarray(self.query_hi, dtype=np.float64))
-        d = self.trunk.layer_sizes[0]
+        d = self.d_query
         n = self.n_basis
         checks = [
             (self.branch.layer_sizes[-1], n, "branch output"),
@@ -227,18 +305,16 @@ class ShiftDeepOnetModel:
         for got, want, what in checks:
             if got != want:
                 raise ValueError(f"{what} size {got} != {want}")
-        if self.query_lo.shape != (d,) or self.query_hi.shape != (d,):
-            raise ValueError(f"query bounds must have shape ({d},)")
-        if not np.all(self.query_hi > self.query_lo):
-            raise ValueError("query_hi must exceed query_lo componentwise")
+        self._check_queries()
 
-    @property
-    def d_query(self) -> int:
-        return self.trunk.layer_sizes[0]
+    def forward(self, inputs, queries):
+        return shift_forward_batch(self, inputs, queries)
 
-    def normalize_queries(self, queries: np.ndarray) -> np.ndarray:
-        q = _as_2d(queries, self.d_query, "queries")
-        return 2.0 * (q - self.query_lo) / (self.query_hi - self.query_lo) - 1.0
+    def backward(self, cache, pred_grad):
+        return shift_backward_batch(self, cache, pred_grad)
+
+    def predict(self, inputs, queries):
+        return _predict_chunks(shift_forward_batch, self, inputs, queries)
 
 
 def shift_forward_batch(model: ShiftDeepOnetModel, inputs: np.ndarray,
@@ -299,6 +375,9 @@ class RAdaptiveSystem:
     sol_net: DeepOnetModel
     xi_grid: np.ndarray
 
+    kind = "radaptive-system"
+    family = "radaptive"
+
     def __post_init__(self):
         self.xi_grid = np.asarray(self.xi_grid, dtype=np.float64)
         if self.xi_grid.ndim != 1 or self.xi_grid.size < 2:
@@ -308,6 +387,21 @@ class RAdaptiveSystem:
         if self.coord_net.d_query != 1 or self.sol_net.d_query != 1:
             raise ValueError("adaptive system nets take scalar computational coordinates")
         self.coord_net = CoordinateNet.wrap(self.coord_net)
+
+    def _save_parts(self, out: Path, input_encoding: str) -> dict:
+        save_bundle(out / "coord", self.coord_net, input_encoding)
+        save_bundle(out / "sol", self.sol_net, input_encoding)
+        np.save(out / "xi_grid.npy", np.ascontiguousarray(self.xi_grid, dtype="<f8"))
+        return {"n_xi_points": int(self.xi_grid.size), "coord_head": COORD_HEAD}
+
+    @classmethod
+    def _load_parts(cls, root: Path, manifest: dict) -> "RAdaptiveSystem":
+        head = manifest.get("coord_head")
+        if head != COORD_HEAD:
+            raise ValueError(f"{root}: coordinate head {head!r} unsupported "
+                             f"(expected {COORD_HEAD!r})")
+        return cls(coord_net=load_bundle(root / "coord"), sol_net=load_bundle(root / "sol"),
+                   xi_grid=np.load(root / "xi_grid.npy"))
 
 
 @dataclass
@@ -371,46 +465,19 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
 # ---------------------------------------------------------------------------
 # on-disk bundles: manifest + one checkpoint per subnetwork
 
-
-def _model_meta(model) -> dict:
-    return {
-        "n_basis": int(model.n_basis),
-        "query_lo": [float(v) for v in model.query_lo],
-        "query_hi": [float(v) for v in model.query_hi],
-    }
+_BUNDLE_KINDS = {cls.kind: cls for cls in (DeepOnetModel, ShiftDeepOnetModel, RAdaptiveSystem)}
 
 
 def save_bundle(path, model, input_encoding: str = "", extra: dict | None = None) -> None:
     """Persist a model as a directory: manifest.json plus per-net checkpoints."""
+    if getattr(model, "kind", None) not in _BUNDLE_KINDS:
+        raise TypeError(f"cannot bundle object of type {type(model).__name__}")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(model, DeepOnetModel):
-        kind = "deeponet"
-        nets = {"branch": model.branch, "trunk": model.trunk}
-        meta = _model_meta(model)
-    elif isinstance(model, ShiftDeepOnetModel):
-        kind = "shift-deeponet"
-        nets = {
-            "branch": model.branch,
-            "trunk": model.trunk,
-            "scale": model.scale_net,
-            "shift": model.shift_net,
-        }
-        meta = _model_meta(model)
-    elif isinstance(model, RAdaptiveSystem):
-        kind = "radaptive-system"
-        save_bundle(out / "coord", model.coord_net, input_encoding)
-        save_bundle(out / "sol", model.sol_net, input_encoding)
-        np.save(out / "xi_grid.npy", np.ascontiguousarray(model.xi_grid, dtype="<f8"))
-        nets = {}
-        meta = {"n_xi_points": int(model.xi_grid.size), "coord_head": COORD_HEAD}
-    else:
-        raise TypeError(f"cannot bundle object of type {type(model).__name__}")
-    for name, params in nets.items():
-        save_checkpoint(out / f"{name}.npz", params)
+    meta = model._save_parts(out, input_encoding)
     manifest = {
         "format_version": BUNDLE_VERSION,
-        "kind": kind,
+        "kind": model.kind,
         "input_encoding": input_encoding,
         **meta,
         **(extra or {}),
@@ -429,32 +496,7 @@ def load_bundle(path):
     if version != BUNDLE_VERSION:
         raise ValueError(f"{root}: bundle format version {version} unsupported")
     kind = manifest.get("kind")
-    if kind == "deeponet":
-        return DeepOnetModel(
-            branch=load_checkpoint(root / "branch.npz"),
-            trunk=load_checkpoint(root / "trunk.npz"),
-            n_basis=int(manifest["n_basis"]),
-            query_lo=np.asarray(manifest["query_lo"], dtype=np.float64),
-            query_hi=np.asarray(manifest["query_hi"], dtype=np.float64),
-        )
-    if kind == "shift-deeponet":
-        return ShiftDeepOnetModel(
-            branch=load_checkpoint(root / "branch.npz"),
-            trunk=load_checkpoint(root / "trunk.npz"),
-            scale_net=load_checkpoint(root / "scale.npz"),
-            shift_net=load_checkpoint(root / "shift.npz"),
-            n_basis=int(manifest["n_basis"]),
-            query_lo=np.asarray(manifest["query_lo"], dtype=np.float64),
-            query_hi=np.asarray(manifest["query_hi"], dtype=np.float64),
-        )
-    if kind == "radaptive-system":
-        head = manifest.get("coord_head")
-        if head != COORD_HEAD:
-            raise ValueError(f"{root}: coordinate head {head!r} unsupported "
-                             f"(expected {COORD_HEAD!r})")
-        return RAdaptiveSystem(
-            coord_net=load_bundle(root / "coord"),
-            sol_net=load_bundle(root / "sol"),
-            xi_grid=np.load(root / "xi_grid.npy"),
-        )
-    raise ValueError(f"{root}: unknown bundle kind {kind!r}")
+    cls = _BUNDLE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"{root}: unknown bundle kind {kind!r}")
+    return cls._load_parts(root, manifest)

@@ -12,7 +12,7 @@ from .riemann import (
     star_region,
     total_energy,
 )
-from .dataset import PdeDataset, dataset_build, load_dataset, save_dataset
+from .dataset import PdeDataset, dataset_build, dataset_params, load_dataset, save_dataset
 
 __all__ = [
     "BoxWaveParams", "advection_exact", "box_wave", "encode_box_params", "sample_box_params",
@@ -20,5 +20,5 @@ __all__ = [
     "GrfCoefficients", "grf_draw", "grf_eval", "grf_mode_std", "grf_sample",
     "RiemannState", "euler_riemann_exact", "riemann_state_from_z", "sod_params_sample",
     "solve_star", "star_region", "total_energy",
-    "PdeDataset", "dataset_build", "load_dataset", "save_dataset",
+    "PdeDataset", "dataset_build", "dataset_params", "load_dataset", "save_dataset",
 ]

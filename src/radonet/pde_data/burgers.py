@@ -28,15 +28,12 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_contour: int = 32):
 
 
 def burgers_solve(u0: np.ndarray, nu: float, final_time: float, dt: float = 1e-4,
-                  record_times=None, nonlinear: bool = True,
-                  check_every: int = 200):
+                  nonlinear: bool = True, check_every: int = 200):
     """Integrate u_t + u u_x = nu u_xx on the periodic unit interval.
 
     u0 holds values on the uniform grid {j / n} and may be batched with
     shape (batch, n); all fields then advance together through batched FFTs.
-    With record_times (strictly increasing multiples of dt, t=0 allowed) the
-    return value is (times, fields) where fields has the time axis right
-    before the grid axis; otherwise only the final field is returned.
+    Returns the field at final_time, shaped like u0.
     Setting nonlinear=False drops the advection term, leaving the exactly
     integrated heat equation (used to validate the integrator).
     """
@@ -68,25 +65,7 @@ def burgers_solve(u0: np.ndarray, nu: float, final_time: float, dt: float = 1e-4
         field = np.fft.irfft(spec, n=n, axis=-1)
         return mask * (-0.5j * k) * np.fft.rfft(field * field, axis=-1)
 
-    snap_steps = None
-    if record_times is not None:
-        times = np.asarray(record_times, dtype=np.float64)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("record_times must be a non-empty 1-d array")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("record_times must be strictly increasing")
-        snap_steps = np.round(times / dt).astype(int)
-        if np.any(np.abs(snap_steps * dt - times) > 1e-9 * max(1.0, final_time)):
-            raise ValueError("record_times must be multiples of dt")
-        if snap_steps[0] < 0 or snap_steps[-1] > n_steps:
-            raise ValueError("record_times outside [0, final_time]")
-        snapshots = np.empty((u.shape[0], times.size, n))
-        snap_idx = 0
-
     v = mask * np.fft.rfft(u, axis=-1)
-    if snap_steps is not None and snap_steps[0] == 0:
-        snapshots[:, 0] = np.fft.irfft(v, n=n, axis=-1)
-        snap_idx = 1
 
     for step in range(1, n_steps + 1):
         nv = nonlin(v)
@@ -102,13 +81,8 @@ def burgers_solve(u0: np.ndarray, nu: float, final_time: float, dt: float = 1e-4
                 f"spectral solution lost finiteness near t={step * dt:.6g} "
                 f"(nu={nu}, n={n}); refine dt or resolution"
             )
-        if snap_steps is not None and snap_idx < snap_steps.size and step == snap_steps[snap_idx]:
-            snapshots[:, snap_idx] = np.fft.irfft(v, n=n, axis=-1)
-            snap_idx += 1
 
     if not np.all(np.isfinite(v)):
         raise RuntimeError(f"spectral solution lost finiteness by t={final_time}")
-    if snap_steps is not None:
-        return (times, snapshots[0] if squeeze else snapshots)
     out = np.fft.irfft(v, n=n, axis=-1)
     return out[0] if squeeze else out

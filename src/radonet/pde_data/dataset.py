@@ -41,7 +41,6 @@ _DEFAULTS: dict[str, dict] = {
         "final_time": 1.0,
         "grf_convention": "angular",
         "grf_modes": 63,
-        "record_times": None,
     },
     "sod": {
         "n_grid": 2048,
@@ -62,9 +61,11 @@ class PdeDataset:
     x_grid: np.ndarray
     seed: int
     params: dict
-    t_grid: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.outputs.ndim != 2:
+            raise ValueError(f"outputs must be (n_samples, n_grid) fields, "
+                             f"got shape {self.outputs.shape}")
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise ValueError(
                 f"inputs ({self.inputs.shape[0]}) and outputs "
@@ -76,7 +77,9 @@ class PdeDataset:
         return self.inputs.shape[0]
 
 
-def _merge_params(problem: str, overrides: dict | None) -> dict:
+def dataset_params(problem: str, overrides: dict | None) -> dict:
+    """The problem's generation parameters with overrides applied; unknown
+    problems and parameter names raise ValueError."""
     if problem not in _DEFAULTS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {sorted(_DEFAULTS)}")
     params = dict(_DEFAULTS[problem])
@@ -109,14 +112,8 @@ def _build_burgers(seed: int, split: str, n: int, p: dict) -> PdeDataset:
         coeffs = grf_draw(rng, p["grf_modes"], p["grf_convention"])
         inputs[i] = grf_eval(coeffs, sensor_grid)
         u0[i] = grf_eval(coeffs, solver_grid)
-    record = p["record_times"]
-    if record is None:
-        outputs = burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])
-        t_grid = None
-    else:
-        t_grid, outputs = burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"],
-                                        record_times=np.asarray(record, dtype=np.float64))
-    return PdeDataset("burgers", split, inputs, outputs, solver_grid, seed, p, t_grid=t_grid)
+    outputs = burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])
+    return PdeDataset("burgers", split, inputs, outputs, solver_grid, seed, p)
 
 
 def _build_sod(seed: int, split: str, n: int, p: dict) -> PdeDataset:
@@ -139,7 +136,7 @@ _BUILDERS = {"advection": _build_advection, "burgers": _build_burgers, "sod": _b
 def dataset_build(problem: str, seed: int, counts: dict[str, int],
                   params: dict | None = None) -> dict[str, PdeDataset]:
     """Generate every requested split of a problem deterministically."""
-    merged = _merge_params(problem, params)
+    merged = dataset_params(problem, params)
     if not counts:
         raise ValueError("need at least one split count")
     out = {}
@@ -175,9 +172,6 @@ def save_dataset(path, datasets: dict[str, PdeDataset]) -> None:
         "splits": {},
     }
     np.save(out / "x_grid.npy", np.ascontiguousarray(first.x_grid, dtype="<f8"))
-    if first.t_grid is not None:
-        np.save(out / "t_grid.npy", np.ascontiguousarray(first.t_grid, dtype="<f8"))
-        manifest["t_grid"] = "t_grid.npy"
     for split, ds in datasets.items():
         if ds.problem != first.problem or ds.seed != first.seed:
             raise ValueError("all splits in a dataset must share problem and seed")
@@ -199,7 +193,6 @@ def load_dataset(path) -> dict[str, PdeDataset]:
             f"{root}: dataset format version {manifest.get('format_version')} unsupported"
         )
     x_grid = np.load(root / "x_grid.npy")
-    t_grid = np.load(root / "t_grid.npy") if "t_grid" in manifest else None
     out = {}
     for split in manifest["splits"]:
         out[split] = PdeDataset(
@@ -210,6 +203,5 @@ def load_dataset(path) -> dict[str, PdeDataset]:
             x_grid=x_grid,
             seed=int(manifest["seed"]),
             params=manifest["params"],
-            t_grid=t_grid,
         )
     return out

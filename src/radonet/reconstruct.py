@@ -2,29 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class GraphPrediction:
-    """A discrete graph {(knots[j], values[j])} of a solution, ordered by the
-    underlying computational coordinate."""
-
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.knots = np.asarray(self.knots, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.knots.shape != self.values.shape or self.knots.ndim != 1:
-            raise ValueError(
-                f"knots/values must be equal-length 1-d arrays, got "
-                f"{self.knots.shape} and {self.values.shape}"
-            )
-        if self.knots.size < 2:
-            raise ValueError("graph needs at least two knots")
 
 
 def monotone_fix(knots: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
@@ -89,45 +67,15 @@ def interp_linear_1d(knots: np.ndarray, values: np.ndarray, queries: np.ndarray,
     return np.interp(q, x, v)
 
 
-def recover_uniform(graph: GraphPrediction, target_grid: np.ndarray,
+def recover_uniform(knots: np.ndarray, values: np.ndarray, target_grid: np.ndarray,
                     domain: tuple[float, float], mode: str = "clamp") -> np.ndarray:
-    """Turn a predicted graph into solution values on a fixed grid.
+    """Turn a predicted graph {(knots[j], values[j])} into values on a grid.
 
     Applies monotone_fix to the knots, then interpolates linearly. Queries
     outside the domain follow `mode` ("clamp" for bounded problems, "wrap"
     for periodic ones).
     """
-    y = monotone_fix(graph.knots, domain)
-    return interp_linear_1d(y, graph.values, target_grid, mode=mode)
-
-
-def recover_spacetime(slices: list[GraphPrediction], slice_times: np.ndarray,
-                      x_grid: np.ndarray, t_grid: np.ndarray,
-                      domain: tuple[float, float], mode: str = "clamp") -> np.ndarray:
-    """Recover a space-time field from per-time-slice graphs.
-
-    Each slice is recovered onto x_grid, then values are linearly
-    interpolated in time onto t_grid. Returns an array of shape
-    (len(t_grid), len(x_grid)). A single slice gives a t-constant field.
-    """
-    times = np.asarray(slice_times, dtype=np.float64)
-    if times.ndim != 1 or times.size != len(slices):
-        raise ValueError(f"got {len(slices)} slices but {times.size} slice times")
-    if times.size > 1 and not np.all(np.diff(times) > 0.0):
-        raise ValueError("slice times must be strictly increasing")
-    per_slice = np.stack([recover_uniform(g, x_grid, domain, mode=mode) for g in slices])
-    t = np.asarray(t_grid, dtype=np.float64)
-    if times.size == 1:
-        return np.repeat(per_slice, t.size, axis=0)
-    if t.min() < times[0] - 1e-12 or t.max() > times[-1] + 1e-12:
-        raise ValueError(
-            f"target times [{t.min()}, {t.max()}] outside slice span "
-            f"[{times[0]}, {times[-1]}]"
-        )
-    out = np.empty((t.size, per_slice.shape[1]))
-    for j in range(per_slice.shape[1]):
-        out[:, j] = np.interp(t, times, per_slice[:, j])
-    return out
+    return interp_linear_1d(monotone_fix(knots, domain), values, target_grid, mode=mode)
 
 
 def rel_l2_error(predictions: np.ndarray, references: np.ndarray) -> float:

@@ -1,11 +1,13 @@
 """Training loop for operator networks.
 
-One driver covers all model families here: plain operator regression,
-weighted regression against redistributed-grid targets, and coordinate-map
-regression through the monotone mesh head, with a fold-penalty term. Losses
-are written with explicit gradient companions so the whole backward pass
-stays hand-assembled. `train_pair` runs two independent fits, such as the
-two nets of the r-adaptive family, at the same time in two processes.
+One driver covers every model: plain operator regression, weighted
+regression against redistributed-grid targets, and coordinate-map
+regression through the monotone mesh head. It reaches a model only through
+the protocol in `models` (`nets`, `forward`, `backward`, `predict`,
+`copy`). Losses are written with explicit gradient companions so the whole
+backward pass stays hand-assembled. `train_pair` runs two independent fits,
+such as the two nets of the r-adaptive family, at the same time in two
+processes.
 """
 
 from __future__ import annotations
@@ -16,28 +18,14 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (
-    CoordinateNet,
-    ShiftDeepOnetModel,
-    deeponet_backward_batch,
-    deeponet_forward_batch,
-    mesh_backward_batch,
-    mesh_forward_batch,
-    monotone_head,
-    shift_backward_batch,
-    shift_forward_batch,
-)
 from .nn import adam_init, adam_step, lr_schedule, substream
 from .reconstruct import rel_l2_error
 
 LOSS_KINDS = ("mse", "weighted", "coordinate")
-
-# queries per forward pass in model_predict
-PREDICT_CHUNK = 512
 
 
 @dataclass
@@ -47,8 +35,6 @@ class TrainConfig:
     base_lr: float = 1e-3
     decay_fraction: float = 0.1
     decay_interval: int = 2000
-    lambda_fit: float = 1.0
-    lambda_fold: float = 1.0
     validation_cadence: int = 2000
     seed: int = 0
 
@@ -88,109 +74,36 @@ def loss_weighted(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
     return float(np.mean(weights * r * r)), 2.0 * weights * r / r.size
 
 
-def grid_jacobian(x: np.ndarray, dxi: float) -> np.ndarray:
-    """Derivative of predicted knot positions along the reference axis.
+def loss_coordinate(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
+    """Weighted mean squared misfit of predicted mesh knots.
 
-    Central differences inside, one-sided at both ends; x is (n_samples,
-    n_knots).
-    """
-    d = np.empty_like(x)
-    d[:, 1:-1] = (x[:, 2:] - x[:, :-2]) / (2.0 * dxi)
-    d[:, 0] = (x[:, 1] - x[:, 0]) / dxi
-    d[:, -1] = (x[:, -1] - x[:, -2]) / dxi
-    return d
-
-
-def _grid_jacobian_adjoint(gd: np.ndarray, dxi: float) -> np.ndarray:
-    gx = np.zeros_like(gd)
-    gx[:, 2:] += gd[:, 1:-1] / (2.0 * dxi)
-    gx[:, :-2] -= gd[:, 1:-1] / (2.0 * dxi)
-    gx[:, 0] -= gd[:, 0] / dxi
-    gx[:, 1] += gd[:, 0] / dxi
-    gx[:, -1] += gd[:, -1] / dxi
-    gx[:, -2] -= gd[:, -1] / dxi
-    return gx
-
-
-def loss_coordinate(pred: np.ndarray, target: np.ndarray, weights: np.ndarray,
-                    dxi: float, lambda_fit: float = 1.0, lambda_fold: float = 1.0):
-    """Weighted fit plus a penalty on negative grid Jacobians.
-
-    The penalty mean(relu(-J)^2) is zero exactly when the predicted knots
-    are non-decreasing under the difference stencil, so it discourages
-    folded grids without constraining well-ordered ones.
+    A separate function from loss_weighted, though the same formula, so
+    that the two nets' losses can be told apart when traced.
     """
     if weights.shape != pred.shape:
         raise ValueError(f"weights shape {weights.shape} != prediction shape {pred.shape}")
     r = pred - target
-    fit = float(np.mean(weights * r * r))
-    jac = grid_jacobian(pred, dxi)
-    neg = np.maximum(-jac, 0.0)
-    fold = float(np.mean(neg * neg))
-    grad = lambda_fit * 2.0 * weights * r / r.size
-    grad += _grid_jacobian_adjoint(lambda_fold * (-2.0) * neg / neg.size, dxi)
-    return lambda_fit * fit + lambda_fold * fold, grad
-
-
-def _model_copy(model):
-    if isinstance(model, ShiftDeepOnetModel):
-        return replace(model, branch=model.branch.copy(), trunk=model.trunk.copy(),
-                       scale_net=model.scale_net.copy(), shift_net=model.shift_net.copy())
-    return replace(model, branch=model.branch.copy(), trunk=model.trunk.copy())
-
-
-def _model_nets(model):
-    if isinstance(model, ShiftDeepOnetModel):
-        return ("branch", "trunk", "scale_net", "shift_net")
-    return ("branch", "trunk")
-
-
-def model_forward(model, inputs: np.ndarray, queries: np.ndarray):
-    if isinstance(model, ShiftDeepOnetModel):
-        return shift_forward_batch(model, inputs, queries)
-    if isinstance(model, CoordinateNet):
-        return mesh_forward_batch(model, inputs, queries)
-    return deeponet_forward_batch(model, inputs, queries)
+    return float(np.mean(weights * r * r)), 2.0 * weights * r / r.size
 
 
 def model_predict(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Forward pass for evaluation, with no caches kept.
-
-    The queries go through the nets PREDICT_CHUNK at a time, so memory does
-    not grow with the grid; a coordinate net's head then runs over the
-    whole row.
-    """
-    q = np.asarray(queries, dtype=np.float64)
-    forward = shift_forward_batch if isinstance(model, ShiftDeepOnetModel) \
-        else deeponet_forward_batch
-    pred = np.concatenate([forward(model, inputs, q[start:start + PREDICT_CHUNK])[0]
-                           for start in range(0, len(q), PREDICT_CHUNK)], axis=1)
-    if isinstance(model, CoordinateNet):
-        pred = monotone_head(pred, q)[0]
-    return pred
+    """Forward pass for evaluation, with no caches kept (see the models'
+    predict)."""
+    return model.predict(inputs, queries)
 
 
-def _model_backward(model, cache, pred_grad):
-    if isinstance(model, ShiftDeepOnetModel):
-        return shift_backward_batch(model, cache, pred_grad)
-    if isinstance(model, CoordinateNet):
-        return mesh_backward_batch(model, cache, pred_grad)
-    return deeponet_backward_batch(model, cache, pred_grad)
-
-
-def _loss_and_grad(pred, target, loss, weights, dxi, config):
+def _loss_and_grad(pred, target, loss, weights):
     if loss == "mse":
         return loss_mse(pred, target)
     if loss == "weighted":
         return loss_weighted(pred, target, weights)
-    return loss_coordinate(pred, target, weights, dxi,
-                           config.lambda_fit, config.lambda_fold)
+    return loss_coordinate(pred, target, weights)
 
 
 def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
           config: TrainConfig, *, loss: str = "mse", weights: np.ndarray | None = None,
           val_inputs: np.ndarray | None = None, val_targets: np.ndarray | None = None,
-          val_queries: np.ndarray | None = None, dxi: float | None = None):
+          val_queries: np.ndarray | None = None):
     """Fit a model with Adam and a stepped learning-rate decay.
 
     Returns (best_model, report): the snapshot with the lowest validation
@@ -206,8 +119,6 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
         raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
     if loss in ("weighted", "coordinate") and weights is None:
         raise ValueError(f"{loss} loss requires weights")
-    if loss == "coordinate" and dxi is None:
-        raise ValueError("coordinate loss requires the reference grid spacing dxi")
     if inputs.shape[0] != targets.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
     if val_inputs is None:
@@ -217,8 +128,7 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
 
     t_start = time.perf_counter()
     rng = substream(config.seed, "shuffle")
-    nets = _model_nets(model)
-    adam = {name: adam_init(getattr(model, name)) for name in nets}
+    adam = {name: adam_init(getattr(model, name)) for name in model.nets}
     n = inputs.shape[0]
     batch = n if config.batch_size is None else min(config.batch_size, n)
 
@@ -233,7 +143,7 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
             return True
         return False
 
-    best_model = _model_copy(model)
+    best_model = model.copy()
     validate(0)
     epoch_loss = np.nan
 
@@ -244,14 +154,14 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
         losses = []
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            pred, cache = model_forward(model, inputs[idx], queries)
+            pred, cache = model.forward(inputs[idx], queries)
             w = None if weights is None else weights[idx]
-            value, pred_grad = _loss_and_grad(pred, targets[idx], loss, w, dxi, config)
+            value, pred_grad = _loss_and_grad(pred, targets[idx], loss, w)
             losses.append(value)
             if not np.isfinite(value):
                 break
-            grads = _model_backward(model, cache, pred_grad)
-            for name, g in zip(nets, grads):
+            grads = model.backward(cache, pred_grad)
+            for name, g in zip(model.nets, grads):
                 params, adam[name] = adam_step(adam[name], getattr(model, name), g, lr)
                 setattr(model, name, params)
         epoch_loss = float(np.mean(losses))
@@ -261,7 +171,7 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
             break
         if epoch % config.validation_cadence == 0 or epoch == config.epochs:
             if validate(epoch):
-                best_model = _model_copy(model)
+                best_model = model.copy()
 
     report.final_loss = epoch_loss
     report.wall_seconds = time.perf_counter() - t_start

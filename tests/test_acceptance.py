@@ -68,7 +68,7 @@ def _relu_kink_margin(model, inputs, queries, dxi):
     nets whose pre-activations or mesh slopes sit inside that window are
     redrawn rather than measured.
     """
-    from radonet.training import grid_jacobian
+    from radonet.equidistribution import fd_derivative
 
     margin = np.inf
     for params, data in ((model.branch, inputs),
@@ -84,7 +84,7 @@ def _relu_kink_margin(model, inputs, queries, dxi):
             else:
                 h = z
     pred, _ = deeponet_forward_batch(model, inputs, queries)
-    margin = min(margin, float(np.min(np.abs(grid_jacobian(pred, dxi)))))
+    margin = min(margin, float(np.min(np.abs(fd_derivative(pred, dxi)))))
     return margin
 
 
@@ -116,7 +116,7 @@ def test_01_training_gradients_match_finite_differences():
         mesh_target = np.cumsum(rng.uniform(0.05, 0.3, size=(3, n_q)), axis=1)
 
         for loss_fn in (lambda p: loss_weighted(p, solution_target, weights),
-                        lambda p: loss_coordinate(p, mesh_target, weights, dxi)):
+                        lambda p: loss_coordinate(p, mesh_target, weights)):
             pred, cache = deeponet_forward_batch(model, inputs, queries)
             _, pred_grad = loss_fn(pred)
             bg, tg = deeponet_backward_batch(model, cache, pred_grad)
@@ -391,6 +391,7 @@ def battery(tmp_path_factory):
     }
 
 
+@pytest.mark.battery
 def test_08_adaptive_training_beats_uniform_at_equal_budget(battery):
     adv_rad = battery["rad128"]["mean_rel_l2"]
     adv_van = battery["van128"]["mean_rel_l2"]
@@ -403,6 +404,7 @@ def test_08_adaptive_training_beats_uniform_at_equal_budget(battery):
     assert adv_rad <= 3e-2, f"transport adaptive error {adv_rad:.3e} above 3e-2"
 
 
+@pytest.mark.battery
 def test_09_adaptive_training_insensitive_to_output_resolution(battery):
     rad16 = battery["rad16"]["mean_rel_l2"]
     rad128 = battery["rad128"]["mean_rel_l2"]
@@ -414,9 +416,10 @@ def test_09_adaptive_training_insensitive_to_output_resolution(battery):
         f"uniform should degrade at 16-point outputs: {van16:.3e} vs {van128:.3e}"
 
 
+@pytest.mark.battery
 def test_10_predicted_meshes_are_usable(battery):
     s = battery["rad128"]
     assert s["monotone_mesh_fraction"] == 1.0, \
-        f"only {s['monotone_mesh_fraction']:.3f} of repaired meshes are increasing"
+        f"only {s['monotone_mesh_fraction']:.3f} of predicted meshes are increasing"
     assert s["prefix_jacobian_positive_fraction"] >= 0.99, \
         f"raw mesh slope positive at only {s['prefix_jacobian_positive_fraction']:.4f}"

@@ -267,6 +267,65 @@ def test_eval_radaptive_summary_fields(micro):
     assert 0.0 <= summary["prefix_jacobian_positive_fraction"] <= 1.0
 
 
+def test_monotone_mesh_fraction_counts_the_predicted_knots(micro, tmp_path):
+    # a coordinate net whose raw output sinks below -745 on the left of the
+    # reference grid: softplus underflows to zero there, so the head returns
+    # a run of equal knots, which eval repairs but must not count as monotone
+    from radonet.cli import write_provenance
+    from radonet.models import (
+        CoordinateNet,
+        RAdaptiveSystem,
+        load_bundle,
+        radaptive_predict_graph,
+        save_bundle,
+    )
+    from radonet.nn import mlp_init
+    from radonet.pde_data import load_dataset
+
+    branch = mlp_init([3, 1], seed=0)
+    branch.weights[0][:] = 0.0
+    branch.biases[0][:] = 1.0
+    trunk = mlp_init([1, 1, 1], activation="relu", seed=0)
+    trunk.weights[0][:] = -1.0
+    trunk.weights[1][:] = -2000.0  # g = -2000 * relu(-(2 xi - 1))
+    coord = CoordinateNet(branch=branch, trunk=trunk, n_basis=1, query_lo=[0.0], query_hi=[1.0])
+    system = RAdaptiveSystem(coord_net=coord, sol_net=load_bundle(micro["rad"]).sol_net,
+                             xi_grid=np.linspace(0.0, 1.0, 17))
+    test = load_dataset(micro["data"])["test"]
+    knots = radaptive_predict_graph(system, test.inputs).knots
+    assert np.all(np.any(np.diff(knots, axis=1) == 0.0, axis=1))
+
+    model_dir = tmp_path / "flat_mesh"
+    save_bundle(model_dir, system, input_encoding="box-params(height,width,shift)",
+                extra={"problem": "advection", "family": "radaptive"})
+    data_prov = json.loads((micro["data"] / "provenance.json").read_text())
+    write_provenance(model_dir, "train", {}, {"dataset": data_prov["content_hash"]})
+    run_cli("eval", "--config", str(micro["cfg"]), "--model", str(model_dir),
+            "--dataset", str(micro["data"]), "--out", str(tmp_path / "flat_eval"))
+    summary = json.loads((tmp_path / "flat_eval" / "summary.json").read_text())
+    assert summary["monotone_mesh_fraction"] == 0.0
+    assert summary["prefix_jacobian_positive_fraction"] < 1.0
+    assert np.isfinite(summary["mean_rel_l2"])
+
+
+def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatch):
+    from radonet import cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("samples were generated for a refused config")
+
+    monkeypatch.setattr(cli, "dataset_build", build)
+    out = tmp_path / "d"
+    for spec in (("data.bogus=1",), ("problem=burgers", "data.record_times=[0.5]"),
+                 ("counts.train=0",), ("counts.val=-3",), ("counts.test=2.5",)):
+        run_cli("datagen", *(arg for s in spec for arg in ("--set", s)), "--out", str(out),
+                expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "config"
+        assert spec[-1].split("=")[0].split(".")[-1] in err["message"]
+        assert not out.exists()
+
+
 def test_vanilla_validates_on_the_dataset_grid(micro, tmp_path):
     # at two output points every val box of this dataset falls between the
     # points, so its resampled target is all zeros and has no relative error;

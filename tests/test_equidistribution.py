@@ -19,7 +19,6 @@ from radonet.equidistribution import (
     limit_density_ratio,
     load_preprocessed,
     preprocess_sample,
-    preprocess_spacetime,
     save_preprocessed,
     weight_coordinate,
     weight_solution,
@@ -240,19 +239,6 @@ def test_preprocess_sample_validation():
         preprocess_sample(np.ones((3, 4)), (0.0, 1.0), 4)
 
 
-def test_preprocess_spacetime_rows_match_single():
-    x = np.linspace(-5.0, 5.0, 513)
-    rows = np.stack([np.tanh(4.0 * (x - c)) for c in (-1.0, 0.0, 2.0)])
-    samples = preprocess_spacetime(rows, (-5.0, 5.0), 32)
-    assert len(samples) == 3
-    for i, s in enumerate(samples):
-        ref = preprocess_sample(rows[i], (-5.0, 5.0), 32)
-        np.testing.assert_array_equal(s.x, ref.x)
-        np.testing.assert_array_equal(s.u, ref.u)
-    with pytest.raises(ValueError):
-        preprocess_spacetime(x, (-5.0, 5.0), 32)
-
-
 def test_adaptive_sample_shape_check():
     xi = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError):
@@ -303,6 +289,10 @@ def test_preprocessed_container_rejects_junk(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-40])
     with pytest.raises(ValueError):
         load_preprocessed(truncated)
+    with pytest.raises(ValueError):  # one mesh per sample, no time axis
+        PreprocessedSet(xi=pset.xi, sample_ids=pset.sample_ids,
+                        **{name: getattr(pset, name)[:, None]
+                           for name in ("x", "u", "det_j", "w_sol", "w_coord")})
 
 
 class _ReadGuard:

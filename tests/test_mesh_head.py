@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radonet.models import (
+    PREDICT_CHUNK,
     CoordinateNet,
     DeepOnetModel,
     RAdaptiveSystem,
@@ -14,7 +15,7 @@ from radonet.models import (
     radaptive_predict_graph,
 )
 from radonet.nn import mlp_init, substream
-from radonet.training import PREDICT_CHUNK, loss_coordinate, model_predict
+from radonet.training import loss_coordinate, model_predict
 
 from oracles import flat_grad_rel_error, numerical_gradient
 
@@ -57,10 +58,9 @@ def test_end_to_end_mesh_head_gradient():
     xi = np.linspace(0.0, 1.0, 7)
     target = np.sort(rng.uniform(0.0, 1.0, size=(3, 7)), axis=1)
     w = 1.0 + rng.uniform(0.0, 1.0, size=(3, 7))
-    dxi = 1.0 / 6
 
     pred, cache = mesh_forward_batch(model, inputs, xi)
-    _, pred_grad = loss_coordinate(pred, target, w, dxi)
+    _, pred_grad = loss_coordinate(pred, target, w)
     bg, tg = mesh_backward_batch(model, cache, pred_grad)
 
     def loss_of(which, p):
@@ -69,7 +69,7 @@ def test_end_to_end_mesh_head_gradient():
             trunk=p if which == "trunk" else model.trunk,
             n_basis=model.n_basis, query_lo=model.query_lo, query_hi=model.query_hi)
         out, _ = mesh_forward_batch(probe, inputs, xi)
-        return loss_coordinate(out, target, w, dxi)[0]
+        return loss_coordinate(out, target, w)[0]
 
     num_w, num_b = numerical_gradient(lambda p: loss_of("branch", p), model.branch)
     assert flat_grad_rel_error(bg.weights, bg.biases, num_w, num_b) < 1e-6

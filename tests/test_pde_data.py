@@ -157,28 +157,12 @@ def test_burgers_batched_equals_single():
                                       burgers_solve(u0[i], 1e-2, 0.05, dt=5e-4))
 
 
-def test_burgers_record_times():
-    rng = substream(24, "snap")
-    u0 = grf_eval(grf_draw(rng, 20), np.arange(128) / 128)
-    times, snaps = burgers_solve(u0, 1e-2, 0.1, dt=1e-3,
-                                 record_times=[0.0, 0.05, 0.1])
-    assert snaps.shape == (3, 128)
-    np.testing.assert_array_equal(times, [0.0, 0.05, 0.1])
-    # the t=0 snapshot is the dealiased initial data; band-limited input
-    # passes through unchanged
-    np.testing.assert_allclose(snaps[0], u0, atol=1e-12)
-    final = burgers_solve(u0, 1e-2, 0.1, dt=1e-3)
-    np.testing.assert_array_equal(snaps[-1], final)
-
-
 def test_burgers_validation():
     u0 = np.zeros(64)
     with pytest.raises(ValueError):
         burgers_solve(u0, -1.0, 0.1)
     with pytest.raises(ValueError):
         burgers_solve(u0, 1e-2, 0.1, dt=3e-4)  # not a divisor
-    with pytest.raises(ValueError):
-        burgers_solve(u0, 1e-2, 0.1, dt=1e-3, record_times=[0.05, 0.0301])
     with pytest.raises(ValueError):
         burgers_solve(np.zeros(4), 1e-2, 0.1)
 
@@ -330,4 +314,7 @@ def test_dataset_validation(tmp_path):
         load_dataset(tmp_path)
     with pytest.raises(ValueError):
         PdeDataset("advection", "train", np.zeros((2, 3)), np.zeros((3, 8)),
+                   np.zeros(8), 0, {})
+    with pytest.raises(ValueError):  # one field per sample, no time axis
+        PdeDataset("burgers", "train", np.zeros((2, 3)), np.zeros((2, 4, 8)),
                    np.zeros(8), 0, {})

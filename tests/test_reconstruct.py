@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radonet.reconstruct import (
-    GraphPrediction,
     interp_linear_1d,
     monotone_fix,
-    recover_spacetime,
     recover_uniform,
     rel_l2_error,
 )
@@ -96,38 +94,20 @@ def test_interp_modes():
 
 
 def test_graph_prediction_validation():
+    grid = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError):
-        GraphPrediction(np.zeros(3), np.zeros(4))
+        recover_uniform(np.zeros(3), np.zeros(4), grid, (0.0, 1.0))
     with pytest.raises(ValueError):
-        GraphPrediction(np.zeros(1), np.zeros(1))
+        recover_uniform(np.zeros(1), np.zeros(1), grid, (0.0, 1.0))
 
 
 def test_recover_uniform_equals_fix_then_interp():
     knots = np.array([0.0, 0.62, 0.6, 0.61, 1.0])  # slightly folded
     values = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
     grid = np.linspace(0.0, 1.0, 33)
-    got = recover_uniform(GraphPrediction(knots, values), grid, (0.0, 1.0))
+    got = recover_uniform(knots, values, grid, (0.0, 1.0))
     fixed = monotone_fix(knots, (0.0, 1.0))
     np.testing.assert_array_equal(got, interp_linear_1d(fixed, values, grid, "clamp"))
-
-
-def test_recover_spacetime_linear_in_time():
-    x_grid = np.linspace(0.0, 1.0, 9)
-    g0 = GraphPrediction(np.linspace(0.0, 1.0, 5), np.zeros(5))
-    g1 = GraphPrediction(np.linspace(0.0, 1.0, 5), np.ones(5))
-    out = recover_spacetime([g0, g1], np.array([0.0, 1.0]), x_grid,
-                            np.array([0.0, 0.25, 1.0]), (0.0, 1.0))
-    assert out.shape == (3, 9)
-    np.testing.assert_allclose(out[1], 0.25)
-    single = recover_spacetime([g1], np.array([0.5]), x_grid,
-                               np.array([0.1, 0.9]), (0.0, 1.0))
-    np.testing.assert_allclose(single, 1.0)
-    with pytest.raises(ValueError):
-        recover_spacetime([g0, g1], np.array([0.0]), x_grid,
-                          np.array([0.0]), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        recover_spacetime([g0, g1], np.array([0.0, 1.0]), x_grid,
-                          np.array([1.5]), (0.0, 1.0))
 
 
 def test_rel_l2_error_hand_value():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from radonet import training
+from radonet.equidistribution import fd_derivative
 from radonet.models import DeepOnetModel, deeponet_forward_batch
 from radonet.nn import mlp_init, substream
 from radonet.training import (
     TrainConfig,
-    grid_jacobian,
     loss_coordinate,
     loss_mse,
     loss_weighted,
@@ -49,38 +49,25 @@ def test_loss_weighted_value_and_grad():
 
 def test_grid_jacobian_stencil():
     x = np.array([[0.0, 1.0, 4.0, 9.0]])
-    d = grid_jacobian(x, dxi=1.0)
+    d = fd_derivative(x, 1.0)
     np.testing.assert_allclose(d, [[1.0, 2.0, 4.0, 5.0]])
 
 
-def test_fold_penalty_zero_for_increasing_grids():
-    x = np.linspace(0.0, 1.0, 9).reshape(1, -1)
-    w = np.ones_like(x)
-    value, _ = loss_coordinate(x, x, w, dxi=1.0 / 8)
-    assert value == 0.0
-    # folded grid pays a positive penalty even with a perfect fit
-    folded = x.copy()
-    folded[0, 4] = 0.1
-    value_f, _ = loss_coordinate(folded, folded, w, dxi=1.0 / 8)
-    assert value_f > 0.0
-
-
 def test_loss_coordinate_gradient_wrt_pred():
-    # finite-difference the full loss (fit + fold) through the pred argument
+    # finite-difference the loss through the pred argument
     rng = substream(3, "coord-fd")
     pred = np.cumsum(rng.uniform(-0.02, 0.1, size=(2, 12)), axis=1)
     target = pred + 0.05 * rng.standard_normal(pred.shape)
     w = 1.0 + rng.uniform(0.0, 2.0, size=pred.shape)
-    dxi = 1.0 / 11
-    _, grad = loss_coordinate(pred, target, w, dxi, lambda_fit=0.7, lambda_fold=2.0)
+    _, grad = loss_coordinate(pred, target, w)
     eps = 1e-7
     num = np.zeros_like(pred)
     for i in range(pred.shape[0]):
         for j in range(pred.shape[1]):
             up = pred.copy(); up[i, j] += eps
             dn = pred.copy(); dn[i, j] -= eps
-            vu, _ = loss_coordinate(up, target, w, dxi, 0.7, 2.0)
-            vd, _ = loss_coordinate(dn, target, w, dxi, 0.7, 2.0)
+            vu, _ = loss_coordinate(up, target, w)
+            vd, _ = loss_coordinate(dn, target, w)
             num[i, j] = (vu - vd) / (2.0 * eps)
     np.testing.assert_allclose(grad, num, atol=1e-6)
 
@@ -94,10 +81,9 @@ def test_end_to_end_coordinate_gradient():
     queries = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
     target = np.cumsum(rng.uniform(0.0, 0.3, size=(3, 7)), axis=1)
     w = 1.0 + rng.uniform(0.0, 1.0, size=(3, 7))
-    dxi = 1.0 / 6
 
     pred, cache = deeponet_forward_batch(model, inputs, queries)
-    _, pred_grad = loss_coordinate(pred, target, w, dxi)
+    _, pred_grad = loss_coordinate(pred, target, w)
     from radonet.models import deeponet_backward_batch
     bg, tg = deeponet_backward_batch(model, cache, pred_grad)
 
@@ -107,7 +93,7 @@ def test_end_to_end_coordinate_gradient():
             trunk=p if which == "trunk" else model.trunk,
             n_basis=model.n_basis, query_lo=model.query_lo, query_hi=model.query_hi)
         out, _ = deeponet_forward_batch(probe, inputs, queries)
-        return loss_coordinate(out, target, w, dxi)[0]
+        return loss_coordinate(out, target, w)[0]
 
     num_w, num_b = numerical_gradient(lambda p: loss_of("branch", p), model.branch)
     assert flat_grad_rel_error(bg.weights, bg.biases, num_w, num_b) < 1e-6
@@ -178,7 +164,7 @@ def test_train_validation_args():
               loss="weighted")
     with pytest.raises(ValueError):
         train(tiny_model(), inputs, targets, queries, TrainConfig(epochs=1),
-              loss="coordinate", weights=np.ones((4, 3)))
+              loss="coordinate")
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
