@@ -51,7 +51,7 @@ from .models import (
 )
 from .nn import mlp_init, substream
 from .pde_data import dataset_build, dataset_params, load_dataset, save_dataset
-from .reconstruct import recover_uniform
+from .reconstruct import recover_uniform, rel_l2_error
 from .training import TrainConfig, model_predict, train, train_pair
 
 DEFAULT_CONFIG = {
@@ -74,10 +74,6 @@ DEFAULT_CONFIG = {
         "trunk_hidden": [128, 128, 128],
         "branch_activation": "tanh",
         "trunk_activation": "relu",
-        # the coordinate net of the two-net family may need more capacity
-        # than the solution net; null means "same as branch/trunk_hidden"
-        "coord_branch_hidden": None,
-        "coord_trunk_hidden": None,
         "output_points": 128,
     },
     "train": {
@@ -174,6 +170,13 @@ def resolve_config(args) -> dict:
         raise CliError(f"unknown problem {cfg['problem']!r}")
     if cfg["model"]["family"] not in _FAMILIES:
         raise CliError(f"model.family must be one of {_FAMILIES}")
+    try:
+        dataset_params(cfg["problem"], cfg["data"])
+    except ValueError as exc:
+        raise CliError(f"data: {exc}")
+    for split, n in cfg["counts"].items():
+        if type(n) is not int or n < 1:
+            raise CliError(f"counts.{split} must be a positive integer, got {n!r}")
     return cfg
 
 
@@ -249,15 +252,10 @@ def _derived_seed(root_seed: int, *names: str) -> int:
 def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str) -> DeepOnetModel:
     m = cfg["model"]
     n_basis = int(m["n_basis"])
-    branch_hidden = m["branch_hidden"]
-    trunk_hidden = m["trunk_hidden"]
-    if role == "coord":
-        branch_hidden = m["coord_branch_hidden"] or branch_hidden
-        trunk_hidden = m["coord_trunk_hidden"] or trunk_hidden
-    branch = mlp_init([n_inputs, *branch_hidden, n_basis],
+    branch = mlp_init([n_inputs, *m["branch_hidden"], n_basis],
                       activation=m["branch_activation"],
                       seed=_derived_seed(cfg["seed"], "init", role, "branch"))
-    trunk = mlp_init([1, *trunk_hidden, n_basis],
+    trunk = mlp_init([1, *m["trunk_hidden"], n_basis],
                      activation=m["trunk_activation"],
                      seed=_derived_seed(cfg["seed"], "init", role, "trunk"))
     cls = CoordinateNet if role == "coord" else DeepOnetModel
@@ -285,12 +283,10 @@ def _uniform_targets(ds, n_points: int, domain, periodic: bool):
     lo, hi = domain
     if periodic:
         q = lo + np.arange(n_points) / n_points * (hi - lo)
-        period = hi - lo
-        targets = np.stack([np.interp(q, ds.x_grid, row, period=period)
-                            for row in ds.outputs])
     else:
         q = np.linspace(lo, hi, n_points)
-        targets = np.stack([np.interp(q, ds.x_grid, row) for row in ds.outputs])
+    period = hi - lo if periodic else None
+    targets = np.stack([np.interp(q, ds.x_grid, row, period=period) for row in ds.outputs])
     return q.reshape(-1, 1), targets
 
 
@@ -324,14 +320,6 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def cmd_datagen(args) -> None:
     cfg = resolve_config(args)
-    # refused before any sample is generated
-    try:
-        dataset_params(cfg["problem"], cfg["data"])
-    except ValueError as exc:
-        raise CliError(f"data: {exc}")
-    for split, n in cfg["counts"].items():
-        if type(n) is not int or n < 1:
-            raise CliError(f"counts.{split} must be a positive integer, got {n!r}")
     datasets = dataset_build(cfg["problem"], int(cfg["seed"]), cfg["counts"], cfg["data"])
     out = Path(args.out)
     save_dataset(out, datasets)
@@ -350,7 +338,7 @@ def cmd_preprocess(args) -> None:
     domain, periodic = _GEOMETRY[problem]
     p = cfg["preprocess"]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sets = {}
     for split, ds in datasets.items():
         limit = p["ratio_limit"]
         samples = [
@@ -361,23 +349,22 @@ def cmd_preprocess(args) -> None:
                               ratio_limit=None if limit is None else float(limit))
             for row in ds.outputs
         ]
-        pset = PreprocessedSet.from_samples(samples, meta={
+        sets[split] = PreprocessedSet.from_samples(samples, meta={
             "problem": problem,
-            "split": split,
             "n_xi": int(p["n_xi"]),
             "domain": [domain[0], domain[1]],
             "periodic": periodic,
             "config_hash": config_hash(cfg),
         })
-        save_preprocessed(out / f"{split}.rnp", pset)
+    save_preprocessed(out, sets)
     write_provenance(out, "preprocess", cfg, {"dataset": ds_prov["content_hash"]})
     print(f"preprocessed {len(datasets)} splits into {out}")
 
 
-def _load_split(datasets: dict, split: str, what: str):
-    if split not in datasets:
-        raise CliError(f"{what} split {split!r} not present in dataset", kind="missing-input")
-    return datasets[split]
+def _load_split(splits: dict, split: str, what: str):
+    if split not in splits:
+        raise CliError(f"{what} split {split!r} not present in the artifact", kind="missing-input")
+    return splits[split]
 
 
 def cmd_train(args) -> None:
@@ -406,11 +393,9 @@ def cmd_train(args) -> None:
             raise CliError("preprocessed artifact was built from a different dataset",
                            kind="stale-upstream")
         upstream["prep"] = prep_prov["content_hash"]
-        pset = load_preprocessed(prep_dir / "train.rnp")
-        val_path = prep_dir / "val.rnp"
-        vset = None
-        if val_path.exists() and val_ds is not None:
-            vset = load_preprocessed(val_path)
+        psets = load_preprocessed(prep_dir)
+        pset = _load_split(psets, "train", "training")
+        vset = None if val_ds is None else psets.get("val")
         xi = pset.xi
         queries = xi.reshape(-1, 1)
         bounds = (float(xi[0]), float(xi[-1]))
@@ -499,7 +484,7 @@ def cmd_eval(args) -> None:
         # where the coordinate net predicts its knots
         det = fd_derivative(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
         for i in range(ds.n_samples):
-            preds[i] = recover_uniform(pred.knots[i], pred.values[i], grid, domain, "clamp")
+            preds[i] = recover_uniform(pred.knots[i], pred.values[i], grid, domain)
         # counted on the predicted knots, before recover_uniform repairs them
         n_monotone = int(np.sum(np.all(np.diff(pred.knots, axis=1) > 0.0, axis=1)))
         summary["xi_points"] = int(pred.knots.shape[1])
@@ -508,7 +493,7 @@ def cmd_eval(args) -> None:
     else:
         preds = model_predict(model, ds.inputs, grid.reshape(-1, 1))
 
-    per = np.sqrt(np.mean((preds - refs) ** 2, axis=1) / np.mean(refs ** 2, axis=1))
+    per = rel_l2_error(preds, refs)
     summary["mean_rel_l2"] = float(np.mean(per))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -547,7 +532,7 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
     if args.prep:
         prep_dir, prep_prov = check_artifact(args.prep)
         upstream["prep"] = prep_prov["content_hash"]
-        pset = load_preprocessed(prep_dir / f"{args.split}.rnp")
+        pset = _load_split(load_preprocessed(prep_dir), args.split, "analysis")
         field = args.field
         if field not in ("u", "x"):
             raise CliError(f"--field must be 'u' or 'x', got {field!r}")

@@ -8,15 +8,14 @@ values together with Jacobians and the loss weights used in training.
 
 from __future__ import annotations
 
-import json
-import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-PREPROCESSED_VERSION = 1
+from . import store
+
+PREPROCESSED_VERSION = 2
 
 
 @dataclass
@@ -285,13 +284,6 @@ class AdaptiveSample:
             raise ValueError(f"inconsistent column shapes: {sizes}")
 
 
-def _interp_periodic_aware(x_query, grid, values, periodic, domain_hi):
-    if periodic:
-        grid = np.append(grid, domain_hi)
-        values = np.append(values, values[0])
-    return np.interp(x_query, grid, values)
-
-
 def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: int,
                       m_cap: float = 2.0, mbar_cap: float = 100.0,
                       smoothing_passes: int = 2, periodic: bool = False,
@@ -322,10 +314,11 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     xi = np.linspace(lo, hi, n_xi + 1)
     dxi = length / n_xi
     grid = rho.grid()
-    u_tilde = _interp_periodic_aware(x, grid, u, periodic, hi)
+    period = length if periodic else None
+    u_tilde = np.interp(x, grid, u, period=period)
     det_j = jacobian_det_1d(x, dxi)
     grad_raw = np.abs(fd_derivative(u, dx, periodic))
-    grad_at_knots = _interp_periodic_aware(x, grid, grad_raw, periodic, hi)
+    grad_at_knots = np.interp(x, grid, grad_raw, period=period)
     return AdaptiveSample(
         xi=xi,
         x=x,
@@ -344,9 +337,8 @@ def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> floa
     """
     x = sample.x
     x_xi = fd_derivative(x, sample.xi[1] - sample.xi[0])[1:-1]
-    rho_at = _interp_periodic_aware(
-        x[1:-1], rho.grid(), rho.values, rho.periodic,
-        rho.x0 + rho.dx * rho.values.size)
+    rho_at = np.interp(x[1:-1], rho.grid(), rho.values,
+                       period=rho.dx * rho.values.size if rho.periodic else None)
     r = rho_at * x_xi
     mean = float(np.mean(r))
     if mean <= 0.0:
@@ -355,15 +347,15 @@ def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> floa
 
 
 # ---------------------------------------------------------------------------
-# columnar container for preprocessed datasets
+# preprocessed sets, stored like datasets
 
 
 @dataclass
 class PreprocessedSet:
     """Stacked preprocessed samples plus provenance metadata.
 
-    Columns have shape (N, n_xi + 1). sample_ids index into the raw dataset
-    split this set was derived from.
+    Row columns have shape (N, n_xi + 1) and xi has shape (n_xi + 1,).
+    sample_ids index into the raw dataset split this set was derived from.
     """
 
     xi: np.ndarray
@@ -375,7 +367,8 @@ class PreprocessedSet:
     sample_ids: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    _FLOAT_COLUMNS = ("xi", "x", "u", "det_j", "w_sol", "w_coord")
+    _ROW_COLUMNS = ("x", "u", "det_j", "w_sol", "w_coord")
+    _FLOAT_COLUMNS = ("xi", *_ROW_COLUMNS)
 
     def __post_init__(self):
         for name in self._FLOAT_COLUMNS:
@@ -385,7 +378,7 @@ class PreprocessedSet:
             raise ValueError(f"x must have a sample axis and a knot axis only, "
                              f"got shape {self.x.shape}")
         n = self.x.shape[0]
-        for name in ("u", "det_j", "w_sol", "w_coord"):
+        for name in self._ROW_COLUMNS:
             if getattr(self, name).shape != self.x.shape:
                 raise ValueError(f"column {name} shape {getattr(self, name).shape} "
                                  f"!= x shape {self.x.shape}")
@@ -402,98 +395,51 @@ class PreprocessedSet:
         ids = np.arange(len(samples)) if sample_ids is None else np.asarray(sample_ids)
         return cls(
             xi=samples[0].xi,
-            x=np.stack([s.x for s in samples]),
-            u=np.stack([s.u for s in samples]),
-            det_j=np.stack([s.det_j for s in samples]),
-            w_sol=np.stack([s.w_sol for s in samples]),
-            w_coord=np.stack([s.w_coord for s in samples]),
             sample_ids=ids,
             meta=dict(meta or {}),
+            **{name: np.stack([getattr(s, name) for s in samples]) for name in cls._ROW_COLUMNS},
         )
 
 
-# the container's columns, in file order, with their on-disk dtypes
-_COLUMN_DTYPES = {**{name: "<f8" for name in PreprocessedSet._FLOAT_COLUMNS},
-                  "sample_ids": "<i8"}
-
-
-def save_preprocessed(path, pset: PreprocessedSet) -> None:
-    """Write a preprocessed set as a JSON header line + raw column bytes."""
-    columns = []
-    buffers = []
-    for name, dtype in _COLUMN_DTYPES.items():
-        arr = getattr(pset, name)
-        buf = np.ascontiguousarray(arr, dtype=dtype)
-        columns.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
-        buffers.append(buf.tobytes())
-    header = {
-        "format": "radonet-preprocessed",
+def save_preprocessed(path, sets: dict[str, PreprocessedSet]) -> None:
+    """Write preprocessed splits as a dataset is written: a manifest.json plus
+    xi.npy and one .npy file per split and row column."""
+    if not sets:
+        raise ValueError("no splits to save")
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    first = next(iter(sets.values()))
+    manifest = {
         "format_version": PREPROCESSED_VERSION,
-        "columns": columns,
-        "meta": pset.meta,
+        "meta": first.meta,
+        "splits": {},
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for buf in buffers:
-            fh.write(buf)
+    store.write_array(out, "xi", first.xi)
+    for split, pset in sets.items():
+        if pset.meta != first.meta or not np.array_equal(pset.xi, first.xi):
+            raise ValueError("all splits in a preprocessed set must share xi and meta")
+        for name in PreprocessedSet._ROW_COLUMNS:
+            store.write_array(out, f"{name}_{split}", getattr(pset, name))
+        store.write_array(out, f"sample_ids_{split}", pset.sample_ids, "<i8")
+        manifest["splits"][split] = {"n_samples": int(pset.x.shape[0])}
+    store.write_manifest(out, manifest)
 
 
-def _column_specs(path, columns) -> list[tuple[str, tuple[int, ...], np.dtype]]:
-    """(name, shape, dtype) of each column a container header lists."""
-    if not isinstance(columns, list):
-        raise ValueError(f"{path}: header columns must be a list")
-    specs = []
-    for col in columns:
-        name = col.get("name") if isinstance(col, dict) else None
-        if not isinstance(name, str) or name not in _COLUMN_DTYPES \
-                or any(name == seen for seen, _, _ in specs):
-            raise ValueError(f"{path}: unknown or repeated column {name!r}")
-        if col.get("dtype") != _COLUMN_DTYPES[name]:
-            raise ValueError(f"{path}: column {name} has dtype {col.get('dtype')!r}, "
-                             f"expected {_COLUMN_DTYPES[name]!r}")
-        shape = col.get("shape")
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError(f"{path}: column {name} shape {shape!r} is not a list of "
-                             "non-negative sizes")
-        specs.append((name, tuple(shape), np.dtype(_COLUMN_DTYPES[name])))
-    if len(specs) != len(_COLUMN_DTYPES):
-        missing = sorted(set(_COLUMN_DTYPES) - {name for name, _, _ in specs})
-        raise ValueError(f"{path}: missing columns {missing}")
-    return specs
-
-
-def load_preprocessed(path) -> PreprocessedSet:
-    """Read a container written by save_preprocessed, validating the header.
-
-    Anything malformed raises ValueError. The header must list every column
-    once, with the dtype save_preprocessed writes and non-negative sizes,
-    and the columns it describes must fill the rest of the file exactly;
-    that is checked before any column is read, so a corrupt header cannot
-    ask for more memory than the file holds.
-    """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: not a preprocessed container ({exc})") from exc
-        if not isinstance(header, dict) or header.get("format") != "radonet-preprocessed":
-            raise ValueError(f"{path}: not a preprocessed container (no radonet format tag)")
-        if header.get("format_version") != PREPROCESSED_VERSION:
-            raise ValueError(
-                f"{path}: container version {header.get('format_version')!r} unsupported"
-            )
-        meta = header.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path}: header meta must be an object")
-        specs = _column_specs(path, header.get("columns"))
-        need = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in specs)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if need != left:
-            raise ValueError(f"{path}: header describes {need} bytes of columns but "
-                             f"{left} bytes follow it")
-        data = {name: np.frombuffer(fh.read(math.prod(shape) * dtype.itemsize),
-                                    dtype=dtype).reshape(shape).copy()
-                for name, shape, dtype in specs}
-    return PreprocessedSet(meta=meta, **data)
+def load_preprocessed(path) -> dict[str, PreprocessedSet]:
+    """Re-load every split written by save_preprocessed; anything malformed,
+    including an array header that claims more data than its file holds,
+    raises ValueError."""
+    root = Path(path)
+    manifest = store.read_manifest(root, "preprocessed set", PREPROCESSED_VERSION,
+                                   {"meta": dict, "splits": dict})
+    xi = store.read_array(root, "xi", 1)
+    out = {}
+    for split in manifest["splits"]:
+        out[split] = PreprocessedSet(
+            xi=xi,
+            sample_ids=store.read_array(root, f"sample_ids_{split}", 1, "<i8"),
+            meta=dict(manifest["meta"]),
+            **{name: store.read_array(root, f"{name}_{split}", 2)
+               for name in PreprocessedSet._ROW_COLUMNS},
+        )
+    return out

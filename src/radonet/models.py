@@ -17,12 +17,12 @@ names, so wrapping a module function wraps every model's use of it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import store
 from .nn import MlpParams, mlp_backward, mlp_forward, load_checkpoint, save_checkpoint
 
 BUNDLE_VERSION = 2
@@ -391,7 +391,7 @@ class RAdaptiveSystem:
     def _save_parts(self, out: Path, input_encoding: str) -> dict:
         save_bundle(out / "coord", self.coord_net, input_encoding)
         save_bundle(out / "sol", self.sol_net, input_encoding)
-        np.save(out / "xi_grid.npy", np.ascontiguousarray(self.xi_grid, dtype="<f8"))
+        store.write_array(out, "xi_grid", self.xi_grid)
         return {"n_xi_points": int(self.xi_grid.size), "coord_head": COORD_HEAD}
 
     @classmethod
@@ -401,7 +401,7 @@ class RAdaptiveSystem:
             raise ValueError(f"{root}: coordinate head {head!r} unsupported "
                              f"(expected {COORD_HEAD!r})")
         return cls(coord_net=load_bundle(root / "coord"), sol_net=load_bundle(root / "sol"),
-                   xi_grid=np.load(root / "xi_grid.npy"))
+                   xi_grid=store.read_array(root, "xi_grid", 1))
 
 
 @dataclass
@@ -482,21 +482,14 @@ def save_bundle(path, model, input_encoding: str = "", extra: dict | None = None
         **meta,
         **(extra or {}),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    store.write_manifest(out, manifest, sort_keys=False)
 
 
 def load_bundle(path):
     """Re-create a model object from a bundle directory."""
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise ValueError(f"{root}: not a model bundle (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
-    version = manifest.get("format_version")
-    if version != BUNDLE_VERSION:
-        raise ValueError(f"{root}: bundle format version {version} unsupported")
-    kind = manifest.get("kind")
-    cls = _BUNDLE_KINDS.get(kind) if isinstance(kind, str) else None
+    manifest = store.read_manifest(root, "model bundle", BUNDLE_VERSION, {"kind": str})
+    cls = _BUNDLE_KINDS.get(manifest["kind"])
     if cls is None:
-        raise ValueError(f"{root}: unknown bundle kind {kind!r}")
+        raise ValueError(f"{root}: unknown bundle kind {manifest['kind']!r}")
     return cls._load_parts(root, manifest)

@@ -9,12 +9,12 @@ byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .. import store
 from ..nn import substream
 from .advection import BoxWaveParams, advection_exact, encode_box_params, sample_box_params
 from .burgers import burgers_solve
@@ -147,16 +147,6 @@ def dataset_build(problem: str, seed: int, counts: dict[str, int],
     return out
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def save_dataset(path, datasets: dict[str, PdeDataset]) -> None:
     """Write splits as .npy arrays plus a manifest.json describing them."""
     if not datasets:
@@ -168,40 +158,36 @@ def save_dataset(path, datasets: dict[str, PdeDataset]) -> None:
         "format_version": DATASET_VERSION,
         "problem": first.problem,
         "seed": first.seed,
-        "params": _jsonable(first.params),
+        "params": first.params,  # defaults and JSON config values; tuples dump as lists
         "splits": {},
     }
-    np.save(out / "x_grid.npy", np.ascontiguousarray(first.x_grid, dtype="<f8"))
+    store.write_array(out, "x_grid", first.x_grid)
     for split, ds in datasets.items():
         if ds.problem != first.problem or ds.seed != first.seed:
             raise ValueError("all splits in a dataset must share problem and seed")
-        np.save(out / f"inputs_{split}.npy", np.ascontiguousarray(ds.inputs, dtype="<f8"))
-        np.save(out / f"outputs_{split}.npy", np.ascontiguousarray(ds.outputs, dtype="<f8"))
+        store.write_array(out, f"inputs_{split}", ds.inputs)
+        store.write_array(out, f"outputs_{split}", ds.outputs)
         manifest["splits"][split] = {"n_samples": int(ds.n_samples)}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    store.write_manifest(out, manifest)
 
 
 def load_dataset(path) -> dict[str, PdeDataset]:
-    """Re-load every split from a dataset directory."""
+    """Re-load every split from a dataset directory; anything malformed,
+    including an array header that claims more data than its file holds,
+    raises ValueError."""
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise ValueError(f"{root}: not a dataset directory (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") != DATASET_VERSION:
-        raise ValueError(
-            f"{root}: dataset format version {manifest.get('format_version')} unsupported"
-        )
-    x_grid = np.load(root / "x_grid.npy")
+    manifest = store.read_manifest(root, "dataset", DATASET_VERSION,
+                                   {"problem": str, "seed": int, "params": dict, "splits": dict})
+    x_grid = store.read_array(root, "x_grid", 1)
     out = {}
     for split in manifest["splits"]:
         out[split] = PdeDataset(
             problem=manifest["problem"],
             split=split,
-            inputs=np.load(root / f"inputs_{split}.npy"),
-            outputs=np.load(root / f"outputs_{split}.npy"),
+            inputs=store.read_array(root, f"inputs_{split}", 2),
+            outputs=store.read_array(root, f"outputs_{split}", 2),
             x_grid=x_grid,
-            seed=int(manifest["seed"]),
+            seed=manifest["seed"],
             params=manifest["params"],
         )
     return out

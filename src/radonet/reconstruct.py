@@ -44,7 +44,7 @@ def interp_linear_1d(knots: np.ndarray, values: np.ndarray, queries: np.ndarray,
     """Piecewise-linear interpolation on strictly increasing knots.
 
     mode controls out-of-range queries: "strict" raises, "clamp" holds the
-    end values, "wrap" reduces queries into the knot span periodically.
+    end values.
     """
     x = np.asarray(knots, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -53,10 +53,7 @@ def interp_linear_1d(knots: np.ndarray, values: np.ndarray, queries: np.ndarray,
         raise ValueError("knots/values must be equal-length 1-d arrays with >= 2 entries")
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("knots must be strictly increasing")
-    if mode == "wrap":
-        span = x[-1] - x[0]
-        q = x[0] + np.mod(q - x[0], span)
-    elif mode == "strict":
+    if mode == "strict":
         if q.size and (q.min() < x[0] or q.max() > x[-1]):
             raise ValueError(
                 f"query outside knot range [{x[0]}, {x[-1]}]: "
@@ -68,18 +65,17 @@ def interp_linear_1d(knots: np.ndarray, values: np.ndarray, queries: np.ndarray,
 
 
 def recover_uniform(knots: np.ndarray, values: np.ndarray, target_grid: np.ndarray,
-                    domain: tuple[float, float], mode: str = "clamp") -> np.ndarray:
+                    domain: tuple[float, float]) -> np.ndarray:
     """Turn a predicted graph {(knots[j], values[j])} into values on a grid.
 
-    Applies monotone_fix to the knots, then interpolates linearly. Queries
-    outside the domain follow `mode` ("clamp" for bounded problems, "wrap"
-    for periodic ones).
+    Applies monotone_fix to the knots, then interpolates linearly; queries
+    outside the domain take the end values.
     """
-    return interp_linear_1d(monotone_fix(knots, domain), values, target_grid, mode=mode)
+    return interp_linear_1d(monotone_fix(knots, domain), values, target_grid, mode="clamp")
 
 
-def rel_l2_error(predictions: np.ndarray, references: np.ndarray) -> float:
-    """Mean over samples of ||pred - ref|| / ||ref|| in the discrete RMS norm.
+def rel_l2_error(predictions: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """Each sample's ||pred - ref|| / ||ref|| in the discrete RMS norm.
 
     Accepts (n_samples, ...) arrays; each sample's field is flattened. A
     reference with zero norm is rejected.
@@ -96,4 +92,4 @@ def rel_l2_error(predictions: np.ndarray, references: np.ndarray) -> float:
     if np.any(ref_norm == 0.0):
         raise ValueError("reference sample with zero norm")
     err_norm = np.sqrt(np.mean((p - r) ** 2, axis=1))
-    return float(np.mean(err_norm / ref_norm))
+    return err_norm / ref_norm

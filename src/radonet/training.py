@@ -135,7 +135,8 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
     report = TrainReport()
 
     def validate(epoch):
-        err = float(rel_l2_error(model_predict(model, val_inputs, val_queries), val_targets))
+        err = float(np.mean(rel_l2_error(model_predict(model, val_inputs, val_queries),
+                                         val_targets)))
         report.validation_history.append((epoch, err))
         if err < report.best_error:
             report.best_error = err

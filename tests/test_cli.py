@@ -79,14 +79,14 @@ def test_config_merge_and_overrides(tmp_path):
 
     class Args:
         config = str(cfg_file)
-        set = ["train.epochs=7", "preprocess.ratio_limit=null", "data.dt=0.001"]
+        set = ["train.epochs=7", "preprocess.ratio_limit=null", "data.speed=0.5"]
 
     cfg = resolve_config(Args())
     assert cfg["model"]["n_basis"] == 16
     assert cfg["model"]["family"] == "vanilla"  # default survives
     assert cfg["train"]["epochs"] == 7
     assert cfg["preprocess"]["ratio_limit"] is None
-    assert cfg["data"] == {"n_grid": 512, "dt": 0.001}
+    assert cfg["data"] == {"n_grid": 512, "speed": 0.5}
     # hashing is stable under key order
     assert config_hash(cfg) == config_hash(json.loads(json.dumps(cfg)))
 
@@ -123,7 +123,7 @@ def test_datagen_outputs_and_determinism(micro, tmp_path):
 def test_preprocess_artifact(micro):
     from radonet.equidistribution import load_preprocessed
 
-    pset = load_preprocessed(micro["prep"] / "train.rnp")
+    pset = load_preprocessed(micro["prep"])["train"]
     assert pset.x.shape == (6, 17)
     assert pset.meta["problem"] == "advection"
     assert pset.meta["periodic"] is True
@@ -326,6 +326,19 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
         assert not out.exists()
 
 
+def test_every_stage_refuses_data_keys_the_problem_lacks(micro, tmp_path, capsys):
+    data = ("--dataset", str(micro["data"]))
+    for stage, inputs in (("preprocess", data), ("train", data),
+                          ("eval", ("--model", str(micro["van"]), *data))):
+        out = tmp_path / stage
+        run_cli(stage, "--config", str(micro["cfg"]), "--set", "data.bogus=1", *inputs,
+                "--out", str(out), expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "config"
+        assert "bogus" in err["message"]
+        assert not out.exists()
+
+
 def test_vanilla_validates_on_the_dataset_grid(micro, tmp_path):
     # at two output points every val box of this dataset falls between the
     # points, so its resampled target is all zeros and has no relative error;
@@ -345,8 +358,8 @@ def test_vanilla_validates_on_the_dataset_grid(micro, tmp_path):
             "--dataset", str(micro["data"]), "--out", str(out))
     report = json.loads((out / "report.json").read_text())["reports"]["model"]
     model = load_bundle(out)
-    on_grid = rel_l2_error(model_predict(model, val.inputs, val.x_grid.reshape(-1, 1)),
-                           val.outputs)
+    on_grid = np.mean(rel_l2_error(model_predict(model, val.inputs, val.x_grid.reshape(-1, 1)),
+                                   val.outputs))
     assert report["best_error"] == pytest.approx(on_grid, rel=1e-12)
 
 

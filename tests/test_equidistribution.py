@@ -1,13 +1,8 @@
-import json
-import os
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radonet import equidistribution
 from radonet.equidistribution import (
     AdaptiveSample,
     DensityField,
@@ -24,6 +19,7 @@ from radonet.equidistribution import (
     weight_solution,
 )
 
+from containers import corrupt, join_npy, load_guarded, restore, snapshot, split_npy
 from oracles import equidistribute_refined
 
 
@@ -248,149 +244,86 @@ def test_adaptive_sample_shape_check():
 # --- container round trip ---------------------------------------------------
 
 
+def _small_set(n_xi, offsets, m=2048, meta=None, sample_ids=None):
+    _, u = box_signal(m=m)
+    return PreprocessedSet.from_samples(
+        [preprocess_sample(np.roll(u, k), (0.0, 1.0), n_xi, periodic=True) for k in offsets],
+        sample_ids=sample_ids, meta=meta)
+
+
 def test_preprocessed_container_roundtrip(tmp_path):
-    _, u = box_signal()
-    samples = [preprocess_sample(np.roll(u, 100 * k), (0.0, 1.0), 16, periodic=True)
-               for k in range(3)]
-    pset = PreprocessedSet.from_samples(samples, sample_ids=[5, 9, 11],
-                                        meta={"problem": "unit-test", "n_xi": 16})
-    path = tmp_path / "set.rnp"
-    save_preprocessed(path, pset)
+    meta = {"problem": "unit-test", "n_xi": 16}
+    sets = {"train": _small_set(16, (0, 100, 200), meta=meta, sample_ids=[5, 9, 11]),
+            "val": _small_set(16, (300,), meta=meta)}
+    path = tmp_path / "set"
+    save_preprocessed(path, sets)
     back = load_preprocessed(path)
-    for name in PreprocessedSet._FLOAT_COLUMNS:
-        np.testing.assert_array_equal(getattr(back, name), getattr(pset, name))
-    np.testing.assert_array_equal(back.sample_ids, [5, 9, 11])
-    assert back.meta == pset.meta
+    assert set(back) == {"train", "val"}
+    for split, pset in sets.items():
+        for name in PreprocessedSet._FLOAT_COLUMNS:
+            np.testing.assert_array_equal(getattr(back[split], name), getattr(pset, name))
+        np.testing.assert_array_equal(back[split].sample_ids, pset.sample_ids)
+        assert back[split].sample_ids.dtype == np.int64
+        assert back[split].meta == meta
+    np.testing.assert_array_equal(back["train"].sample_ids, [5, 9, 11])
 
     # byte-identical rewrite
-    save_preprocessed(tmp_path / "again.rnp", back)
-    assert (tmp_path / "again.rnp").read_bytes() == path.read_bytes()
+    save_preprocessed(tmp_path / "again", back)
+    assert snapshot(tmp_path / "again") == snapshot(path)
 
 
 def test_preprocessed_container_rejects_junk(tmp_path):
-    bad = tmp_path / "bad.rnp"
-    bad.write_bytes(b"\x93NUMPY not a header\n1234")
+    with pytest.raises(ValueError, match="manifest.json"):
+        load_preprocessed(tmp_path)
+    (tmp_path / "manifest.json").write_text("[" * 100_000)
     with pytest.raises(ValueError):
-        load_preprocessed(bad)
-    wrong = tmp_path / "wrong.rnp"
-    wrong.write_bytes(b'{"format": "something-else", "columns": []}\n')
-    with pytest.raises(ValueError):
-        load_preprocessed(wrong)
-    deep = tmp_path / "deep.rnp"
-    deep.write_bytes(b"[" * 100_000 + b"\n")
-    with pytest.raises(ValueError):
-        load_preprocessed(deep)
-    _, u = box_signal()
-    pset = PreprocessedSet.from_samples(
-        [preprocess_sample(u, (0.0, 1.0), 8, periodic=True)])
-    good = tmp_path / "good.rnp"
-    save_preprocessed(good, pset)
-    truncated = tmp_path / "trunc.rnp"
-    truncated.write_bytes(good.read_bytes()[:-40])
-    with pytest.raises(ValueError):
-        load_preprocessed(truncated)
+        load_preprocessed(tmp_path)
+    (tmp_path / "manifest.json").write_text('{"format_version": 1, "meta": {}, "splits": {}}')
+    with pytest.raises(ValueError, match="format version 1"):
+        load_preprocessed(tmp_path)
+    pset = _small_set(8, (0,))
+    save_preprocessed(tmp_path, {"train": pset})
+    (tmp_path / "x_train.npy").write_bytes(b"\x93NUMPY not a header\n1234")
+    with pytest.raises(ValueError, match="x_train.npy"):
+        load_preprocessed(tmp_path)
+    with pytest.raises(ValueError, match="share xi"):  # one xi per artifact
+        save_preprocessed(tmp_path, {"train": pset, "val": _small_set(16, (0,))})
     with pytest.raises(ValueError):  # one mesh per sample, no time axis
         PreprocessedSet(xi=pset.xi, sample_ids=pset.sample_ids,
                         **{name: getattr(pset, name)[:, None]
-                           for name in ("x", "u", "det_j", "w_sol", "w_coord")})
-
-
-class _ReadGuard:
-    """A binary file that fails the test on any read longer than the file."""
-
-    def __init__(self, path, mode="rb"):
-        self._fh = open(path, mode)
-        self._size = os.path.getsize(path)
-
-    def __getattr__(self, name):
-        return getattr(self._fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-    def read(self, n=-1):
-        assert 0 <= n <= self._size, f"read of {n} bytes from a {self._size}-byte file"
-        return self._fh.read(n)
+                           for name in PreprocessedSet._ROW_COLUMNS})
 
 
 @pytest.fixture(scope="module")
 def container(tmp_path_factory):
-    """A scratch directory and the bytes of a small valid container."""
-    root = tmp_path_factory.mktemp("rnp")
-    _, u = box_signal(m=256)
-    pset = PreprocessedSet.from_samples(
-        [preprocess_sample(np.roll(u, 40 * k), (0.0, 1.0), 8, periodic=True) for k in range(2)],
-        meta={"problem": "unit-test"})
-    save_preprocessed(root / "good.rnp", pset)
-    return root, (root / "good.rnp").read_bytes()
-
-
-_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
-                          st.floats(allow_nan=False), st.text(max_size=6))
-_SHAPES = st.one_of(st.lists(st.integers(-2**70, 2**70), max_size=4),
-                    st.lists(st.integers(0, 40), min_size=1, max_size=3), _JSON_SCALARS)
-_DTYPES = st.one_of(st.sampled_from(["<f8", "<i8", ">f8", "<f4", "|O", "O", "V8", "<U8", "x"]),
-                    _JSON_SCALARS)
-_NAMES = st.one_of(st.sampled_from(["xi", "x", "u", "sample_ids", "bogus"]), _JSON_SCALARS)
-
-
-def _header_and_body(blob: bytes):
-    line, _, body = blob.partition(b"\n")
-    return json.loads(line), body
-
-
-def _corrupt(blob: bytes, data) -> bytes:
-    kind = data.draw(st.sampled_from(["truncate", "flip", "column", "header", "body"]))
-    if kind == "truncate":
-        return blob[:data.draw(st.integers(0, len(blob) - 1))]
-    if kind == "flip":
-        out = bytearray(blob)
-        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
-            out[pos] = data.draw(st.integers(0, 255))
-        return bytes(out)
-    header, body = _header_and_body(blob)
-    if kind == "column":
-        col = header["columns"][data.draw(st.integers(0, len(header["columns"]) - 1))]
-        key = data.draw(st.sampled_from(["shape", "dtype", "name", "drop"]))
-        if key == "drop":
-            header["columns"].remove(col)
-        else:
-            col[key] = data.draw({"shape": _SHAPES, "dtype": _DTYPES, "name": _NAMES}[key])
-    elif kind == "header":
-        key = data.draw(st.sampled_from(["format", "format_version", "columns", "meta"]))
-        header[key] = data.draw(_JSON_SCALARS)
-    else:
-        cut = data.draw(st.integers(-len(body), 64))
-        body = body[:cut] if cut < 0 else body + bytes(cut)
-    return json.dumps(header).encode() + b"\n" + body
+    """A scratch directory and the files of a small valid preprocessed set."""
+    root = tmp_path_factory.mktemp("prep")
+    meta = {"problem": "unit-test"}
+    save_preprocessed(root / "good", {"train": _small_set(8, (0, 40), m=256, meta=meta),
+                                      "val": _small_set(8, (80,), m=256, meta=meta)})
+    return root, snapshot(root / "good")
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_corrupt_containers_raise_value_error_without_large_reads(container, data):
     root, good = container
-    path = root / "corrupt.rnp"
-    path.write_bytes(_corrupt(good, data))
-    with mock.patch.object(equidistribution, "open", _ReadGuard, create=True):
-        try:
-            pset = load_preprocessed(path)
-        except ValueError:
-            return
-    # a corruption that keeps the container well formed loads as a valid set
-    assert pset.x.shape == pset.u.shape
-    assert pset.sample_ids.shape == (pset.x.shape[0],)
+    restore(root / "corrupt", corrupt(good, data))
+    try:
+        sets = load_guarded(load_preprocessed, root / "corrupt")
+    except ValueError:
+        return
+    # a corruption that keeps the container well formed loads as valid sets
+    for pset in sets.values():
+        assert pset.x.shape == pset.u.shape == pset.w_coord.shape
+        assert pset.sample_ids.shape == (pset.x.shape[0],)
+        assert pset.xi.shape == (pset.x.shape[1],)
 
 
 def test_container_header_cannot_claim_more_than_the_file(tmp_path, container):
-    header, body = _header_and_body(container[1])
-    for col in header["columns"]:
-        if col["name"] == "x":
-            col["shape"] = [10**12, 10**6]
-    path = tmp_path / "huge.rnp"
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-    with mock.patch.object(equidistribution, "open", _ReadGuard, create=True):
-        with pytest.raises(ValueError, match="bytes of columns"):
-            load_preprocessed(path)
+    files = dict(container[1])
+    header, body = split_npy(files["x_train.npy"])
+    files["x_train.npy"] = join_npy(dict(header, shape=(10**12, 10**6)), body)
+    restore(tmp_path / "huge", files)
+    with pytest.raises(ValueError, match="bytes of data"):
+        load_guarded(load_preprocessed, tmp_path / "huge")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radonet.nn import substream
 from radonet.pde_data import (
@@ -26,6 +28,7 @@ from radonet.pde_data import (
     total_energy,
 )
 
+from containers import corrupt, join_npy, load_guarded, restore, snapshot, split_npy
 from oracles import heat_exact_from_coeffs, rankine_hugoniot_residual, sod_star_pressure_bisect
 
 SOD = RiemannState(rho_l=1.0, u_l=0.0, p_l=1.0, rho_r=0.125, u_r=0.0, p_r=0.1)
@@ -318,3 +321,58 @@ def test_dataset_validation(tmp_path):
     with pytest.raises(ValueError):  # one field per sample, no time axis
         PdeDataset("burgers", "train", np.zeros((2, 3)), np.zeros((2, 4, 8)),
                    np.zeros(8), 0, {})
+
+
+# --- the dataset loader on corrupt directories --------------------------------
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    """A scratch directory and the files of a small valid dataset."""
+    root = tmp_path_factory.mktemp("data")
+    save_dataset(root / "good", dataset_build("advection", seed=1, counts={"train": 4, "val": 2},
+                                              params={"n_grid": 64}))
+    return root, snapshot(root / "good")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_datasets_raise_value_error_without_large_reads(dataset_dir, data):
+    root, good = dataset_dir
+    restore(root / "corrupt", corrupt(good, data))
+    try:
+        datasets = load_guarded(load_dataset, root / "corrupt")
+    except ValueError:
+        return
+    # a corruption that keeps the dataset well formed loads as valid splits
+    for ds in datasets.values():
+        assert ds.inputs.ndim == ds.outputs.ndim == 2
+        assert ds.inputs.shape[0] == ds.outputs.shape[0]
+        assert ds.x_grid.ndim == 1
+
+
+def _with_outputs_shape(good, shape):
+    files = dict(good)
+    header, body = split_npy(files["outputs_train.npy"])
+    files["outputs_train.npy"] = join_npy(dict(header, shape=shape), body)
+    return files
+
+
+def test_dataset_header_claiming_a_huge_array_is_refused_before_allocating(dataset_dir,
+                                                                          tmp_path):
+    restore(tmp_path, _with_outputs_shape(dataset_dir[1], (10**6, 10**6)))
+    with pytest.raises(ValueError, match="bytes of data"):
+        load_guarded(load_dataset, tmp_path)
+
+
+def test_dataset_header_claiming_fewer_elements_than_the_file_is_refused(dataset_dir,
+                                                                        tmp_path):
+    restore(tmp_path, _with_outputs_shape(dataset_dir[1], (4, 63)))
+    with pytest.raises(ValueError, match="bytes of data"):
+        load_dataset(tmp_path)
+
+
+def test_dataset_manifest_that_is_not_an_object_is_refused(dataset_dir, tmp_path):
+    restore(tmp_path, dict(dataset_dir[1], **{"manifest.json": b'["train", "val"]'}))
+    with pytest.raises(ValueError, match="JSON object"):
+        load_dataset(tmp_path)

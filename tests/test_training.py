@@ -118,7 +118,7 @@ def test_train_reduces_error_and_reports():
     assert report.wall_seconds > 0.0
     # returned model is the best snapshot: re-measuring reproduces best_error
     from radonet.reconstruct import rel_l2_error
-    err = rel_l2_error(model_predict(model, inputs, queries), targets)
+    err = np.mean(rel_l2_error(model_predict(model, inputs, queries), targets))
     assert err == pytest.approx(report.best_error, rel=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_train_validates_after_the_final_epoch():
     assert [epoch for epoch, _ in report.validation_history] == [0, 10, 20, 25]
     assert report.best_epoch == 25
     from radonet.reconstruct import rel_l2_error
-    err = rel_l2_error(model_predict(model, inputs, queries), targets)
+    err = np.mean(rel_l2_error(model_predict(model, inputs, queries), targets))
     assert err == pytest.approx(report.best_error, rel=1e-12)
 
 
