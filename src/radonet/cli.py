@@ -216,6 +216,17 @@ def write_provenance(out: Path, stage: str, cfg: dict, upstream: dict,
     (out / "provenance.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _write_outputs(out_dir: str, table: tuple[str, list[str]], report: tuple[str, dict],
+                   stage: str, cfg: dict, upstream: dict) -> None:
+    """Write a stage's outputs: the CSV lines of table, the JSON of report
+    (each under its file name) and provenance.json."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / table[0]).write_text("\n".join(table[1]) + "\n")
+    (out / report[0]).write_text(json.dumps(report[1], indent=2, sort_keys=True) + "\n")
+    write_provenance(out, stage, cfg, upstream)
+
+
 def check_artifact(path_str: str) -> tuple[Path, dict]:
     """Validate an upstream artifact directory; returns (path, provenance)."""
     root = Path(path_str)
@@ -267,15 +278,13 @@ def _make_shift(cfg: dict, n_inputs: int, bounds) -> ShiftDeepOnetModel:
     m = cfg["model"]
     n_basis = int(m["n_basis"])
     base = _make_deeponet(cfg, n_inputs, bounds, role="shift")
-    scale = mlp_init([n_inputs, *m["branch_hidden"], n_basis],
-                     activation=m["branch_activation"],
-                     seed=_derived_seed(cfg["seed"], "init", "shift", "scale"))
-    shift = mlp_init([n_inputs, *m["branch_hidden"], n_basis],
-                     activation=m["branch_activation"],
-                     seed=_derived_seed(cfg["seed"], "init", "shift", "shift"))
-    return ShiftDeepOnetModel(branch=base.branch, trunk=base.trunk, scale_net=scale,
-                              shift_net=shift, n_basis=n_basis,
-                              query_lo=[bounds[0]], query_hi=[bounds[1]])
+    # the scale and shift nets read the input like the branch, one output per basis function
+    nets = {f"{name}_net": mlp_init([n_inputs, *m["branch_hidden"], n_basis],
+                                    activation=m["branch_activation"],
+                                    seed=_derived_seed(cfg["seed"], "init", "shift", name))
+            for name in ("scale", "shift")}
+    return ShiftDeepOnetModel(branch=base.branch, trunk=base.trunk, n_basis=n_basis,
+                              query_lo=[bounds[0]], query_hi=[bounds[1]], **nets)
 
 
 def _uniform_targets(ds, n_points: int, domain, periodic: bool):
@@ -495,14 +504,9 @@ def cmd_eval(args) -> None:
 
     per = rel_l2_error(preds, refs)
     summary["mean_rel_l2"] = float(np.mean(per))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["sample,rel_l2"]
-    lines += [f"{i},{e:.12e}" for i, e in enumerate(per)]
-    (out / "per_sample.csv").write_text("\n".join(lines) + "\n")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_provenance(out, "eval", cfg, {"model": model_prov["content_hash"],
-                                        "dataset": ds_prov["content_hash"]})
+    lines = ["sample,rel_l2"] + [f"{i},{e:.12e}" for i, e in enumerate(per)]
+    _write_outputs(args.out, ("per_sample.csv", lines), ("summary.json", summary), "eval", cfg,
+                   {"model": model_prov["content_hash"], "dataset": ds_prov["content_hash"]})
     print(f"{summary['family']} on {ds.problem}/{split}: "
           f"mean relative L2 error {summary['mean_rel_l2']:.6e}")
 
@@ -555,11 +559,8 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
 def cmd_analyze_spectrum(args) -> None:
     data, dx, tag, upstream = _spectrum_source(args)
     report = covariance_spectrum(data, dx, tag=tag)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["index,eigenvalue"]
     lines += [f"{j + 1},{lam:.12e}" for j, lam in enumerate(report.eigenvalues)]
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
     doc = {
         "tag": report.tag,
         "n_grid": report.n_grid,
@@ -567,8 +568,8 @@ def cmd_analyze_spectrum(args) -> None:
         "trace": float(np.sum(report.eigenvalues)),
         "leading": [float(v) for v in report.eigenvalues[:10]],
     }
-    (out / "spectrum.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    write_provenance(out, "analyze-spectrum", _args_config(args), upstream)
+    _write_outputs(args.out, ("spectrum.csv", lines), ("spectrum.json", doc),
+                   "analyze-spectrum", _args_config(args), upstream)
     print(f"spectrum of {tag}: trace {doc['trace']:.6e}")
 
 
@@ -577,13 +578,10 @@ def cmd_analyze_tail(args) -> None:
     report = covariance_spectrum(data, dx, tag=tag)
     modes = _parse_int_list(args.modes, "--modes")
     tails = [(n, optimal_error_tail(report, n)) for n in modes]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["n,tail"] + [f"{n},{t:.12e}" for n, t in tails]
-    (out / "tail.csv").write_text("\n".join(lines) + "\n")
     doc = {"tag": tag, "tails": {str(n): float(t) for n, t in tails}}
-    (out / "tail.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    write_provenance(out, "analyze-tail", _args_config(args), upstream)
+    _write_outputs(args.out, ("tail.csv", lines), ("tail.json", doc), "analyze-tail",
+                   _args_config(args), upstream)
     print(f"tail sums of {tag}: " + ", ".join(f"n={n}: {t:.3e}" for n, t in tails))
 
 
@@ -595,14 +593,11 @@ def cmd_analyze_adaptive_rate(args) -> None:
         fit = adaptive_box_construct(delta, n)
         rows.append((n, delta, fit.error))
     result = rate_fit([r[0] for r in rows], [r[2] for r in rows])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["n,delta,error"] + [f"{n},{d:.12e},{e:.12e}" for n, d, e in rows]
-    (out / "adaptive_rate.csv").write_text("\n".join(lines) + "\n")
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "delta_power": args.delta_power}
-    (out / "adaptive_rate.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    write_provenance(out, "analyze-adaptive-rate", _args_config(args), {})
+    _write_outputs(args.out, ("adaptive_rate.csv", lines), ("adaptive_rate.json", doc),
+                   "analyze-adaptive-rate", _args_config(args), {})
     print(f"adaptive interpolant rate: slope {result.slope:.4f} "
           f"(residual {result.residual:.2e})")
 
@@ -622,14 +617,11 @@ def cmd_analyze_fem_rate(args) -> None:
         raise CliError(f"--target must be 'box' or 'sine', got {args.target!r}")
     rows = [(n, fem_uniform_interp_error(u, n, domain)) for n in ns]
     result = rate_fit([r[0] for r in rows], [r[1] for r in rows])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["n,error"] + [f"{n},{e:.12e}" for n, e in rows]
-    (out / "fem_rate.csv").write_text("\n".join(lines) + "\n")
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "target": args.target}
-    (out / "fem_rate.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    write_provenance(out, "analyze-fem-rate", _args_config(args), {})
+    _write_outputs(args.out, ("fem_rate.csv", lines), ("fem_rate.json", doc),
+                   "analyze-fem-rate", _args_config(args), {})
     print(f"uniform-mesh interpolation rate on {args.target}: slope {result.slope:.4f}")
 
 

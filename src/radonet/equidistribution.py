@@ -314,11 +314,15 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     xi = np.linspace(lo, hi, n_xi + 1)
     dxi = length / n_xi
     grid = rho.grid()
-    period = length if periodic else None
-    u_tilde = np.interp(x, grid, u, period=period)
-    det_j = jacobian_det_1d(x, dxi)
     grad_raw = np.abs(fd_derivative(u, dx, periodic))
-    grad_at_knots = np.interp(x, grid, grad_raw, period=period)
+    # a periodic field is read from its grid closed by the wrap point: the same
+    # bits as np.interp(period=), which re-sorts the grid on every call
+    if periodic:
+        grid = np.append(grid, grid[0] + length)
+        u, grad_raw = np.append(u, u[0]), np.append(grad_raw, grad_raw[0])
+    u_tilde = np.interp(x, grid, u)
+    det_j = jacobian_det_1d(x, dxi)
+    grad_at_knots = np.interp(x, grid, grad_raw)
     return AdaptiveSample(
         xi=xi,
         x=x,

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import store
-from .nn import MlpParams, mlp_backward, mlp_forward, load_checkpoint, save_checkpoint
+from .nn import MlpParams, mlp_backward, mlp_forward, mlp_params
 
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 # the coordinate head recorded in radaptive bundles (see monotone_head)
 COORD_HEAD = "softplus-cumtrapz"
@@ -58,13 +58,21 @@ class _OperatorNet:
     """What the operator nets share: query bounds, copies and bundle files.
 
     Subclasses are dataclasses with `branch`, `trunk`, `n_basis`,
-    `query_lo` and `query_hi` fields; each net in `nets` is stored as
-    `<name without _net>.npz`.
+    `query_lo` and `query_hi` fields. In a bundle each net in `nets` is
+    stored as `<stem>_weight_<i>.npy` and `<stem>_bias_<i>.npy`, with its
+    layer sizes and activation in the manifest's `nets` entry under its
+    stem; n_basis is the branch's output size.
     """
 
     nets = ("branch", "trunk")
 
-    def _check_queries(self) -> None:
+    def _check(self, outputs: dict[str, int]) -> None:
+        """Refuse nets whose output sizes differ from outputs, by net name,
+        and query bounds that are not ordered (d,) vectors."""
+        for name, want in outputs.items():
+            got = getattr(self, name).layer_sizes[-1]
+            if got != want:
+                raise ValueError(f"{name} output size {got} != {want}")
         self.query_lo = np.atleast_1d(np.asarray(self.query_lo, dtype=np.float64))
         self.query_hi = np.atleast_1d(np.asarray(self.query_hi, dtype=np.float64))
         d = self.d_query
@@ -87,21 +95,39 @@ class _OperatorNet:
         return replace(self, **{name: getattr(self, name).copy() for name in self.nets})
 
     def _save_parts(self, out: Path, input_encoding: str) -> dict:
-        for name in self.nets:
-            save_checkpoint(out / f"{name.removesuffix('_net')}.npz", getattr(self, name))
-        return {
-            "n_basis": int(self.n_basis),
-            "query_lo": [float(v) for v in self.query_lo],
-            "query_hi": [float(v) for v in self.query_hi],
-        }
+        nets = {}
+        for name, stem in self._stems().items():
+            params = getattr(self, name)
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                store.write_array(out, f"{stem}_weight_{i}", w)
+                store.write_array(out, f"{stem}_bias_{i}", b)
+            nets[stem] = {"layer_sizes": list(params.layer_sizes), "activation": params.activation}
+        return {"nets": nets,
+                "query_lo": [float(v) for v in self.query_lo],
+                "query_hi": [float(v) for v in self.query_hi]}
 
     @classmethod
-    def _load_parts(cls, root: Path, manifest: dict):
-        return cls(**{name: load_checkpoint(root / f"{name.removesuffix('_net')}.npz")
-                      for name in cls.nets},
-                   n_basis=int(manifest["n_basis"]),
-                   query_lo=np.asarray(manifest["query_lo"], dtype=np.float64),
-                   query_hi=np.asarray(manifest["query_hi"], dtype=np.float64))
+    def _read_parts(cls, root: Path, manifest: dict) -> dict:
+        net = {"layer_sizes": [int], "activation": str}
+        store.check_fields(root, manifest, {"nets": dict.fromkeys(cls._stems().values(), net),
+                                            "query_lo": [float], "query_hi": [float]})
+        parts = {"query_lo": np.asarray(manifest["query_lo"], dtype=np.float64),
+                 "query_hi": np.asarray(manifest["query_hi"], dtype=np.float64)}
+        for name, stem in cls._stems().items():
+            entry = manifest["nets"][stem]
+            layers = range(len(entry["layer_sizes"]) - 1)
+            weights = [store.read_array(root, f"{stem}_weight_{i}", 2) for i in layers]
+            biases = [store.read_array(root, f"{stem}_bias_{i}", 1) for i in layers]
+            try:
+                parts[name] = mlp_params(entry["layer_sizes"], entry["activation"], weights, biases)
+            except ValueError as exc:
+                raise ValueError(f"{root / 'manifest.json'}: net {stem!r}: {exc}") from exc
+        return dict(parts, n_basis=parts["branch"].layer_sizes[-1])
+
+    @classmethod
+    def _stems(cls) -> dict[str, str]:
+        """The bundle file stem of each net: its name without _net."""
+        return {name: name.removesuffix("_net") for name in cls.nets}
 
 
 @dataclass
@@ -118,15 +144,7 @@ class DeepOnetModel(_OperatorNet):
     family = "vanilla"
 
     def __post_init__(self):
-        if self.branch.layer_sizes[-1] != self.n_basis:
-            raise ValueError(
-                f"branch output size {self.branch.layer_sizes[-1]} != n_basis {self.n_basis}"
-            )
-        if self.trunk.layer_sizes[-1] != self.n_basis:
-            raise ValueError(
-                f"trunk output size {self.trunk.layer_sizes[-1]} != n_basis {self.n_basis}"
-            )
-        self._check_queries()
+        self._check({"branch": self.n_basis, "trunk": self.n_basis})
 
     def forward(self, inputs, queries):
         return deeponet_forward_batch(self, inputs, queries)
@@ -294,18 +312,8 @@ class ShiftDeepOnetModel(_OperatorNet):
     family = "shift"
 
     def __post_init__(self):
-        d = self.d_query
-        n = self.n_basis
-        checks = [
-            (self.branch.layer_sizes[-1], n, "branch output"),
-            (self.trunk.layer_sizes[-1], n, "trunk output"),
-            (self.scale_net.layer_sizes[-1], n * d * d, "scale net output"),
-            (self.shift_net.layer_sizes[-1], n * d, "shift net output"),
-        ]
-        for got, want, what in checks:
-            if got != want:
-                raise ValueError(f"{what} size {got} != {want}")
-        self._check_queries()
+        n, d = self.n_basis, self.d_query
+        self._check({"branch": n, "trunk": n, "scale_net": n * d * d, "shift_net": n * d})
 
     def forward(self, inputs, queries):
         return shift_forward_batch(self, inputs, queries)
@@ -395,13 +403,14 @@ class RAdaptiveSystem:
         return {"n_xi_points": int(self.xi_grid.size), "coord_head": COORD_HEAD}
 
     @classmethod
-    def _load_parts(cls, root: Path, manifest: dict) -> "RAdaptiveSystem":
+    def _read_parts(cls, root: Path, manifest: dict) -> dict:
         head = manifest.get("coord_head")
         if head != COORD_HEAD:
             raise ValueError(f"{root}: coordinate head {head!r} unsupported "
                              f"(expected {COORD_HEAD!r})")
-        return cls(coord_net=load_bundle(root / "coord"), sol_net=load_bundle(root / "sol"),
-                   xi_grid=store.read_array(root, "xi_grid", 1))
+        return {"coord_net": load_bundle(root / "coord", DeepOnetModel.kind),
+                "sol_net": load_bundle(root / "sol", DeepOnetModel.kind),
+                "xi_grid": store.read_array(root, "xi_grid", 1)}
 
 
 @dataclass
@@ -463,13 +472,13 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# on-disk bundles: manifest + one checkpoint per subnetwork
+# on-disk bundles: manifest + one .npy file per weight and bias (radonet.store)
 
 _BUNDLE_KINDS = {cls.kind: cls for cls in (DeepOnetModel, ShiftDeepOnetModel, RAdaptiveSystem)}
 
 
 def save_bundle(path, model, input_encoding: str = "", extra: dict | None = None) -> None:
-    """Persist a model as a directory: manifest.json plus per-net checkpoints."""
+    """Persist a model as a directory: manifest.json plus its nets' arrays."""
     if getattr(model, "kind", None) not in _BUNDLE_KINDS:
         raise TypeError(f"cannot bundle object of type {type(model).__name__}")
     out = Path(path)
@@ -485,11 +494,17 @@ def save_bundle(path, model, input_encoding: str = "", extra: dict | None = None
     store.write_manifest(out, manifest, sort_keys=False)
 
 
-def load_bundle(path):
-    """Re-create a model object from a bundle directory."""
+def load_bundle(path, kind: str | None = None):
+    """Re-create a model object from a bundle directory, of this kind if one
+    is given; anything malformed raises ValueError naming the file."""
     root = Path(path)
     manifest = store.read_manifest(root, "model bundle", BUNDLE_VERSION, {"kind": str})
     cls = _BUNDLE_KINDS.get(manifest["kind"])
-    if cls is None:
-        raise ValueError(f"{root}: unknown bundle kind {manifest['kind']!r}")
-    return cls._load_parts(root, manifest)
+    if cls is None or kind not in (None, cls.kind):
+        raise ValueError(f"{root}: bundle kind {manifest['kind']!r} is "
+                         f"{'unknown' if cls is None else 'not ' + repr(kind)}")
+    parts = cls._read_parts(root, manifest)
+    try:
+        return cls(**parts)
+    except ValueError as exc:  # the parts do not fit together
+        raise ValueError(f"{root / 'manifest.json'}: {exc}") from exc

@@ -1,18 +1,16 @@
 """Dense feed-forward networks with hand-written reverse-mode gradients.
 
 Everything downstream (branch/trunk nets, coordinate and solution nets)
-sits on this module: float64 numpy arrays, explicit caches, bias-corrected
-Adam, and a flat little-endian checkpoint format.
+sits on this module: float64 numpy arrays, explicit caches and
+bias-corrected Adam. Model bundles store the arrays (radonet.models).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-CHECKPOINT_VERSION = 1
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -43,12 +41,8 @@ class MlpParams:
     biases: list[np.ndarray]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            layer_sizes=tuple(self.layer_sizes),
-            activation=self.activation,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return replace(self, weights=[w.copy() for w in self.weights],
+                       biases=[b.copy() for b in self.biases])
 
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
@@ -63,23 +57,37 @@ class MlpGrads:
     inputs: np.ndarray
 
 
+def mlp_params(layer_sizes, activation: str, weights, biases) -> MlpParams:
+    """MlpParams from its parts, refused unless they agree: at least two
+    positive integer layer sizes, a known activation, and weights[l] and
+    biases[l] of shapes (sizes[l+1], sizes[l]) and (sizes[l+1],).
+
+    weights and biases are iterated only once sizes and activation have
+    passed, so they may be generators that build nothing for a bad layout.
+    """
+    sizes = tuple(layer_sizes)
+    if len(sizes) < 2 or not all(isinstance(s, int) and s > 0 for s in sizes):
+        raise ValueError(f"need at least two positive integer layer sizes, got {sizes}")
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}, expected one of {_ACTIVATIONS}")
+    weights, biases = list(weights), list(biases)
+    shapes = list(zip(sizes[1:], sizes[:-1]))
+    got = [np.shape(w) for w in weights], [np.shape(b) for b in biases]
+    if got != (shapes, [(fan_out,) for fan_out, _ in shapes]):
+        raise ValueError(f"weight and bias shapes {got} do not fit layer sizes {sizes}")
+    return MlpParams(sizes, activation, weights, biases)
+
+
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
     """Symmetric-uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
     sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise ValueError(f"need at least input and output layer, got {sizes}")
-    if any(s <= 0 for s in sizes):
-        raise ValueError(f"layer sizes must be positive, got {sizes}")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}, expected one of {_ACTIVATIONS}")
     rng = substream(seed, "mlp-init")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, activation, weights, biases)
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    # generators, so that nothing is drawn for a layout mlp_params refuses
+    weights = (rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
+               for fan_in, fan_out in layers)
+    return mlp_params(sizes, activation, weights,
+                      (np.zeros(fan_out) for _, fan_out in layers))
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -186,18 +194,14 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpGrads,
         step = lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
         return p - step, m_new, v_new
 
-    new_w, new_mw, new_vw = [], [], []
-    for p, m, v, g in zip(params.weights, state.m_weights, state.v_weights, grads.weights):
-        pw, mw, vw = update(p, m, v, g)
-        new_w.append(pw)
-        new_mw.append(mw)
-        new_vw.append(vw)
-    new_b, new_mb, new_vb = [], [], []
-    for p, m, v, g in zip(params.biases, state.m_biases, state.v_biases, grads.biases):
-        pb, mb, vb = update(p, m, v, g)
-        new_b.append(pb)
-        new_mb.append(mb)
-        new_vb.append(vb)
+    def update_all(ps, ms, vs, gs):
+        """The updated arrays, first and second moments of one list of arrays."""
+        return [list(column) for column in zip(*map(update, ps, ms, vs, gs))]
+
+    new_w, new_mw, new_vw = update_all(params.weights, state.m_weights, state.v_weights,
+                                       grads.weights)
+    new_b, new_mb, new_vb = update_all(params.biases, state.m_biases, state.v_biases,
+                                       grads.biases)
     new_params = MlpParams(params.layer_sizes, params.activation, new_w, new_b)
     new_state = AdamState(t, new_mw, new_mb, new_vw, new_vb, b1, b2, eps)
     return new_params, new_state
@@ -213,41 +217,3 @@ def lr_schedule(epoch: int, base_lr: float, decay_fraction: float = 0.1,
     if not 0.0 <= decay_fraction < 1.0:
         raise ValueError(f"decay fraction must be in [0, 1), got {decay_fraction}")
     return base_lr * (1.0 - decay_fraction) ** (epoch // decay_interval)
-
-
-def save_checkpoint(path, params: MlpParams) -> None:
-    """Write layer sizes, activation tag and flat little-endian float64 arrays."""
-    payload = {
-        "format_version": np.array([CHECKPOINT_VERSION], dtype="<i8"),
-        "layer_sizes": np.array(params.layer_sizes, dtype="<i8"),
-        "activation": np.array(params.activation),
-    }
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        payload[f"weight_{i}"] = np.ascontiguousarray(w, dtype="<f8")
-        payload[f"bias_{i}"] = np.ascontiguousarray(b, dtype="<f8")
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path) -> MlpParams:
-    """Read a checkpoint written by save_checkpoint; validates version and shapes."""
-    with np.load(path, allow_pickle=False) as data:
-        if "format_version" not in data:
-            raise ValueError(f"{path}: not a network checkpoint (missing format_version)")
-        version = int(data["format_version"][0])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"{path}: checkpoint format version {version} unsupported "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
-        sizes = tuple(int(s) for s in data["layer_sizes"])
-        activation = str(data["activation"])
-        weights = []
-        biases = []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w = np.asarray(data[f"weight_{i}"], dtype=np.float64)
-            b = np.asarray(data[f"bias_{i}"], dtype=np.float64)
-            if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-                raise ValueError(f"{path}: layer {i} arrays do not match layer_sizes")
-            weights.append(w)
-            biases.append(b)
-    return MlpParams(sizes, activation, weights, biases)

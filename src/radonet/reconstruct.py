@@ -39,31 +39,6 @@ def monotone_fix(knots: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
     return z
 
 
-def interp_linear_1d(knots: np.ndarray, values: np.ndarray, queries: np.ndarray,
-                     mode: str = "strict") -> np.ndarray:
-    """Piecewise-linear interpolation on strictly increasing knots.
-
-    mode controls out-of-range queries: "strict" raises, "clamp" holds the
-    end values.
-    """
-    x = np.asarray(knots, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    q = np.asarray(queries, dtype=np.float64)
-    if x.ndim != 1 or x.shape != v.shape or x.size < 2:
-        raise ValueError("knots/values must be equal-length 1-d arrays with >= 2 entries")
-    if not np.all(np.diff(x) > 0.0):
-        raise ValueError("knots must be strictly increasing")
-    if mode == "strict":
-        if q.size and (q.min() < x[0] or q.max() > x[-1]):
-            raise ValueError(
-                f"query outside knot range [{x[0]}, {x[-1]}]: "
-                f"[{q.min()}, {q.max()}]"
-            )
-    elif mode != "clamp":
-        raise ValueError(f"unknown mode {mode!r}")
-    return np.interp(q, x, v)
-
-
 def recover_uniform(knots: np.ndarray, values: np.ndarray, target_grid: np.ndarray,
                     domain: tuple[float, float]) -> np.ndarray:
     """Turn a predicted graph {(knots[j], values[j])} into values on a grid.
@@ -71,7 +46,7 @@ def recover_uniform(knots: np.ndarray, values: np.ndarray, target_grid: np.ndarr
     Applies monotone_fix to the knots, then interpolates linearly; queries
     outside the domain take the end values.
     """
-    return interp_linear_1d(monotone_fix(knots, domain), values, target_grid, mode="clamp")
+    return np.interp(target_grid, monotone_fix(knots, domain), values)
 
 
 def rel_l2_error(predictions: np.ndarray, references: np.ndarray) -> np.ndarray:

@@ -33,9 +33,9 @@ def write_manifest(root: Path, manifest: dict, sort_keys: bool = True) -> None:
     (root / "manifest.json").write_text(text + "\n")
 
 
-def read_manifest(root: Path, what: str, version: int, fields: dict[str, type]) -> dict:
+def read_manifest(root: Path, what: str, version: int, fields: dict) -> dict:
     """root/manifest.json, which must be a JSON object with this format_version
-    and, for each entry of fields, a value of that type."""
+    and the entries that check_fields asks of it."""
     try:
         manifest = json.loads((root / "manifest.json").read_text())
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
@@ -45,10 +45,27 @@ def read_manifest(root: Path, what: str, version: int, fields: dict[str, type]) 
     if manifest.get("format_version") != version:
         raise ValueError(f"{root}: {what} format version "
                          f"{manifest.get('format_version')!r} unsupported")
+    return check_fields(root, manifest, fields)
+
+
+def check_fields(root: Path, doc: dict, fields: dict, prefix: str = "") -> dict:
+    """doc, a manifest or an object inside one, refused unless each entry of
+    fields is there with a value of that kind: a JSON type, [T] for a list
+    of T, or a dict of fields for an object."""
     for key, kind in fields.items():
-        if not isinstance(manifest.get(key), kind):
-            raise ValueError(f"{root}: manifest entry {key!r} must be a {kind.__name__}")
-    return manifest
+        value, name = doc.get(key), prefix + key
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"{root / 'manifest.json'}: entry {name!r} must be an object")
+            check_fields(root, value, kind, name + ".")
+        elif isinstance(kind, list):
+            if not (isinstance(value, list) and all(isinstance(v, kind[0]) for v in value)):
+                raise ValueError(f"{root / 'manifest.json'}: entry {name!r} must be a list "
+                                 f"of {kind[0].__name__}")
+        elif not isinstance(value, kind):
+            raise ValueError(f"{root / 'manifest.json'}: entry {name!r} must be a "
+                             f"{kind.__name__}")
+    return doc
 
 
 def read_array(root: Path, name: str, ndim: int, dtype: str = "<f8") -> np.ndarray:

@@ -1,8 +1,10 @@
 """Helpers for testing the array container loaders against corrupt input.
 
-A container is a directory of manifest.json plus .npy files (radonet.store).
-`corrupt` draws one damage to one file of it, `load_guarded` runs a loader
-with every read of an .npy file checked against that file's size.
+A container is a directory of manifest.json plus .npy files (radonet.store),
+possibly with containers in subdirectories, as a radaptive bundle's coord/
+and sol/. `corrupt` draws one damage to one file of it at any depth,
+`load_guarded` runs a loader with every read of an .npy file checked
+against that file's size.
 """
 
 import io
@@ -44,14 +46,17 @@ def load_guarded(loader, root):
 
 
 def snapshot(root) -> dict[str, bytes]:
-    """Every file of a container directory, by name."""
-    return {f.name: f.read_bytes() for f in sorted(root.iterdir())}
+    """Every file of a container directory and its subdirectories, by path
+    relative to root."""
+    return {f.relative_to(root).as_posix(): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
 
 
 def restore(root, files: dict[str, bytes]) -> None:
     shutil.rmtree(root, ignore_errors=True)
     root.mkdir(parents=True)
     for name, blob in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_bytes(blob)
 
 
@@ -93,7 +98,7 @@ def corrupt(files: dict[str, bytes], data) -> dict[str, bytes]:
     name = data.draw(st.sampled_from(sorted(files)))
     blob = files[name]
     kinds = ["truncate", "flip", "drop"]
-    kinds += ["entry"] if name == "manifest.json" else ["header", "body"]
+    kinds += ["entry"] if name.endswith("manifest.json") else ["header", "body"]
     kind = data.draw(st.sampled_from(kinds))
     if kind == "truncate":
         files[name] = blob[:data.draw(st.integers(0, len(blob) - 1))]

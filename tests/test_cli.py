@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radonet import training
+from radonet import store, training
 from radonet.cli import DEFAULT_CONFIG, config_hash, content_hash, main, resolve_config
 
 
@@ -202,8 +202,33 @@ def test_radaptive_pair_trains_the_same_bytes_concurrently_and_in_turn(
                 if f.is_file() and f.name != "provenance.json"}
 
     together, in_turn = files(tmp_path / "together"), files(tmp_path / "in_turn")
-    assert {"coord/branch.npz", "coord/trunk.npz", "sol/branch.npz", "sol/trunk.npz"} <= set(together)
+    assert {f"{sub}/{net}_{part}_{i}.npy" for sub in ("coord", "sol") for net in ("branch", "trunk")
+            for part in ("weight", "bias") for i in range(3)} <= set(together)
     assert together == in_turn
+
+
+def test_every_artifact_file_is_a_store_array_or_a_known_json_or_csv(micro, tmp_path):
+    # one container style: nothing the stages write is an .npz, .rnp or other format
+    c = str(micro["cfg"])
+    shift = ("--config", c, "--set", "model.family=shift", "--dataset", str(micro["data"]))
+    run_cli("train", *shift, "--out", str(tmp_path / "shift"))
+    run_cli("eval", *shift, "--model", str(tmp_path / "shift"),
+            "--out", str(tmp_path / "shift_eval"))
+    known = {"manifest.json", "provenance.json", "report.json", "summary.json", "per_sample.csv"}
+    dirs = [micro[k] for k in ("data", "prep", "van", "rad", "van_eval", "rad_eval")]
+    files = [f for d in dirs + [tmp_path] for f in d.rglob("*") if f.is_file()]
+    assert {f.name for f in files} >= known | {"x_grid.npy", "xi_grid.npy", "scale_weight_0.npy"}
+    for f in files:
+        if f.name in known:
+            continue
+        assert f.suffix == ".npy", f
+        readable = []
+        for ndim, dtype in ((1, "<f8"), (2, "<f8"), (1, "<i8")):
+            try:
+                readable.append(store.read_array(f.parent, f.stem, ndim, dtype))
+            except ValueError:
+                pass
+        assert len(readable) == 1, f
 
 
 @pytest.mark.parametrize("failure", ["raise", "exit"])

@@ -106,6 +106,30 @@ def test_equidistribute_equal_cell_masses():
     assert np.max(np.abs(masses - masses.mean())) / masses.mean() < 1e-5
 
 
+def _mass_at(rho: DensityField, x: np.ndarray) -> np.ndarray:
+    """Integral of the piecewise-linear density from its first grid point to x,
+    exact up to rounding (the wrap cell closes a periodic density)."""
+    vals = np.append(rho.values, rho.values[0]) if rho.periodic else rho.values
+    cells = np.concatenate(([0.0], np.cumsum(rho.dx * 0.5 * (vals[:-1] + vals[1:]))))
+    i = np.clip(np.floor((x - rho.x0) / rho.dx).astype(int), 0, vals.size - 2)
+    t = (x - rho.x0 - rho.dx * i) / rho.dx
+    return cells[i] + rho.dx * t * (vals[i] + 0.5 * t * (vals[i + 1] - vals[i]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=60), st.floats(1e-3, 10.0),
+       st.floats(-5.0, 5.0), st.booleans(), st.integers(1, 64))
+def test_equidistribute_pins_the_ends_and_equalises_cell_masses(values, dx, x0, periodic,
+                                                               n_xi):
+    rho = DensityField(values=np.array(values), dx=dx, x0=x0, periodic=periodic)
+    x = equidistribute_1d(rho, n_xi)
+    assert x.shape == (n_xi + 1,) and np.all(np.diff(x) > 0.0)
+    assert x[0] == x0 and x[-1] == x0 + dx * (len(values) - (0 if periodic else 1))
+    masses = np.diff(_mass_at(rho, x))
+    total = _mass_at(rho, x[-1:])[0]
+    np.testing.assert_allclose(masses, total / n_xi, rtol=1e-10, atol=0.0)
+
+
 def test_equidistribute_periodic_mass_includes_wrap_cell():
     # periodic density omits the right endpoint; the wrap cell must count
     vals = np.array([1.0, 1.0, 1.0, 3.0])

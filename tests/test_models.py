@@ -1,7 +1,13 @@
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radonet.models import (
+    BUNDLE_VERSION,
     DeepOnetModel,
     RAdaptiveSystem,
     ShiftDeepOnetModel,
@@ -16,6 +22,7 @@ from radonet.models import (
 )
 from radonet.nn import mlp_init, substream
 
+from containers import corrupt, join_npy, load_guarded, restore, snapshot, split_npy
 from oracles import (
     deeponet_forward_loops,
     flat_grad_rel_error,
@@ -216,8 +223,6 @@ def test_bundle_rejects_non_bundle_dir(tmp_path):
 def test_bundle_refuses_radaptive_bundle_without_coordinate_head(tmp_path):
     # a bundle written before the coordinate head holds raw knot nets; reading
     # them through the head would give a different mesh, so it is refused
-    import json
-
     system = RAdaptiveSystem(coord_net=make_deeponet(seed=25),
                              sol_net=make_deeponet(seed=26),
                              xi_grid=np.linspace(0.0, 1.0, 11))
@@ -237,6 +242,141 @@ def test_bundle_refuses_radaptive_bundle_without_coordinate_head(tmp_path):
         load_bundle(out)
 
     # a current version number does not make a headless bundle readable
-    (out / "manifest.json").write_text(json.dumps(dict(old, format_version=2)))
+    (out / "manifest.json").write_text(json.dumps(dict(old, format_version=BUNDLE_VERSION)))
     with pytest.raises(ValueError, match="coordinate head"):
         load_bundle(out)
+
+
+# --- bundle files and the bundle loader on corrupt directories ---------------
+
+
+def _npy_bytes(arr) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def test_bundle_stores_each_net_as_npy_arrays(tmp_path):
+    model = DeepOnetModel(branch=mlp_init([5, 12, 3], activation="relu", seed=42),
+                          trunk=mlp_init([1, 7, 3], activation="tanh", seed=43),
+                          n_basis=3, query_lo=[0.0], query_hi=[2.0])
+    save_bundle(tmp_path, model)
+    files = snapshot(tmp_path)
+    assert set(files) == {"manifest.json"} | {f"{net}_{part}_{i}.npy" for net in ("branch", "trunk")
+                                              for part in ("weight", "bias") for i in (0, 1)}
+    manifest = json.loads(files["manifest.json"])
+    assert manifest["nets"] == {"branch": {"layer_sizes": [5, 12, 3], "activation": "relu"},
+                                "trunk": {"layer_sizes": [1, 7, 3], "activation": "tanh"}}
+    assert "n_basis" not in manifest  # the branch's output size
+    loaded = load_bundle(tmp_path)
+    assert loaded.n_basis == 3
+    for net in ("branch", "trunk"):
+        params, again = getattr(model, net), getattr(loaded, net)
+        assert (again.layer_sizes, again.activation) == (params.layer_sizes, params.activation)
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            assert files[f"{net}_weight_{i}.npy"] == _npy_bytes(w)
+            assert files[f"{net}_bias_{i}.npy"] == _npy_bytes(b)
+            np.testing.assert_array_equal(again.weights[i], w)
+            np.testing.assert_array_equal(again.biases[i], b)
+
+
+def test_bundle_rejects_foreign_arrays_and_old_versions(tmp_path):
+    save_bundle(tmp_path / "good", make_deeponet(seed=30))
+    good = snapshot(tmp_path / "good")
+    restore(tmp_path / "foreign", dict(good, **{"trunk_weight_0.npy": _npy_bytes(np.arange(4))}))
+    with pytest.raises(ValueError, match="trunk_weight_0.npy"):
+        load_bundle(tmp_path / "foreign")
+    # version 2 kept each net in one <net>.npz file
+    manifest = json.loads(good["manifest.json"])
+    old = {"manifest.json": json.dumps(dict(manifest, format_version=2)).encode(),
+           "branch.npz": b"PK", "trunk.npz": b"PK"}
+    restore(tmp_path / "old", old)
+    with pytest.raises(ValueError, match="format version 2"):
+        load_bundle(tmp_path / "old")
+
+
+def test_bundle_weight_header_claiming_a_huge_array_is_refused_before_allocating(tmp_path):
+    save_bundle(tmp_path / "good", make_deeponet(seed=31))
+    files = snapshot(tmp_path / "good")
+    header, body = split_npy(files["branch_weight_0.npy"])
+    files["branch_weight_0.npy"] = join_npy(dict(header, shape=(10**6, 10**6)), body)
+    restore(tmp_path / "huge", files)
+    with pytest.raises(ValueError, match="branch_weight_0.npy.*bytes of data"):
+        load_guarded(load_bundle, tmp_path / "huge")
+
+
+@pytest.mark.parametrize("entry", ["nets", "query_lo", "query_hi"])
+@pytest.mark.parametrize("value", [None, "x", [["0.0"]], {"lo": 0.0}])
+def test_bundle_manifest_missing_or_mistyping_an_entry_is_refused(tmp_path, entry, value):
+    save_bundle(tmp_path, make_deeponet(seed=32))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if value is None:
+        del manifest[entry]
+    else:
+        manifest[entry] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"manifest.json: entry '{entry}"):
+        load_bundle(tmp_path)
+
+
+def test_bundle_net_entries_are_checked(tmp_path):
+    save_bundle(tmp_path, make_deeponet(seed=33))
+    good = json.loads((tmp_path / "manifest.json").read_text())
+    for net_entry, match in (({"layer_sizes": [1, 10, 5]}, "nets.trunk.activation"),
+                             ({"activation": "relu", "layer_sizes": [1, 10.5, 5]},
+                              "nets.trunk.layer_sizes"),
+                             ({"activation": "relu", "layer_sizes": [1, 10, 4]}, "trunk"),
+                             ({"activation": "sigmoid", "layer_sizes": [1, 10, 5]}, "sigmoid")):
+        manifest = dict(good, nets=dict(good["nets"], trunk=net_entry))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=match) as err:
+            load_bundle(tmp_path)
+        assert "manifest.json" in str(err.value)
+
+
+def test_radaptive_sub_bundles_must_be_deeponets(tmp_path):
+    system = RAdaptiveSystem(coord_net=make_deeponet(seed=34), sol_net=make_deeponet(seed=35),
+                             xi_grid=np.linspace(0.0, 1.0, 11))
+    save_bundle(tmp_path / "rad", system)
+    save_bundle(tmp_path / "rad" / "sol", make_shift(seed=36))
+    with pytest.raises(ValueError, match="is not .deeponet."):
+        load_bundle(tmp_path / "rad")
+
+
+def _assert_usable(model):
+    """model holds nets that fit together: each operator net runs forward
+    (on weights a flipped byte may have made non-finite)."""
+    if model.kind == "radaptive-system":
+        nets, forward = [model.coord_net, model.sol_net], deeponet_forward_batch
+    else:
+        nets, forward = [model], type(model).forward
+    for net in nets:
+        a = np.zeros((2, net.branch.layer_sizes[0]))
+        with np.errstate(all="ignore"):
+            assert forward(net, a, np.zeros((3, net.d_query)))[0].shape == (2, 3)
+
+
+@pytest.fixture(scope="module", params=["deeponet", "shift", "radaptive"])
+def bundle_dir(request, tmp_path_factory):
+    """A scratch directory and the files of a small valid bundle of each kind."""
+    model = {"deeponet": lambda: make_deeponet(seed=40),
+             "shift": lambda: make_shift(seed=41),
+             "radaptive": lambda: RAdaptiveSystem(coord_net=make_deeponet(seed=42),
+                                                  sol_net=make_deeponet(seed=43),
+                                                  xi_grid=np.linspace(0.0, 1.0, 9))}
+    root = tmp_path_factory.mktemp(request.param)
+    save_bundle(root / "good", model[request.param](), input_encoding="test-encoding")
+    return root, snapshot(root / "good")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_bundles_raise_value_error_without_large_reads(bundle_dir, data):
+    root, good = bundle_dir
+    restore(root / "corrupt", corrupt(good, data))
+    try:
+        model = load_guarded(load_bundle, root / "corrupt")
+    except ValueError:
+        return
+    # a corruption that keeps the bundle well formed loads as a valid model
+    _assert_usable(model)

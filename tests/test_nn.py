@@ -5,12 +5,11 @@ from radonet.nn import (
     MlpParams,
     adam_init,
     adam_step,
-    load_checkpoint,
     lr_schedule,
     mlp_backward,
     mlp_forward,
     mlp_init,
-    save_checkpoint,
+    mlp_params,
     substream,
 )
 
@@ -148,24 +147,20 @@ def test_lr_schedule_steps():
         lr_schedule(0, 1e-3, decay_fraction=1.0)
 
 
-def test_checkpoint_roundtrip(tmp_path):
+def test_mlp_params_checks_arrays_against_layer_sizes():
     params = mlp_init([5, 12, 3], activation="relu", seed=42)
-    path = tmp_path / "net.npz"
-    save_checkpoint(path, params)
-    loaded = load_checkpoint(path)
-    assert loaded.layer_sizes == params.layer_sizes
-    assert loaded.activation == params.activation
-    for w1, w2 in zip(params.weights, loaded.weights):
-        np.testing.assert_array_equal(w1, w2)
-    for b1, b2 in zip(params.biases, loaded.biases):
-        np.testing.assert_array_equal(b1, b2)
-
-
-def test_checkpoint_rejects_foreign_npz(tmp_path):
-    path = tmp_path / "junk.npz"
-    np.savez(path, stuff=np.arange(4))
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+    again = mlp_params([5, 12, 3], "relu", params.weights, params.biases)
+    assert again.layer_sizes == (5, 12, 3)
+    with pytest.raises(ValueError, match="do not fit"):
+        mlp_params([5, 12, 4], "relu", params.weights, params.biases)
+    with pytest.raises(ValueError, match="do not fit"):
+        mlp_params([5, 12, 3], "relu", params.weights, params.biases[:1])
+    with pytest.raises(ValueError, match="do not fit"):
+        mlp_params([5, 12, 3], "relu", [params.weights[0].T, params.weights[1]], params.biases)
+    with pytest.raises(ValueError, match="integer layer sizes"):
+        mlp_params([5, 12.0, 3], "relu", params.weights, params.biases)
+    with pytest.raises(ValueError, match="sigmoid"):
+        mlp_params([5, 12, 3], "sigmoid", params.weights, params.biases)
 
 
 def test_params_copy_is_deep():

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radonet.reconstruct import (
-    interp_linear_1d,
-    monotone_fix,
-    recover_uniform,
-    rel_l2_error,
-)
+from radonet.reconstruct import monotone_fix, recover_uniform, rel_l2_error
 
 finite_knots = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False),
@@ -26,14 +21,30 @@ def test_monotone_fix_always_valid(knots):
     np.testing.assert_array_equal(monotone_fix(fixed, (0.0, 1.0)), fixed)
 
 
-@settings(max_examples=100, deadline=None)
-@given(finite_knots, st.floats(min_value=0.0, max_value=1.0))
-def test_interp_bounded_by_values(knots, frac):
-    fixed = monotone_fix(knots, (0.0, 1.0))
-    values = np.sin(np.arange(fixed.size, dtype=float))
-    q = np.array([frac])
-    out = interp_linear_1d(fixed, values, q, mode="clamp")
-    assert values.min() - 1e-12 <= out[0] <= values.max() + 1e-12
+finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_knots, st.data())
+def test_interp_bounded_by_values(knots, data):
+    # recover_uniform stays within the values' range, on any knots (folded,
+    # outside the domain) and at any query, inside the domain or not
+    values = np.array(data.draw(st.lists(finite_values, min_size=knots.size,
+                                         max_size=knots.size)))
+    grid = np.array(data.draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=20)))
+    out = recover_uniform(knots, values, grid, (0.0, 1.0))
+    tol = 1e-12 * np.ptp(values)  # rounding in a + t * (b - a)
+    assert np.all(values.min() - tol <= out) and np.all(out <= values.max() + tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=30),
+       finite_values, finite_values)
+def test_recover_uniform_reproduces_linear_functions_on_the_knots(inner, slope, offset):
+    # a graph of a linear function on a valid mesh comes back exactly at the knots
+    knots = np.unique(np.concatenate([[0.0, 1.0], inner]))
+    values = slope * knots + offset
+    np.testing.assert_array_equal(recover_uniform(knots, values, knots, (0.0, 1.0)), values)
 
 
 def test_monotone_fix_identity_on_valid_mesh():
@@ -60,11 +71,11 @@ def test_monotone_fix_validation():
         monotone_fix(np.zeros(4), (1.0, 1.0))
 
 
-def test_interp_matches_manual_bracketing():
+def test_recover_uniform_matches_manual_bracketing():
     knots = np.array([0.0, 0.1, 0.4, 1.0])
     values = np.array([1.0, -1.0, 0.5, 2.0])
     queries = np.array([0.0, 0.05, 0.25, 0.7, 1.0])
-    got = interp_linear_1d(knots, values, queries)
+    got = recover_uniform(knots, values, queries, (0.0, 1.0))
     # bracket each query by hand
     expected = []
     for q in queries:
@@ -73,20 +84,9 @@ def test_interp_matches_manual_bracketing():
         t = (q - knots[j]) / (knots[j + 1] - knots[j])
         expected.append((1.0 - t) * values[j] + t * values[j + 1])
     np.testing.assert_allclose(got, expected, rtol=1e-14)
-
-
-def test_interp_modes():
-    knots = np.array([0.0, 0.5, 1.0])
-    values = np.array([0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        interp_linear_1d(knots, values, np.array([1.2]), mode="strict")
-    np.testing.assert_allclose(
-        interp_linear_1d(knots, values, np.array([-0.3, 1.2]), mode="clamp"),
-        [0.0, 0.0])
-    with pytest.raises(ValueError):
-        interp_linear_1d(knots, values, np.array([0.5]), mode="nearest")
-    with pytest.raises(ValueError):
-        interp_linear_1d(knots[::-1], values, np.array([0.5]))
+    # queries outside the domain take the end values
+    np.testing.assert_array_equal(
+        recover_uniform(knots, values, np.array([-0.3, 1.2]), (0.0, 1.0)), [1.0, 2.0])
 
 
 def test_graph_prediction_validation():
@@ -103,7 +103,7 @@ def test_recover_uniform_equals_fix_then_interp():
     grid = np.linspace(0.0, 1.0, 33)
     got = recover_uniform(knots, values, grid, (0.0, 1.0))
     fixed = monotone_fix(knots, (0.0, 1.0))
-    np.testing.assert_array_equal(got, interp_linear_1d(fixed, values, grid, "clamp"))
+    np.testing.assert_array_equal(got, np.interp(grid, fixed, values))
 
 
 def test_rel_l2_error_hand_value():
