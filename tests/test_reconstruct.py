@@ -71,7 +71,7 @@ def test_monotone_fix_validation():
         monotone_fix(np.zeros(4), (1.0, 1.0))
 
 
-def test_recover_uniform_matches_manual_bracketing():
+def test_interp_matches_manual_bracketing():
     knots = np.array([0.0, 0.1, 0.4, 1.0])
     values = np.array([1.0, -1.0, 0.5, 2.0])
     queries = np.array([0.0, 0.05, 0.25, 0.7, 1.0])
@@ -84,7 +84,12 @@ def test_recover_uniform_matches_manual_bracketing():
         t = (q - knots[j]) / (knots[j + 1] - knots[j])
         expected.append((1.0 - t) * values[j] + t * values[j + 1])
     np.testing.assert_allclose(got, expected, rtol=1e-14)
-    # queries outside the domain take the end values
+
+
+def test_interp_modes():
+    # the one mode left is clamping: queries outside the domain take the end values
+    knots = np.array([0.0, 0.1, 0.4, 1.0])
+    values = np.array([1.0, -1.0, 0.5, 2.0])
     np.testing.assert_array_equal(
         recover_uniform(knots, values, np.array([-0.3, 1.2]), (0.0, 1.0)), [1.0, 2.0])
 
