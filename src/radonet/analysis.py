@@ -12,7 +12,7 @@ piecewise quadratic, which a per-segment Simpson rule integrates exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,9 +156,6 @@ def equidistributed_box_map(delta: float, shift: float = 0.0):
 class AdaptiveBoxFit:
     """n-knot adaptive interpolant of a ramped box and its exact error."""
 
-    delta: float
-    n: int
-    shift: float
     x_knots: np.ndarray
     u_knots: np.ndarray
     error: float
@@ -178,7 +175,7 @@ def adaptive_box_construct(delta: float, n: int, shift: float = 0.0) -> Adaptive
     x_knots = coord_map.eval(xi)
     u_knots = profile.eval(xi)
     err = pl_l2_diff(PiecewiseLinear(x_knots, u_knots), sharp_box(shift))
-    return AdaptiveBoxFit(delta, n, shift, x_knots, u_knots, err)
+    return AdaptiveBoxFit(x_knots, u_knots, err)
 
 
 def fem_uniform_interp_error(u_fine: np.ndarray, n: int, domain=(0.0, 1.0)) -> float:
@@ -252,7 +249,6 @@ def optimal_error_tail(report: SpectrumReport, n: int) -> float:
 
 @dataclass
 class RateFit:
-    points: list = field(default_factory=list)
     slope: float = 0.0
     intercept: float = 0.0
     residual: float = 0.0
@@ -271,6 +267,5 @@ def rate_fit(ns, errors) -> RateFit:
     log_n, log_e = np.log(ns), np.log(errors)
     slope, intercept = np.polyfit(log_n, log_e, 1)
     resid = log_e - (slope * log_n + intercept)
-    return RateFit(points=list(zip(ns.tolist(), errors.tolist())),
-                   slope=float(slope), intercept=float(intercept),
+    return RateFit(slope=float(slope), intercept=float(intercept),
                    residual=float(math.sqrt(np.mean(resid * resid))))

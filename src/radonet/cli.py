@@ -35,6 +35,7 @@ from .analysis import (
 )
 from .equidistribution import (
     PreprocessedSet,
+    close_periodic,
     fd_derivative,
     load_preprocessed,
     preprocess_sample,
@@ -290,12 +291,13 @@ def _make_shift(cfg: dict, n_inputs: int, bounds) -> ShiftDeepOnetModel:
 def _uniform_targets(ds, n_points: int, domain, periodic: bool):
     """Resample a split's output fields onto n uniform query points."""
     lo, hi = domain
+    grid, outputs = ds.x_grid, ds.outputs
     if periodic:
         q = lo + np.arange(n_points) / n_points * (hi - lo)
+        grid, outputs = close_periodic(grid, outputs, hi - lo)
     else:
         q = np.linspace(lo, hi, n_points)
-    period = hi - lo if periodic else None
-    targets = np.stack([np.interp(q, ds.x_grid, row, period=period) for row in ds.outputs])
+    targets = np.stack([np.interp(q, grid, row) for row in outputs])
     return q.reshape(-1, 1), targets
 
 
@@ -504,7 +506,8 @@ def cmd_eval(args) -> None:
 
     per = rel_l2_error(preds, refs)
     summary["mean_rel_l2"] = float(np.mean(per))
-    lines = ["sample,rel_l2"] + [f"{i},{e:.12e}" for i, e in enumerate(per)]
+    lines = ["sample,rel_l2"]
+    lines += [f"{i},{e:.12e}" for i, e in enumerate(per)]
     _write_outputs(args.out, ("per_sample.csv", lines), ("summary.json", summary), "eval", cfg,
                    {"model": model_prov["content_hash"], "dataset": ds_prov["content_hash"]})
     print(f"{summary['family']} on {ds.problem}/{split}: "

@@ -93,6 +93,14 @@ def density_arclength(u_values: np.ndarray, dx: float, smoothing_passes: int = 2
     return DensityField(values=rho, dx=dx, x0=x0, periodic=periodic)
 
 
+def close_periodic(grid: np.ndarray, values: np.ndarray, length: float):
+    """A periodic table closed by its wrap point: grid plus grid[0] + length,
+    values (one field, or one per row) plus their first column. Plain np.interp
+    on it equals np.interp(period=length), to the bit when grid[0] is 0 (period=
+    reduces queries modulo the period), without re-sorting the grid per call."""
+    return np.append(grid, grid[0] + length), np.concatenate([values, values[..., :1]], axis=-1)
+
+
 def _domain_mass(values: np.ndarray, dx: float, periodic: bool) -> float:
     closed = np.append(values, values[0]) if periodic else values
     return float(np.sum(dx * 0.5 * (closed[:-1] + closed[1:])))
@@ -204,12 +212,9 @@ def equidistribute_1d(rho: DensityField, n_xi: int) -> np.ndarray:
     """
     if n_xi < 1:
         raise ValueError(f"n_xi must be >= 1, got {n_xi}")
+    xs, vals = rho.grid(), rho.values
     if rho.periodic:
-        xs = rho.x0 + rho.dx * np.arange(rho.values.size + 1)
-        vals = np.append(rho.values, rho.values[0])
-    else:
-        xs = rho.grid()
-        vals = rho.values
+        xs, vals = close_periodic(xs, vals, rho.dx * vals.size)
     mass = np.concatenate(([0.0], np.cumsum(rho.dx * 0.5 * (vals[:-1] + vals[1:]))))
     targets = np.linspace(0.0, mass[-1], n_xi + 1)
     # The mass of the piecewise-linear density is piecewise quadratic, so
@@ -315,11 +320,8 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     dxi = length / n_xi
     grid = rho.grid()
     grad_raw = np.abs(fd_derivative(u, dx, periodic))
-    # a periodic field is read from its grid closed by the wrap point: the same
-    # bits as np.interp(period=), which re-sorts the grid on every call
     if periodic:
-        grid = np.append(grid, grid[0] + length)
-        u, grad_raw = np.append(u, u[0]), np.append(grad_raw, grad_raw[0])
+        grid, (u, grad_raw) = close_periodic(grid, np.stack([u, grad_raw]), length)
     u_tilde = np.interp(x, grid, u)
     det_j = jacobian_det_1d(x, dxi)
     grad_at_knots = np.interp(x, grid, grad_raw)
@@ -341,8 +343,10 @@ def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> floa
     """
     x = sample.x
     x_xi = fd_derivative(x, sample.xi[1] - sample.xi[0])[1:-1]
-    rho_at = np.interp(x[1:-1], rho.grid(), rho.values,
-                       period=rho.dx * rho.values.size if rho.periodic else None)
+    grid, values = rho.grid(), rho.values
+    if rho.periodic:
+        grid, values = close_periodic(grid, values, rho.dx * values.size)
+    rho_at = np.interp(x[1:-1], grid, values)
     r = rho_at * x_xi
     mean = float(np.mean(r))
     if mean <= 0.0:

@@ -57,20 +57,20 @@ class MlpGrads:
     inputs: np.ndarray
 
 
-def mlp_params(layer_sizes, activation: str, weights, biases) -> MlpParams:
-    """MlpParams from its parts, refused unless they agree: at least two
-    positive integer layer sizes, a known activation, and weights[l] and
-    biases[l] of shapes (sizes[l+1], sizes[l]) and (sizes[l+1],).
-
-    weights and biases are iterated only once sizes and activation have
-    passed, so they may be generators that build nothing for a bad layout.
-    """
-    sizes = tuple(layer_sizes)
-    if len(sizes) < 2 or not all(isinstance(s, int) and s > 0 for s in sizes):
+def _check_layout(sizes: tuple, activation: str) -> None:
+    """Refuse fewer than two positive int layer sizes or an unknown activation."""
+    if len(sizes) < 2 or not all(type(s) is int and s > 0 for s in sizes):
         raise ValueError(f"need at least two positive integer layer sizes, got {sizes}")
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}, expected one of {_ACTIVATIONS}")
-    weights, biases = list(weights), list(biases)
+
+
+def mlp_params(layer_sizes, activation: str, weights: list, biases: list) -> MlpParams:
+    """MlpParams from its parts, refused unless they agree: the layout that
+    mlp_init also checks, and weights[l] and biases[l] of shapes
+    (sizes[l+1], sizes[l]) and (sizes[l+1],)."""
+    sizes = tuple(layer_sizes)
+    _check_layout(sizes, activation)
     shapes = list(zip(sizes[1:], sizes[:-1]))
     got = [np.shape(w) for w in weights], [np.shape(b) for b in biases]
     if got != (shapes, [(fan_out,) for fan_out, _ in shapes]):
@@ -81,13 +81,15 @@ def mlp_params(layer_sizes, activation: str, weights, biases) -> MlpParams:
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
     """Symmetric-uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
     sizes = tuple(int(s) for s in layer_sizes)
+    _check_layout(sizes, activation)
     rng = substream(seed, "mlp-init")
-    layers = list(zip(sizes[:-1], sizes[1:]))
-    # generators, so that nothing is drawn for a layout mlp_params refuses
-    weights = (rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
-               for fan_in, fan_out in layers)
-    return mlp_params(sizes, activation, weights,
-                      (np.zeros(fan_out) for _, fan_out in layers))
+    weights = []
+    biases = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    return MlpParams(sizes, activation, weights, biases)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -166,17 +168,13 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(params: MlpParams, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(params: MlpParams) -> AdamState:
     return AdamState(
         t=0,
         m_weights=[np.zeros_like(w) for w in params.weights],
         m_biases=[np.zeros_like(b) for b in params.biases],
         v_weights=[np.zeros_like(w) for w in params.weights],
         v_biases=[np.zeros_like(b) for b in params.biases],
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -188,20 +186,21 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpGrads,
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
 
-    def update(p, m, v, g):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * (g * g)
-        step = lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
-        return p - step, m_new, v_new
-
-    def update_all(ps, ms, vs, gs):
+    def update(ps, ms, vs, gs):
         """The updated arrays, first and second moments of one list of arrays."""
-        return [list(column) for column in zip(*map(update, ps, ms, vs, gs))]
+        new_p, new_m, new_v = [], [], []
+        for p, m, v, g in zip(ps, ms, vs, gs):
+            m_new = b1 * m + (1.0 - b1) * g
+            v_new = b2 * v + (1.0 - b2) * (g * g)
+            step = lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
+            new_p.append(p - step)
+            new_m.append(m_new)
+            new_v.append(v_new)
+        return new_p, new_m, new_v
 
-    new_w, new_mw, new_vw = update_all(params.weights, state.m_weights, state.v_weights,
-                                       grads.weights)
-    new_b, new_mb, new_vb = update_all(params.biases, state.m_biases, state.v_biases,
-                                       grads.biases)
+    new_w, new_mw, new_vw = update(params.weights, state.m_weights, state.v_weights,
+                                   grads.weights)
+    new_b, new_mb, new_vb = update(params.biases, state.m_biases, state.v_biases, grads.biases)
     new_params = MlpParams(params.layer_sizes, params.activation, new_w, new_b)
     new_state = AdamState(t, new_mw, new_mb, new_vw, new_vb, b1, b2, eps)
     return new_params, new_state

@@ -50,19 +50,19 @@ def read_manifest(root: Path, what: str, version: int, fields: dict) -> dict:
 
 def check_fields(root: Path, doc: dict, fields: dict, prefix: str = "") -> dict:
     """doc, a manifest or an object inside one, refused unless each entry of
-    fields is there with a value of that kind: a JSON type, [T] for a list
-    of T, or a dict of fields for an object."""
+    fields is there with a value of that kind: a JSON type (so true is not an
+    int), [T] for a list of T, or a dict of fields for an object."""
     for key, kind in fields.items():
         value, name = doc.get(key), prefix + key
         if isinstance(kind, dict):
-            if not isinstance(value, dict):
+            if type(value) is not dict:
                 raise ValueError(f"{root / 'manifest.json'}: entry {name!r} must be an object")
             check_fields(root, value, kind, name + ".")
         elif isinstance(kind, list):
-            if not (isinstance(value, list) and all(isinstance(v, kind[0]) for v in value)):
+            if not (type(value) is list and all(type(v) is kind[0] for v in value)):
                 raise ValueError(f"{root / 'manifest.json'}: entry {name!r} must be a list "
                                  f"of {kind[0].__name__}")
-        elif not isinstance(value, kind):
+        elif type(value) is not kind:
             raise ValueError(f"{root / 'manifest.json'}: entry {name!r} must be a "
                              f"{kind.__name__}")
     return doc

@@ -7,6 +7,7 @@ from radonet.equidistribution import (
     AdaptiveSample,
     DensityField,
     PreprocessedSet,
+    close_periodic,
     density_arclength,
     equidistribute_1d,
     equidistribution_residual,
@@ -30,6 +31,22 @@ def box_signal(m=2048, lo_edge=0.3, hi_edge=0.55, height=0.8):
 
 
 # --- density construction ---------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2048, 256, 7])
+def test_closed_periodic_table_interpolates_like_period(m):
+    # on a grid starting at 0, plain np.interp on the closed table gives the
+    # bits of np.interp(period=), for one field and for each row of a stack
+    rng = np.random.default_rng(m)
+    x = np.arange(m) / m
+    fields = rng.standard_normal((3, m))
+    q = np.concatenate([np.arange(128) / 128, rng.uniform(0.0, 1.0, 200), [x[-1], 1.0]])
+    grid, closed = close_periodic(x, fields, 1.0)
+    assert grid[-1] == 1.0 and closed.shape == (3, m + 1)
+    for row, closed_row in zip(fields, closed):
+        want = np.interp(q, x, row, period=1.0)
+        assert np.interp(q, grid, closed_row).tobytes() == want.tobytes()
+        assert np.interp(q, *close_periodic(x, row, 1.0)).tobytes() == want.tobytes()
 
 
 def test_density_constant_slope():

@@ -325,6 +325,8 @@ def test_bundle_net_entries_are_checked(tmp_path):
     for net_entry, match in (({"layer_sizes": [1, 10, 5]}, "nets.trunk.activation"),
                              ({"activation": "relu", "layer_sizes": [1, 10.5, 5]},
                               "nets.trunk.layer_sizes"),
+                             ({"activation": "relu", "layer_sizes": [True, 10, 5]},
+                              "nets.trunk.layer_sizes"),
                              ({"activation": "relu", "layer_sizes": [1, 10, 4]}, "trunk"),
                              ({"activation": "sigmoid", "layer_sizes": [1, 10, 5]}, "sigmoid")):
         manifest = dict(good, nets=dict(good["nets"], trunk=net_entry))

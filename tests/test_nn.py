@@ -159,6 +159,9 @@ def test_mlp_params_checks_arrays_against_layer_sizes():
         mlp_params([5, 12, 3], "relu", [params.weights[0].T, params.weights[1]], params.biases)
     with pytest.raises(ValueError, match="integer layer sizes"):
         mlp_params([5, 12.0, 3], "relu", params.weights, params.biases)
+    one_in = mlp_init([1, 4, 2], seed=42)
+    with pytest.raises(ValueError, match="integer layer sizes"):  # True == 1, but not an int
+        mlp_params([True, 4, 2], "relu", one_in.weights, one_in.biases)
     with pytest.raises(ValueError, match="sigmoid"):
         mlp_params([5, 12, 3], "sigmoid", params.weights, params.biases)
 
