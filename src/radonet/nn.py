@@ -2,13 +2,15 @@
 
 Everything downstream (branch/trunk nets, coordinate and solution nets)
 sits on this module: float64 numpy arrays, explicit caches and
-bias-corrected Adam. Model bundles store the arrays (radonet.models).
+bias-corrected Adam. Each net's parameters, and its gradients, live in one
+contiguous buffer with per-layer views, so a training step updates them in
+place. Model bundles store the per-layer arrays (radonet.models).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,27 +33,49 @@ def substream(root_seed: int, *names: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
+def _layer_views(flat: np.ndarray, sizes: tuple) -> tuple[list, list]:
+    """Per-layer (out, in) weight and (out,) bias views of a w0, b0, w1, b1, ... buffer."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = start + fan_out * fan_in
+        weights.append(flat[start:end].reshape(fan_out, fan_in))
+        biases.append(flat[end:end + fan_out])
+        start = end + fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpParams:
-    """Parameters of a fully connected net: weights[l] has shape (out, in)."""
+    """Parameters of a fully connected net: weights[l] has shape (out, in).
+
+    weights and biases are views into flat, laid out w0, b0, w1, b1, ...;
+    copies and pickles keep that sharing.
+    """
 
     layer_sizes: tuple[int, ...]
     activation: str
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
+
+    def __reduce__(self):
+        return MlpParams, (self.layer_sizes, self.activation, self.flat)
 
     def copy(self) -> "MlpParams":
-        return replace(self, weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases])
+        return MlpParams(self.layer_sizes, self.activation, self.flat.copy())
 
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
 
 @dataclass
 class MlpGrads:
-    """Gradients shaped like MlpParams plus the gradient w.r.t. the inputs."""
+    """Gradients laid out like MlpParams plus the gradient w.r.t. the inputs."""
 
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     inputs: np.ndarray
@@ -66,16 +90,17 @@ def _check_layout(sizes: tuple, activation: str) -> None:
 
 
 def mlp_params(layer_sizes, activation: str, weights: list, biases: list) -> MlpParams:
-    """MlpParams from its parts, refused unless they agree: the layout that
-    mlp_init also checks, and weights[l] and biases[l] of shapes
-    (sizes[l+1], sizes[l]) and (sizes[l+1],)."""
+    """MlpParams from its parts, copied into one fresh buffer, refused unless
+    they agree: the layout that mlp_init also checks, and weights[l] and
+    biases[l] of shapes (sizes[l+1], sizes[l]) and (sizes[l+1],)."""
     sizes = tuple(layer_sizes)
     _check_layout(sizes, activation)
     shapes = list(zip(sizes[1:], sizes[:-1]))
     got = [np.shape(w) for w in weights], [np.shape(b) for b in biases]
     if got != (shapes, [(fan_out,) for fan_out, _ in shapes]):
         raise ValueError(f"weight and bias shapes {got} do not fit layer sizes {sizes}")
-    return MlpParams(sizes, activation, weights, biases)
+    flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair])
+    return MlpParams(sizes, activation, flat)
 
 
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
@@ -89,27 +114,15 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, activation, weights, biases)
-
-
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _act_grad(h: np.ndarray, kind: str) -> np.ndarray:
-    """Activation derivative, from the activation's output h."""
-    if kind == "relu":
-        return (h > 0.0).astype(h.dtype)
-    return 1.0 - h * h
+    return mlp_params(sizes, activation, weights, biases)
 
 
 def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Forward pass on a (batch, d_in) array; returns (outputs, cache).
 
     Hidden layers use the configured activation, the output layer is linear.
-    The cache holds pre-activations and hidden states for mlp_backward.
+    The cache holds the input, the hidden states and the output shape for
+    mlp_backward.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
@@ -119,16 +132,18 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, tuple
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite values in network input")
     hs = [x]
-    zs = []
     h = x
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
-        zs.append(z)
-        h = z if layer == last else _act(z, params.activation)
+        h = h @ w.T
+        h += b
         if layer != last:
+            if params.activation == "relu":
+                np.maximum(h, 0.0, out=h)
+            else:
+                np.tanh(h, out=h)
             hs.append(h)
-    return h, (hs, zs)
+    return h, (hs, h.shape)
 
 
 def mlp_backward(params: MlpParams, cache: tuple, output_grad: np.ndarray) -> MlpGrads:
@@ -137,73 +152,73 @@ def mlp_backward(params: MlpParams, cache: tuple, output_grad: np.ndarray) -> Ml
     output_grad is dLoss/dOutput with the same shape as the forward output.
     Returns parameter gradients and the gradient w.r.t. the input batch.
     """
-    hs, zs = cache
+    hs, out_shape = cache
     g = np.asarray(output_grad, dtype=np.float64)
-    if g.shape != zs[-1].shape:
-        raise ValueError(f"output_grad shape {g.shape} != output shape {zs[-1].shape}")
-    n_layers = len(params.weights)
-    w_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    b_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    if g.shape != out_shape:
+        raise ValueError(f"output_grad shape {g.shape} != output shape {out_shape}")
+    flat = np.empty_like(params.flat)
+    w_grads, b_grads = _layer_views(flat, params.layer_sizes)
     delta = g
-    for layer in range(n_layers - 1, -1, -1):
-        w_grads[layer] = delta.T @ hs[layer]
-        b_grads[layer] = delta.sum(axis=0)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        np.matmul(delta.T, hs[layer], out=w_grads[layer])
+        np.sum(delta, axis=0, out=b_grads[layer])
         delta = delta @ params.weights[layer]
-        if layer > 0:
-            delta = delta * _act_grad(hs[layer], params.activation)
-    return MlpGrads(weights=w_grads, biases=b_grads, inputs=delta)
+        if layer > 0:  # times the activation's derivative, from its output h
+            h = hs[layer]
+            if params.activation == "relu":
+                delta *= h > 0.0
+            else:
+                d = h * h
+                np.subtract(1.0, d, out=d)
+                delta *= d
+    return MlpGrads(flat, w_grads, b_grads, inputs=delta)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and step counter for Adam."""
+    """First/second moments, laid out like MlpParams.flat, and step counter."""
 
     t: int
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
 
 def adam_init(params: MlpParams) -> AdamState:
-    return AdamState(
-        t=0,
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-    )
+    return AdamState(t=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: MlpGrads,
               lr: float) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    t = state.t + 1
+    """One bias-corrected Adam update of params and state in place; returns
+    them, the same objects.
+
+    Every operation keeps the operands and order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps).
+    """
+    state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-
-    def update(ps, ms, vs, gs):
-        """The updated arrays, first and second moments of one list of arrays."""
-        new_p, new_m, new_v = [], [], []
-        for p, m, v, g in zip(ps, ms, vs, gs):
-            m_new = b1 * m + (1.0 - b1) * g
-            v_new = b2 * v + (1.0 - b2) * (g * g)
-            step = lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
-            new_p.append(p - step)
-            new_m.append(m_new)
-            new_v.append(v_new)
-        return new_p, new_m, new_v
-
-    new_w, new_mw, new_vw = update(params.weights, state.m_weights, state.v_weights,
-                                   grads.weights)
-    new_b, new_mb, new_vb = update(params.biases, state.m_biases, state.v_biases, grads.biases)
-    new_params = MlpParams(params.layer_sizes, params.activation, new_w, new_b)
-    new_state = AdamState(t, new_mw, new_mb, new_vw, new_vb, b1, b2, eps)
-    return new_params, new_state
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    g, m, v = grads.flat, state.m, state.v
+    tmp = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - b2
+    v *= b2
+    v += tmp
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    step = np.divide(m, c1)
+    step *= lr
+    step /= tmp
+    params.flat -= step
+    return params, state
 
 
 def lr_schedule(epoch: int, base_lr: float, decay_fraction: float = 0.1,

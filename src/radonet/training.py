@@ -151,10 +151,10 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
     for epoch in range(1, config.epochs + 1):
         lr = lr_schedule(epoch - 1, config.base_lr, config.decay_fraction,
                          config.decay_interval)
-        order = rng.permutation(n) if batch < n else np.arange(n)
+        order = rng.permutation(n) if batch < n else None
         losses = []
         for start in range(0, n, batch):
-            idx = order[start:start + batch]
+            idx = slice(None) if order is None else order[start:start + batch]
             pred, cache = model.forward(inputs[idx], queries)
             w = None if weights is None else weights[idx]
             value, pred_grad = _loss_and_grad(pred, targets[idx], loss, w)
@@ -163,8 +163,7 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
                 break
             grads = model.backward(cache, pred_grad)
             for name, g in zip(model.nets, grads):
-                params, adam[name] = adam_step(adam[name], getattr(model, name), g, lr)
-                setattr(model, name, params)
+                adam_step(adam[name], getattr(model, name), g, lr)
         epoch_loss = float(np.mean(losses))
         report.epochs_run = epoch
         if not np.isfinite(epoch_loss):

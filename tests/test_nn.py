@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -125,14 +127,112 @@ def test_adam_reduces_quadratic_loss():
 def test_adam_step_counter_and_shapes():
     params = mlp_init([2, 4, 1], seed=1)
     state = adam_init(params)
+    before = params.copy()
     out, cache = mlp_forward(params, np.ones((1, 2)))
     grads = mlp_backward(params, cache, np.ones_like(out))
     new_params, new_state = adam_step(state, params, grads, lr=1e-3)
-    assert new_state.t == 1
-    assert state.t == 0  # original untouched
-    for w_old, w_new in zip(params.weights, new_params.weights):
+    assert new_params is params and new_state is state  # updated in place
+    assert state.t == 1
+    for w_old, w_new in zip(before.weights, params.weights):
         assert w_old.shape == w_new.shape
         assert not np.array_equal(w_old, w_new)
+
+
+def _reference_forward(weights, biases, activation, batch):
+    """Out-of-place forward pass: returns (output, hidden states with the input)."""
+    hs, h = [batch], batch
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.T + b
+        if layer == len(weights) - 1:
+            h = z
+        else:
+            h = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+            hs.append(h)
+    return h, hs
+
+
+def _reference_backward(weights, activation, hs, output_grad):
+    """Out-of-place backward pass: (weight grads, bias grads, input grad)."""
+    n = len(weights)
+    w_grads, b_grads, delta = [None] * n, [None] * n, output_grad
+    for layer in range(n - 1, -1, -1):
+        w_grads[layer] = delta.T @ hs[layer]
+        b_grads[layer] = delta.sum(axis=0)
+        delta = delta @ weights[layer]
+        if layer > 0:
+            h = hs[layer]
+            act_grad = (h > 0.0).astype(h.dtype) if activation == "relu" else 1.0 - h * h
+            delta = delta * act_grad
+    return w_grads, b_grads, delta
+
+
+def _reference_adam(t, ps, ms, vs, gs, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Out-of-place bias-corrected Adam over lists of arrays: new (ps, ms, vs)."""
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    new_p, new_m, new_v = [], [], []
+    for p, m, v, g in zip(ps, ms, vs, gs):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        new_p.append(p - lr * (m / c1) / (np.sqrt(v / c2) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_p, new_m, new_v
+
+
+def _interleave(weights, biases):
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_in_place_step_matches_the_reference_arithmetic(activation, batch):
+    params = mlp_init([3, 9, 6, 2], activation=activation, seed=17)
+    state = adam_init(params)
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    ps = [a for pair in zip(weights, biases) for a in pair]  # w0, b0, w1, b1, ...
+    ms = [np.zeros_like(a) for a in ps]
+    vs = [np.zeros_like(a) for a in ps]
+    rng = substream(17, "in-place", activation, str(batch))
+    for t in range(1, 21):
+        x = rng.standard_normal((batch, 3))
+        target = rng.standard_normal((batch, 2))
+        lr = 1e-2 / t
+
+        out, cache = mlp_forward(params, x)
+        grads = mlp_backward(params, cache, 2.0 * (out - target) / out.size)
+        adam_step(state, params, grads, lr)
+
+        ref_out, hs = _reference_forward(ps[0::2], ps[1::2], activation, x)
+        ref_w, ref_b, ref_in = _reference_backward(ps[0::2], activation, hs,
+                                                   2.0 * (ref_out - target) / ref_out.size)
+        ref_g = [a for pair in zip(ref_w, ref_b) for a in pair]
+        ps, ms, vs = _reference_adam(t, ps, ms, vs, ref_g, lr)
+
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(grads.inputs, ref_in)
+        np.testing.assert_array_equal(grads.flat, np.concatenate([g.ravel() for g in ref_g]))
+        np.testing.assert_array_equal(params.flat, np.concatenate([p.ravel() for p in ps]))
+        np.testing.assert_array_equal(state.m, np.concatenate([m.ravel() for m in ms]))
+        np.testing.assert_array_equal(state.v, np.concatenate([v.ravel() for v in vs]))
+    assert state.t == 20
+
+
+def test_params_stay_views_into_one_buffer():
+    params = mlp_init([16, 64, 64, 8], activation="tanh", seed=5)
+    rebuilt = mlp_params(params.layer_sizes, params.activation,
+                         [w.copy() for w in params.weights], [b.copy() for b in params.biases])
+    pickled = pickle.loads(pickle.dumps(params))
+    for p in (params, rebuilt, params.copy(), pickled):
+        assert np.array_equal(p.flat, params.flat)
+        assert all(np.shares_memory(a, p.flat) for a in p.weights + p.biases)
+        assert p is params or not np.shares_memory(p.flat, params.flat)
+    assert np.array_equal(params.flat, _interleave(params.weights, params.biases))
+    # one buffer on the wire, no bigger than the per-array pickle it replaced
+    per_array = pickle.dumps({"layer_sizes": params.layer_sizes, "activation": params.activation,
+                              "weights": [w.copy() for w in params.weights],
+                              "biases": [b.copy() for b in params.biases]})
+    assert len(pickle.dumps(params)) <= 1.01 * len(per_array)
 
 
 def test_lr_schedule_steps():
