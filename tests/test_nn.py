@@ -179,8 +179,8 @@ def _reference_adam(t, ps, ms, vs, gs, lr, b1=0.9, b2=0.999, eps=1e-8):
     return new_p, new_m, new_v
 
 
-def _interleave(weights, biases):
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 @pytest.mark.parametrize("batch", [1, 7])
@@ -188,9 +188,7 @@ def _interleave(weights, biases):
 def test_in_place_step_matches_the_reference_arithmetic(activation, batch):
     params = mlp_init([3, 9, 6, 2], activation=activation, seed=17)
     state = adam_init(params)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    ps = [a for pair in zip(weights, biases) for a in pair]  # w0, b0, w1, b1, ...
+    ps = [a.copy() for pair in zip(params.weights, params.biases) for a in pair]  # w0, b0, ...
     ms = [np.zeros_like(a) for a in ps]
     vs = [np.zeros_like(a) for a in ps]
     rng = substream(17, "in-place", activation, str(batch))
@@ -211,24 +209,24 @@ def test_in_place_step_matches_the_reference_arithmetic(activation, batch):
 
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(grads.inputs, ref_in)
-        np.testing.assert_array_equal(grads.flat, np.concatenate([g.ravel() for g in ref_g]))
-        np.testing.assert_array_equal(params.flat, np.concatenate([p.ravel() for p in ps]))
-        np.testing.assert_array_equal(state.m, np.concatenate([m.ravel() for m in ms]))
-        np.testing.assert_array_equal(state.v, np.concatenate([v.ravel() for v in vs]))
+        np.testing.assert_array_equal(grads.flat, _flat(ref_g))
+        np.testing.assert_array_equal(params.flat, _flat(ps))
+        np.testing.assert_array_equal(state.m, _flat(ms))
+        np.testing.assert_array_equal(state.v, _flat(vs))
     assert state.t == 20
 
 
 def test_params_stay_views_into_one_buffer():
     params = mlp_init([16, 64, 64, 8], activation="tanh", seed=5)
-    rebuilt = mlp_params(params.layer_sizes, params.activation,
-                         [w.copy() for w in params.weights], [b.copy() for b in params.biases])
+    rebuilt = mlp_params(params.layer_sizes, params.activation, params.weights, params.biases)
     pickled = pickle.loads(pickle.dumps(params))
     for p in (params, rebuilt, params.copy(), pickled):
         assert np.array_equal(p.flat, params.flat)
         assert all(np.shares_memory(a, p.flat) for a in p.weights + p.biases)
         assert p is params or not np.shares_memory(p.flat, params.flat)
-    assert np.array_equal(params.flat, _interleave(params.weights, params.biases))
-    # one buffer on the wire, no bigger than the per-array pickle it replaced
+    assert np.array_equal(params.flat,
+                          _flat(a for pair in zip(params.weights, params.biases) for a in pair))
+    # the buffer goes on the wire once: no bigger than pickling each array
     per_array = pickle.dumps({"layer_sizes": params.layer_sizes, "activation": params.activation,
                               "weights": [w.copy() for w in params.weights],
                               "biases": [b.copy() for b in params.biases]})
