@@ -91,12 +91,11 @@ DEFAULT_CONFIG = {
 # sections whose keys are not fixed in advance
 _FREE_SECTIONS = {"counts", "data"}
 
-# physical domain and periodicity per problem
-_GEOMETRY = {
-    "advection": ((0.0, 1.0), True),
-    "burgers": ((0.0, 1.0), True),
-    "sod": ((-5.0, 5.0), False),
-}
+# keys that may also be null, with the type of their other values
+_NULLABLE = {"train.batch_size": int, "preprocess.ratio_limit": float, "eval.xi_points": int}
+
+_TYPE_NAMES = {dict: "an object", list: "a list of integers", int: "an integer",
+               float: "a number", str: "a string"}
 
 _FAMILIES = ("vanilla", "shift", "radaptive")
 
@@ -152,6 +151,26 @@ def _apply_override(cfg: dict, spec: str) -> None:
     node[parts[-1]] = value
 
 
+def _check_types(defaults: dict, cfg: dict, path: str = "") -> None:
+    """Refuse a value whose JSON type is not its default's: integer keys and
+    integer lists take integers only (not true, not 2.5), float keys take
+    integers or floats, and null is taken only where _NULLABLE allows it."""
+    for key, default in defaults.items():
+        where, value = path + key, cfg[key]
+        kind = _NULLABLE.get(where, type(default))
+        if kind is list:
+            ok = type(value) is list and all(type(v) is int for v in value)
+        else:
+            ok = (type(value) in ((int, float) if kind is float else (kind,))
+                  or (value is None and where in _NULLABLE))
+        if not ok:
+            null = " or null" if where in _NULLABLE else ""
+            raise CliError(f"config key {where!r} must be {_TYPE_NAMES[kind]}{null}, "
+                           f"got {value!r}")
+        if kind is dict and key not in _FREE_SECTIONS:
+            _check_types(default, value, where + ".")
+
+
 def resolve_config(args) -> dict:
     user = {}
     if getattr(args, "config", None):
@@ -167,14 +186,13 @@ def resolve_config(args) -> dict:
     cfg = _merge(DEFAULT_CONFIG, user, False, "")
     for spec in getattr(args, "set", None) or []:
         _apply_override(cfg, spec)
-    if cfg["problem"] not in _GEOMETRY:
-        raise CliError(f"unknown problem {cfg['problem']!r}")
+    _check_types(DEFAULT_CONFIG, cfg)
     if cfg["model"]["family"] not in _FAMILIES:
         raise CliError(f"model.family must be one of {_FAMILIES}")
-    try:
+    try:  # refuses an unknown problem too
         dataset_params(cfg["problem"], cfg["data"])
     except ValueError as exc:
-        raise CliError(f"data: {exc}")
+        raise CliError(str(exc))
     for split, n in cfg["counts"].items():
         if type(n) is not int or n < 1:
             raise CliError(f"counts.{split} must be a positive integer, got {n!r}")
@@ -263,7 +281,7 @@ def _derived_seed(root_seed: int, *names: str) -> int:
 
 def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str) -> DeepOnetModel:
     m = cfg["model"]
-    n_basis = int(m["n_basis"])
+    n_basis = m["n_basis"]
     branch = mlp_init([n_inputs, *m["branch_hidden"], n_basis],
                       activation=m["branch_activation"],
                       seed=_derived_seed(cfg["seed"], "init", role, "branch"))
@@ -277,7 +295,7 @@ def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str) -> DeepOnetMo
 
 def _make_shift(cfg: dict, n_inputs: int, bounds) -> ShiftDeepOnetModel:
     m = cfg["model"]
-    n_basis = int(m["n_basis"])
+    n_basis = m["n_basis"]
     base = _make_deeponet(cfg, n_inputs, bounds, role="shift")
     # the scale and shift nets read the input like the branch, one output per basis function
     nets = {f"{name}_net": mlp_init([n_inputs, *m["branch_hidden"], n_basis],
@@ -312,26 +330,13 @@ def _report_dict(report) -> dict:
     }
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=int(t["epochs"]),
-        batch_size=None if t["batch_size"] is None else int(t["batch_size"]),
-        base_lr=float(t["base_lr"]),
-        decay_fraction=float(t["decay_fraction"]),
-        decay_interval=int(t["decay_interval"]),
-        validation_cadence=int(t["validation_cadence"]),
-        seed=int(cfg["seed"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # stages
 
 
 def cmd_datagen(args) -> None:
     cfg = resolve_config(args)
-    datasets = dataset_build(cfg["problem"], int(cfg["seed"]), cfg["counts"], cfg["data"])
+    datasets = dataset_build(cfg["problem"], cfg["seed"], cfg["counts"], cfg["data"])
     out = Path(args.out)
     save_dataset(out, datasets)
     write_provenance(out, "datagen", cfg, {})
@@ -339,34 +344,26 @@ def cmd_datagen(args) -> None:
           f"across {len(datasets)} splits to {out}")
 
 
-def cmd_preprocess(args) -> None:
-    cfg = resolve_config(args)
-    ds_dir, ds_prov = check_artifact(args.dataset)
+def _config_dataset(cfg: dict, path: str):
+    """(splits, provenance) of the dataset artifact at path, refused unless it
+    holds the config's problem."""
+    ds_dir, ds_prov = check_artifact(path)
     datasets = load_dataset(ds_dir)
     problem = next(iter(datasets.values())).problem
     if problem != cfg["problem"]:
         raise CliError(f"dataset holds {problem!r} but config says {cfg['problem']!r}")
-    domain, periodic = _GEOMETRY[problem]
-    p = cfg["preprocess"]
+    return datasets, ds_prov
+
+
+def cmd_preprocess(args) -> None:
+    cfg = resolve_config(args)
+    datasets, ds_prov = _config_dataset(cfg, args.dataset)
+    domain, periodic = next(iter(datasets.values())).geometry()
+    xi = np.linspace(domain[0], domain[1], cfg["preprocess"]["n_xi"] + 1)
     out = Path(args.out)
-    sets = {}
-    for split, ds in datasets.items():
-        limit = p["ratio_limit"]
-        samples = [
-            preprocess_sample(row, domain, int(p["n_xi"]), m_cap=float(p["m_cap"]),
-                              mbar_cap=float(p["mbar_cap"]),
-                              smoothing_passes=int(p["smoothing_passes"]),
-                              periodic=periodic, beta=float(p["beta"]),
-                              ratio_limit=None if limit is None else float(limit))
-            for row in ds.outputs
-        ]
-        sets[split] = PreprocessedSet.from_samples(samples, meta={
-            "problem": problem,
-            "n_xi": int(p["n_xi"]),
-            "domain": [domain[0], domain[1]],
-            "periodic": periodic,
-            "config_hash": config_hash(cfg),
-        })
+    sets = {split: PreprocessedSet.from_samples(cfg["problem"], xi, [
+        preprocess_sample(row, domain, periodic=periodic, **cfg["preprocess"])
+        for row in ds.outputs]) for split, ds in datasets.items()}
     save_preprocessed(out, sets)
     write_provenance(out, "preprocess", cfg, {"dataset": ds_prov["content_hash"]})
     print(f"preprocessed {len(datasets)} splits into {out}")
@@ -380,16 +377,12 @@ def _load_split(splits: dict, split: str, what: str):
 
 def cmd_train(args) -> None:
     cfg = resolve_config(args)
-    family = cfg["model"]["family"]
-    ds_dir, ds_prov = check_artifact(args.dataset)
-    datasets = load_dataset(ds_dir)
-    problem = next(iter(datasets.values())).problem
-    if problem != cfg["problem"]:
-        raise CliError(f"dataset holds {problem!r} but config says {cfg['problem']!r}")
-    domain, periodic = _GEOMETRY[problem]
+    family, problem = cfg["model"]["family"], cfg["problem"]
+    datasets, ds_prov = _config_dataset(cfg, args.dataset)
     train_ds = _load_split(datasets, "train", "training")
+    domain, periodic = train_ds.geometry()
     val_ds = datasets.get("val")
-    tc = _train_config(cfg)
+    tc = TrainConfig(**cfg["train"], seed=cfg["seed"])
     out = Path(args.out)
     upstream = {"dataset": ds_prov["content_hash"]}
     encoding = {"advection": "box-params(height,width,shift)",
@@ -411,8 +404,8 @@ def cmd_train(args) -> None:
         queries = xi.reshape(-1, 1)
         bounds = (float(xi[0]), float(xi[-1]))
         n_in = train_ds.inputs.shape[1]
-        tr_in = train_ds.inputs[pset.sample_ids]
-        va_in = None if vset is None else val_ds.inputs[vset.sample_ids]
+        tr_in = train_ds.inputs
+        va_in = None if vset is None else val_ds.inputs
 
         coord = _make_deeponet(cfg, n_in, bounds, role="coord")
         sol = _make_deeponet(cfg, n_in, bounds, role="sol")
@@ -429,7 +422,7 @@ def cmd_train(args) -> None:
                     extra={"problem": problem, "family": family})
         run_reports = {"coord": coord_rep, "sol": sol_rep}
     else:
-        n_points = int(cfg["model"]["output_points"])
+        n_points = cfg["model"]["output_points"]
         queries, targets = _uniform_targets(train_ds, n_points, domain, periodic)
         # validation scores what eval scores, rel-L2 on the dataset's own
         # grid: a narrow box can fall between all output_points, and its
@@ -469,7 +462,7 @@ def cmd_eval(args) -> None:
     datasets = load_dataset(ds_dir)
     split = cfg["eval"]["split"]
     ds = _load_split(datasets, split, "evaluation")
-    domain, _ = _GEOMETRY[ds.problem]
+    domain, _ = ds.geometry()
     grid = ds.x_grid
     refs = ds.outputs
     summary = {"split": split, "n_samples": int(ds.n_samples), "problem": ds.problem,
@@ -485,7 +478,7 @@ def cmd_eval(args) -> None:
         if n_pts is None:
             xi_eval = None
         else:
-            n_pts = max(int(n_pts), model.xi_grid.size)
+            n_pts = max(n_pts, model.xi_grid.size)
             xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
         # one call for the whole split: each trunk runs once, while the
         # branches run row by row, so the bytes match evaluating each sample
@@ -545,7 +538,7 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
             raise CliError(f"--field must be 'u' or 'x', got {field!r}")
         data = pset.u if field == "u" else pset.x
         dx = float(pset.xi[1] - pset.xi[0])
-        tag = f"{pset.meta.get('problem', 'unknown')}/{args.split}/{field}(xi)"
+        tag = f"{pset.problem}/{args.split}/{field}(xi)"
     else:
         if not args.dataset:
             raise CliError("need --dataset or --prep", kind="missing-input")

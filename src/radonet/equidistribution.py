@@ -3,19 +3,24 @@
 Given a solution sampled on a fine uniform grid, build an arc-length mesh
 density, invert its cumulative integral to get the adaptive coordinates
 x(xi) on a uniform computational grid, and package the solution-on-mesh
-values together with Jacobians and the loss weights used in training.
+values together with the loss weights used in training.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import store
 
-PREPROCESSED_VERSION = 2
+PREPROCESSED_VERSION = 3
+
+# limit_density_ratio's density cap, in mean densities of one final mesh
+# cell, and the width in final cells of its Gaussian smoothing of log(rho)
+_CAP_SCALE = 8.0
+_SMOOTH_CELLS = 2.0
 
 
 @dataclass
@@ -107,9 +112,7 @@ def _domain_mass(values: np.ndarray, dx: float, periodic: bool) -> float:
 
 
 def limit_density_ratio(rho: DensityField, n_xi: int,
-                        max_log_ratio: float = 0.3,
-                        cap_scale: float = 8.0,
-                        smooth_cells: float = 2.0) -> DensityField:
+                        max_log_ratio: float = 0.3) -> DensityField:
     """Regularise the density so the mesh it induces has bounded cell ratios.
 
     A raw arc-length monitor of a near-discontinuity piles its mass into a
@@ -118,13 +121,13 @@ def limit_density_ratio(rho: DensityField, n_xi: int,
     rho(x_j) * dx/dxi swings wildly even though the cell masses are exactly
     equal. Three steps fix that at the scale of the n_xi-cell mesh:
 
-    1. cap the density at cap_scale * mass / (n_xi * dx), the largest value
+    1. cap the density at _CAP_SCALE * mass / (n_xi * dx), the largest value
        the mesh can actually resolve (finest spacing ~ the raw grid's);
     2. lift log(rho) wherever it decays faster than max_log_ratio per
        equidistributed cell's worth of mass (two cummax sweeps in mass
        coordinates), so flanks pad out instead of cliff-dropping;
     3. smooth log(rho) along the mass coordinate with a Gaussian of
-       smooth_cells cells, rounding the remaining slope kinks.
+       _SMOOTH_CELLS cells, rounding the remaining slope kinks.
 
     Peaks survive (the cap is sized to keep jump cells at fine-grid width),
     so reconstruction accuracy is unaffected; only spike flanks get padded.
@@ -137,17 +140,16 @@ def limit_density_ratio(rho: DensityField, n_xi: int,
     m = vals.size
 
     mass0 = _domain_mass(vals, rho.dx, rho.periodic)
-    if cap_scale is not None and cap_scale > 0.0:
-        # two regimes: the ratio bound makes tall peaks infeasible on coarse
-        # meshes (climbing log(cap) twice up and twice down costs
-        # ~4*log(cap)/max_log_ratio cells), while fine meshes want the cap
-        # high so jump cells keep several knots per fine-grid cell
-        wanted = cap_scale * mass0 / (n_xi * rho.dx)
-        if n_xi >= 64:
-            feasible = np.exp(0.6 * max_log_ratio * n_xi / 4.0)
-            wanted = min(feasible, wanted)
-        cap = max(2.0, wanted)
-        vals = np.minimum(vals, cap)
+    # two regimes: the ratio bound makes tall peaks infeasible on coarse
+    # meshes (climbing log(cap) twice up and twice down costs
+    # ~4*log(cap)/max_log_ratio cells), while fine meshes want the cap
+    # high so jump cells keep several knots per fine-grid cell
+    wanted = _CAP_SCALE * mass0 / (n_xi * rho.dx)
+    if n_xi >= 64:
+        feasible = np.exp(0.6 * max_log_ratio * n_xi / 4.0)
+        wanted = min(feasible, wanted)
+    cap = max(2.0, wanted)
+    vals = np.minimum(vals, cap)
 
     # the bound "log density changes at most max_log_ratio per final cell's
     # worth of mass" is |d log(rho)/d mu| <= lam*n/mass, which in physical
@@ -176,30 +178,29 @@ def limit_density_ratio(rho: DensityField, n_xi: int,
         c = target / _domain_mass(dens, rho.dx, rho.periodic)
         dens = middle(cone_hull(c))
 
-    if smooth_cells is not None and smooth_cells > 0.0:
-        # the cone hull is piecewise linear; its slope kinks contribute
-        # first-order wiggle to the pointwise equidistribution product, so
-        # round them by smoothing the log density along the final mass
-        # coordinate with a kernel of a few cells
-        ext = np.concatenate([dens, dens, dens]) if rho.periodic else dens
-        dmu = rho.dx * 0.5 * (ext[:-1] + ext[1:])
-        mu = np.concatenate(([0.0], np.cumsum(dmu)))
-        cell_mass = _domain_mass(dens, rho.dx, rho.periodic) / n_xi
-        pts_per_cell = 6
-        n_aux = max(16, int(round((mu[-1] / cell_mass) * pts_per_cell)))
-        mu_aux = np.linspace(mu[0], mu[-1], n_aux)
-        log_aux = np.interp(mu_aux, mu, np.log(ext))
-        sigma_pts = smooth_cells * pts_per_cell
-        half = int(np.ceil(4.0 * sigma_pts))
-        t = np.arange(-half, half + 1, dtype=np.float64)
-        kernel = np.exp(-0.5 * (t / sigma_pts) ** 2)
-        kernel /= kernel.sum()
-        padded = np.concatenate([np.full(half, log_aux[0]), log_aux,
-                                 np.full(half, log_aux[-1])])
-        log_smooth = np.convolve(padded, kernel, mode="valid")
-        smoothed = np.exp(np.interp(mu, mu_aux, log_smooth))
-        out = smoothed[m:2 * m] if rho.periodic else smoothed
-        dens = np.maximum(out, 1.0)
+    # the cone hull is piecewise linear; its slope kinks contribute
+    # first-order wiggle to the pointwise equidistribution product, so
+    # round them by smoothing the log density along the final mass
+    # coordinate with a kernel of a few cells
+    ext = np.concatenate([dens, dens, dens]) if rho.periodic else dens
+    dmu = rho.dx * 0.5 * (ext[:-1] + ext[1:])
+    mu = np.concatenate(([0.0], np.cumsum(dmu)))
+    cell_mass = _domain_mass(dens, rho.dx, rho.periodic) / n_xi
+    pts_per_cell = 6
+    n_aux = max(16, int(round((mu[-1] / cell_mass) * pts_per_cell)))
+    mu_aux = np.linspace(mu[0], mu[-1], n_aux)
+    log_aux = np.interp(mu_aux, mu, np.log(ext))
+    sigma_pts = _SMOOTH_CELLS * pts_per_cell
+    half = int(np.ceil(4.0 * sigma_pts))
+    t = np.arange(-half, half + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (t / sigma_pts) ** 2)
+    kernel /= kernel.sum()
+    padded = np.concatenate([np.full(half, log_aux[0]), log_aux,
+                             np.full(half, log_aux[-1])])
+    log_smooth = np.convolve(padded, kernel, mode="valid")
+    smoothed = np.exp(np.interp(mu, mu_aux, log_smooth))
+    out = smoothed[m:2 * m] if rho.periodic else smoothed
+    dens = np.maximum(out, 1.0)
 
     return DensityField(values=dens, dx=rho.dx, x0=rho.x0, periodic=rho.periodic)
 
@@ -271,37 +272,21 @@ def weight_coordinate(grad_u: np.ndarray, det_j: np.ndarray, cap: float = 100.0)
     return np.minimum(cap, np.sqrt(1.0 + g ** 4 * d * d))
 
 
-@dataclass
-class AdaptiveSample:
-    """One preprocessed training sample on the computational grid."""
-
-    xi: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
-    det_j: np.ndarray
-    w_sol: np.ndarray
-    w_coord: np.ndarray
-
-    def __post_init__(self):
-        arrays = (self.xi, self.x, self.u, self.det_j, self.w_sol, self.w_coord)
-        sizes = {np.asarray(a).shape for a in arrays}
-        if len(sizes) != 1:
-            raise ValueError(f"inconsistent column shapes: {sizes}")
-
-
 def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: int,
                       m_cap: float = 2.0, mbar_cap: float = 100.0,
                       smoothing_passes: int = 2, periodic: bool = False,
                       beta: float = 1.0,
-                      ratio_limit: float | None = 0.3) -> AdaptiveSample:
+                      ratio_limit: float | None = 0.3) -> dict[str, np.ndarray]:
     """Full preprocessing of one raw sample into adaptive training targets.
 
     u_values sits on a uniform grid over `domain`; for periodic fields the
     right endpoint is excluded (spacing L/m), for bounded fields included
-    (spacing L/(m-1)). Produces the adaptive coordinates, the solution on
-    the adaptive mesh, the mesh Jacobian and both loss weights. ratio_limit
-    (None disables) bounds the cell-to-cell mesh ratio via
-    limit_density_ratio before the mesh is built.
+    (spacing L/(m-1)). Returns the sample's row columns, each on the n_xi + 1
+    knots of the uniform computational grid over `domain`: the adaptive
+    coordinates x, the solution u on them, and the loss weights w_sol and
+    w_coord, both taken from the mesh Jacobian. ratio_limit (None disables)
+    bounds the cell-to-cell mesh ratio via limit_density_ratio before the
+    mesh is built.
     """
     u = np.asarray(u_values, dtype=np.float64)
     lo, hi = float(domain[0]), float(domain[1])
@@ -316,33 +301,28 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     if ratio_limit is not None:
         rho = limit_density_ratio(rho, n_xi, ratio_limit)
     x = equidistribute_1d(rho, n_xi)
-    xi = np.linspace(lo, hi, n_xi + 1)
-    dxi = length / n_xi
     grid = rho.grid()
     grad_raw = np.abs(fd_derivative(u, dx, periodic))
     if periodic:
         grid, (u, grad_raw) = close_periodic(grid, np.stack([u, grad_raw]), length)
-    u_tilde = np.interp(x, grid, u)
-    det_j = jacobian_det_1d(x, dxi)
-    grad_at_knots = np.interp(x, grid, grad_raw)
-    return AdaptiveSample(
-        xi=xi,
-        x=x,
-        u=u_tilde,
-        det_j=det_j,
-        w_sol=weight_solution(det_j, m_cap),
-        w_coord=weight_coordinate(grad_at_knots, det_j, mbar_cap),
-    )
+    det_j = jacobian_det_1d(x, length / n_xi)
+    return {
+        "x": x,
+        "u": np.interp(x, grid, u),
+        "w_sol": weight_solution(det_j, m_cap),
+        "w_coord": weight_coordinate(np.interp(x, grid, grad_raw), det_j, mbar_cap),
+    }
 
 
-def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> float:
+def equidistribution_residual(x: np.ndarray, rho: DensityField) -> float:
     """Max relative deviation of rho(x_j) * x_xi from its mean over the mesh.
 
-    A perfectly equidistributed mesh makes rho(x(xi)) * dx/dxi constant; the
-    returned number is max_j |r_j - mean| / mean over interior knots.
+    x holds the knots of a uniform computational grid. A perfectly
+    equidistributed mesh makes rho(x(xi)) * dx/dxi constant; the returned
+    number is max_j |r_j - mean| / mean over interior knots, which does not
+    depend on the grid's spacing.
     """
-    x = sample.x
-    x_xi = fd_derivative(x, sample.xi[1] - sample.xi[0])[1:-1]
+    x_xi = fd_derivative(x, 1.0)[1:-1]
     grid, values = rho.grid(), rho.values
     if rho.periodic:
         grid, values = close_periodic(grid, values, rho.dx * values.size)
@@ -360,94 +340,54 @@ def equidistribution_residual(sample: AdaptiveSample, rho: DensityField) -> floa
 
 @dataclass
 class PreprocessedSet:
-    """Stacked preprocessed samples plus provenance metadata.
+    """One split of preprocessed samples of a problem: xi, the computational
+    grid, has shape (n_xi + 1,), and each row column shape (N, n_xi + 1)."""
 
-    Row columns have shape (N, n_xi + 1) and xi has shape (n_xi + 1,).
-    sample_ids index into the raw dataset split this set was derived from.
-    """
-
+    problem: str
     xi: np.ndarray
     x: np.ndarray
     u: np.ndarray
-    det_j: np.ndarray
     w_sol: np.ndarray
     w_coord: np.ndarray
-    sample_ids: np.ndarray
-    meta: dict = field(default_factory=dict)
 
-    _ROW_COLUMNS = ("x", "u", "det_j", "w_sol", "w_coord")
-    _FLOAT_COLUMNS = ("xi", *_ROW_COLUMNS)
+    ROW_COLUMNS = ("x", "u", "w_sol", "w_coord")
 
     def __post_init__(self):
-        for name in self._FLOAT_COLUMNS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        if self.x.ndim != 2:
-            raise ValueError(f"x must have a sample axis and a knot axis only, "
-                             f"got shape {self.x.shape}")
-        n = self.x.shape[0]
-        for name in self._ROW_COLUMNS:
-            if getattr(self, name).shape != self.x.shape:
-                raise ValueError(f"column {name} shape {getattr(self, name).shape} "
-                                 f"!= x shape {self.x.shape}")
-        if self.sample_ids.shape != (n,):
-            raise ValueError("sample_ids must have one entry per sample")
-        if self.xi.shape != (self.x.shape[-1],):
-            raise ValueError("xi length must match the knot dimension of x")
+        shapes = {getattr(self, name).shape for name in self.ROW_COLUMNS}
+        if len(shapes) != 1 or self.x.ndim != 2 or self.xi.shape != self.x.shape[1:]:
+            raise ValueError(f"xi and row columns must have shapes (K,) and (N, K), "
+                             f"got {self.xi.shape} and {sorted(shapes)}")
 
     @classmethod
-    def from_samples(cls, samples: list[AdaptiveSample], sample_ids=None,
-                     meta: dict | None = None) -> "PreprocessedSet":
-        if not samples:
-            raise ValueError("no samples to stack")
-        ids = np.arange(len(samples)) if sample_ids is None else np.asarray(sample_ids)
-        return cls(
-            xi=samples[0].xi,
-            sample_ids=ids,
-            meta=dict(meta or {}),
-            **{name: np.stack([getattr(s, name) for s in samples]) for name in cls._ROW_COLUMNS},
-        )
+    def from_samples(cls, problem: str, xi: np.ndarray,
+                     samples: list[dict[str, np.ndarray]]) -> "PreprocessedSet":
+        """The set whose rows are preprocess_sample's results, in order."""
+        return cls(problem, xi, **{name: np.stack([s[name] for s in samples])
+                                   for name in cls.ROW_COLUMNS})
 
 
 def save_preprocessed(path, sets: dict[str, PreprocessedSet]) -> None:
-    """Write preprocessed splits as a dataset is written: a manifest.json plus
-    xi.npy and one .npy file per split and row column."""
+    """Write preprocessed splits as a split table (radonet.store): xi.npy,
+    one .npy file per split and row column, and a manifest.json."""
     if not sets:
         raise ValueError("no splits to save")
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     first = next(iter(sets.values()))
-    manifest = {
-        "format_version": PREPROCESSED_VERSION,
-        "meta": first.meta,
-        "splits": {},
-    }
-    store.write_array(out, "xi", first.xi)
-    for split, pset in sets.items():
-        if pset.meta != first.meta or not np.array_equal(pset.xi, first.xi):
-            raise ValueError("all splits in a preprocessed set must share xi and meta")
-        for name in PreprocessedSet._ROW_COLUMNS:
-            store.write_array(out, f"{name}_{split}", getattr(pset, name))
-        store.write_array(out, f"sample_ids_{split}", pset.sample_ids, "<i8")
-        manifest["splits"][split] = {"n_samples": int(pset.x.shape[0])}
-    store.write_manifest(out, manifest)
+    if any(p.problem != first.problem or not np.array_equal(p.xi, first.xi)
+           for p in sets.values()):
+        raise ValueError("all splits in a preprocessed set must share xi and problem")
+    store.write_splits(Path(path),
+                       {"format_version": PREPROCESSED_VERSION, "problem": first.problem},
+                       {"xi": first.xi},
+                       {split: {name: getattr(p, name) for name in PreprocessedSet.ROW_COLUMNS}
+                        for split, p in sets.items()})
 
 
 def load_preprocessed(path) -> dict[str, PreprocessedSet]:
     """Re-load every split written by save_preprocessed; anything malformed,
     including an array header that claims more data than its file holds,
     raises ValueError."""
-    root = Path(path)
-    manifest = store.read_manifest(root, "preprocessed set", PREPROCESSED_VERSION,
-                                   {"meta": dict, "splits": dict})
-    xi = store.read_array(root, "xi", 1)
-    out = {}
-    for split in manifest["splits"]:
-        out[split] = PreprocessedSet(
-            xi=xi,
-            sample_ids=store.read_array(root, f"sample_ids_{split}", 1, "<i8"),
-            meta=dict(manifest["meta"]),
-            **{name: store.read_array(root, f"{name}_{split}", 2)
-               for name in PreprocessedSet._ROW_COLUMNS},
-        )
-    return out
+    manifest, shared, splits = store.read_splits(
+        Path(path), "preprocessed set", PREPROCESSED_VERSION, {"problem": str},
+        {"xi": 1}, dict.fromkeys(PreprocessedSet.ROW_COLUMNS, 2))
+    return {split: PreprocessedSet(manifest["problem"], shared["xi"], **cols)
+            for split, cols in splits.items()}

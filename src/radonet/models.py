@@ -363,7 +363,7 @@ def shift_backward_batch(model: ShiftDeepOnetModel, cache: tuple,
     kk = np.arange(n)
     dt_out[:, kk, :, kk] = dtau
     trunk_grads = mlp_backward(model.trunk, t_cache, dt_out.reshape(n1 * n * n2, n))
-    dz = trunk_grads.inputs.reshape(n1, n, n2, d)
+    dz = (trunk_grads.delta @ model.trunk.weights[0]).reshape(n1, n, n2, d)
     shift_grads = mlp_backward(model.shift_net, g_cache, dz.sum(axis=2).reshape(n1, n * d))
     ds = np.einsum("ikja,jb->ikab", dz, qn)
     scale_grads = mlp_backward(model.scale_net, s_cache, ds.reshape(n1, n * d * d))

@@ -73,12 +73,13 @@ class MlpParams:
 
 @dataclass
 class MlpGrads:
-    """Gradients laid out like MlpParams plus the gradient w.r.t. the inputs."""
+    """Gradients laid out like MlpParams, plus delta, dLoss/d(first layer's
+    output before its activation): delta @ weights[0] is dLoss/dInputs."""
 
     flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    inputs: np.ndarray
+    delta: np.ndarray
 
 
 def _check_layout(sizes: tuple, activation: str) -> None:
@@ -105,7 +106,7 @@ def mlp_params(layer_sizes, activation: str, weights: list, biases: list) -> Mlp
 
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
     """Symmetric-uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = tuple(layer_sizes)
     _check_layout(sizes, activation)
     rng = substream(seed, "mlp-init")
     weights = []
@@ -150,7 +151,8 @@ def mlp_backward(params: MlpParams, cache: tuple, output_grad: np.ndarray) -> Ml
     """Exact reverse-mode gradients for a cached forward pass.
 
     output_grad is dLoss/dOutput with the same shape as the forward output.
-    Returns parameter gradients and the gradient w.r.t. the input batch.
+    Returns parameter gradients and the first layer's delta; only a caller
+    that needs the input gradient pays for its product with weights[0].
     """
     hs, out_shape = cache
     g = np.asarray(output_grad, dtype=np.float64)
@@ -162,16 +164,17 @@ def mlp_backward(params: MlpParams, cache: tuple, output_grad: np.ndarray) -> Ml
     for layer in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.T, hs[layer], out=w_grads[layer])
         np.sum(delta, axis=0, out=b_grads[layer])
+        if layer == 0:
+            break
         delta = delta @ params.weights[layer]
-        if layer > 0:  # times the activation's derivative, from its output h
-            h = hs[layer]
-            if params.activation == "relu":
-                delta *= h > 0.0
-            else:
-                d = h * h
-                np.subtract(1.0, d, out=d)
-                delta *= d
-    return MlpGrads(flat, w_grads, b_grads, inputs=delta)
+        h = hs[layer]  # times the activation's derivative, from its output h
+        if params.activation == "relu":
+            delta *= h > 0.0
+        else:
+            d = h * h
+            np.subtract(1.0, d, out=d)
+            delta *= d
+    return MlpGrads(flat, w_grads, b_grads, delta=delta)
 
 
 @dataclass

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_CHECK_EVERY = 200  # steps between finiteness checks of the spectral solution
+
 
 def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_contour: int = 32):
     """E, E2 and the four phi-weights for step size dt on eigenvalues lin."""
@@ -28,7 +30,7 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_contour: int = 32):
 
 
 def burgers_solve(u0: np.ndarray, nu: float, final_time: float, dt: float = 1e-4,
-                  nonlinear: bool = True, check_every: int = 200):
+                  nonlinear: bool = True):
     """Integrate u_t + u u_x = nu u_xx on the periodic unit interval.
 
     u0 holds values on the uniform grid {j / n} and may be batched with
@@ -76,7 +78,7 @@ def burgers_solve(u0: np.ndarray, nu: float, final_time: float, dt: float = 1e-4
         c = e_half * a + q * (2.0 * nb - nv)
         nc = nonlin(c)
         v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-        if step % check_every == 0 and not np.all(np.isfinite(v)):
+        if step % _CHECK_EVERY == 0 and not np.all(np.isfinite(v)):
             raise RuntimeError(
                 f"spectral solution lost finiteness near t={step * dt:.6g} "
                 f"(nu={nu}, n={n}); refine dt or resolution"

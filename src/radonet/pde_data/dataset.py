@@ -63,18 +63,22 @@ class PdeDataset:
     params: dict
 
     def __post_init__(self):
-        if self.outputs.ndim != 2:
-            raise ValueError(f"outputs must be (n_samples, n_grid) fields, "
-                             f"got shape {self.outputs.shape}")
-        if self.inputs.shape[0] != self.outputs.shape[0]:
-            raise ValueError(
-                f"inputs ({self.inputs.shape[0]}) and outputs "
-                f"({self.outputs.shape[0]}) disagree on sample count"
-            )
+        if self.outputs.ndim != 2 or len(self.inputs) != len(self.outputs):
+            raise ValueError(f"inputs {self.inputs.shape} and outputs {self.outputs.shape} "
+                             f"must hold one row and one (n_grid,) field per sample")
 
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[0]
+
+    def geometry(self) -> tuple[tuple[float, float], bool]:
+        """(lo, hi), the physical domain of the output fields, and whether
+        they are periodic on it, as the problem's parameters set them."""
+        if self.problem == "sod":
+            lo, hi = self.params["domain"]
+            return (float(lo), float(hi)), False
+        # advection grids cover one period from 0; burgers solves on the unit circle
+        return (0.0, float(self.params["period"]) if self.problem == "advection" else 1.0), True
 
 
 def dataset_params(problem: str, overrides: dict | None) -> dict:
@@ -148,46 +152,31 @@ def dataset_build(problem: str, seed: int, counts: dict[str, int],
 
 
 def save_dataset(path, datasets: dict[str, PdeDataset]) -> None:
-    """Write splits as .npy arrays plus a manifest.json describing them."""
+    """Write splits as a split table (radonet.store): x_grid.npy, one inputs
+    and one outputs array per split, and a manifest.json describing them."""
     if not datasets:
         raise ValueError("no splits to save")
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     first = next(iter(datasets.values()))
+    if any(ds.problem != first.problem or ds.seed != first.seed for ds in datasets.values()):
+        raise ValueError("all splits in a dataset must share problem and seed")
     manifest = {
         "format_version": DATASET_VERSION,
         "problem": first.problem,
         "seed": first.seed,
         "params": first.params,  # defaults and JSON config values; tuples dump as lists
-        "splits": {},
     }
-    store.write_array(out, "x_grid", first.x_grid)
-    for split, ds in datasets.items():
-        if ds.problem != first.problem or ds.seed != first.seed:
-            raise ValueError("all splits in a dataset must share problem and seed")
-        store.write_array(out, f"inputs_{split}", ds.inputs)
-        store.write_array(out, f"outputs_{split}", ds.outputs)
-        manifest["splits"][split] = {"n_samples": int(ds.n_samples)}
-    store.write_manifest(out, manifest)
+    store.write_splits(Path(path), manifest, {"x_grid": first.x_grid},
+                       {split: {"inputs": ds.inputs, "outputs": ds.outputs}
+                        for split, ds in datasets.items()})
 
 
 def load_dataset(path) -> dict[str, PdeDataset]:
     """Re-load every split from a dataset directory; anything malformed,
     including an array header that claims more data than its file holds,
     raises ValueError."""
-    root = Path(path)
-    manifest = store.read_manifest(root, "dataset", DATASET_VERSION,
-                                   {"problem": str, "seed": int, "params": dict, "splits": dict})
-    x_grid = store.read_array(root, "x_grid", 1)
-    out = {}
-    for split in manifest["splits"]:
-        out[split] = PdeDataset(
-            problem=manifest["problem"],
-            split=split,
-            inputs=store.read_array(root, f"inputs_{split}", 2),
-            outputs=store.read_array(root, f"outputs_{split}", 2),
-            x_grid=x_grid,
-            seed=manifest["seed"],
-            params=manifest["params"],
-        )
-    return out
+    manifest, shared, splits = store.read_splits(
+        Path(path), "dataset", DATASET_VERSION, {"problem": str, "seed": int, "params": dict},
+        {"x_grid": 1}, {"inputs": 2, "outputs": 2})
+    return {split: PdeDataset(manifest["problem"], split, cols["inputs"], cols["outputs"],
+                              shared["x_grid"], manifest["seed"], manifest["params"])
+            for split, cols in splits.items()}

@@ -1,9 +1,10 @@
-"""The one on-disk array container: manifest.json plus one .npy file per array.
+"""The one on-disk array container: manifest.json plus one <f8 .npy file per array.
 
-Datasets, preprocessed sets and model bundles are stored this way. A reader
-asks for an array's name, dtype and number of dimensions and gets exactly
-that or a ValueError; it reads no array data before the .npy header's shape
-times itemsize has been found to equal the bytes left in the file.
+Datasets, preprocessed sets (both split tables, see write_splits) and model
+bundles are stored this way. A reader asks for an array's name and number of
+dimensions and gets exactly that or a ValueError; it reads no array data
+before the .npy header's shape times itemsize has been found to equal the
+bytes left in the file.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ _HEADER_BYTES = 16384
 # what numpy's header parser raises on malformed header text
 _HEADER_ERRORS = (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError)
 
+_DTYPE = np.dtype("<f8")
 
-def write_array(root: Path, name: str, arr, dtype: str = "<f8") -> None:
-    np.save(root / f"{name}.npy", np.ascontiguousarray(arr, dtype=dtype))
+
+def write_array(root: Path, name: str, arr) -> None:
+    np.save(root / f"{name}.npy", np.ascontiguousarray(arr, dtype=_DTYPE))
 
 
 def write_manifest(root: Path, manifest: dict, sort_keys: bool = True) -> None:
@@ -68,9 +71,9 @@ def check_fields(root: Path, doc: dict, fields: dict, prefix: str = "") -> dict:
     return doc
 
 
-def read_array(root: Path, name: str, ndim: int, dtype: str = "<f8") -> np.ndarray:
-    """root/<name>.npy, refused unless its header gives this dtype, C order
-    and ndim dimensions, and its data fills the rest of the file exactly."""
+def read_array(root: Path, name: str, ndim: int) -> np.ndarray:
+    """root/<name>.npy, refused unless its header gives <f8, C order and ndim
+    dimensions, and its data fills the rest of the file exactly."""
     path = root / f"{name}.npy"
     try:
         fh = open(path, "rb")
@@ -85,10 +88,10 @@ def read_array(root: Path, name: str, ndim: int, dtype: str = "<f8") -> np.ndarr
             shape, fortran_order, found = np.lib.format.read_array_header_1_0(head)
         except _HEADER_ERRORS as exc:
             raise ValueError(f"{path}: not a valid .npy header ({exc})") from exc
-        if (found != np.dtype(dtype) or fortran_order or len(shape) != ndim
+        if (found != _DTYPE or fortran_order or len(shape) != ndim
                 or any(n < 0 for n in shape)):
             raise ValueError(f"{path}: holds a {found} array of shape {shape} "
-                             f"(fortran_order={fortran_order}), expected {dtype} "
+                             f"(fortran_order={fortran_order}), expected {_DTYPE.str} "
                              f"with {ndim} dimensions in C order")
         count = math.prod(shape)
         left = size - head.tell()
@@ -97,3 +100,35 @@ def read_array(root: Path, name: str, ndim: int, dtype: str = "<f8") -> np.ndarr
                              f"data but {left} bytes follow it")
         fh.seek(head.tell())
         return np.fromfile(fh, dtype=found, count=count).reshape(shape)
+
+
+def write_splits(root: Path, manifest: dict, shared: dict, splits: dict) -> None:
+    """A split table: each shared array as <name>.npy, each split's columns
+    (arrays with one row per sample) as <column>_<split>.npy, and manifest
+    plus splits.{split}.n_samples as manifest.json."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name, arr in shared.items():
+        write_array(root, name, arr)
+    for split, columns in splits.items():
+        for name, arr in columns.items():
+            write_array(root, f"{name}_{split}", arr)
+    write_manifest(root, dict(manifest, splits={
+        split: {"n_samples": len(next(iter(cols.values())))} for split, cols in splits.items()}))
+
+
+def read_splits(root: Path, what: str, version: int, fields: dict, shared: dict,
+                columns: dict) -> tuple[dict, dict, dict]:
+    """(manifest, shared arrays, {split: {column: array}}) of a split table
+    with at least one split, where shared and columns give each array's
+    number of dimensions; a column must hold its split's n_samples rows."""
+    manifest = read_manifest(root, what, version, dict(fields, splits=dict))
+    if not manifest["splits"]:
+        raise ValueError(f"{root / 'manifest.json'}: entry 'splits' is empty")
+    check_fields(root, manifest["splits"], dict.fromkeys(manifest["splits"], {"n_samples": int}),
+                 "splits.")
+    out = {split: {name: read_array(root, f"{name}_{split}", ndim)
+                   for name, ndim in columns.items()} for split in manifest["splits"]}
+    for split, cols in out.items():
+        if any(len(arr) != manifest["splits"][split]["n_samples"] for arr in cols.values()):
+            raise ValueError(f"{root}: split {split!r} columns disagree with its n_samples")
+    return manifest, {name: read_array(root, name, ndim) for name, ndim in shared.items()}, out

@@ -153,7 +153,7 @@ def test_02_preprocessed_meshes_equidistribute_the_monitor():
         rho = density_arclength(u, 1.0 / n_grid, smoothing_passes=2,
                                 periodic=True, beta=1.0)
         rho = limit_density_ratio(rho, n_xi, max_log_ratio=0.3)
-        worst = max(worst, equidistribution_residual(sample, rho))
+        worst = max(worst, equidistribution_residual(sample["x"], rho))
     assert worst <= 0.05, f"worst equidistribution residual {worst:.4f} over 100 samples"
 
 
@@ -246,8 +246,8 @@ def test_05_transformed_fields_have_dominated_spectra():
     u_rows, x_rows = [], []
     for row in ds.outputs:
         s = preprocess_sample(row, (0.0, 1.0), n_xi, periodic=True)
-        u_rows.append(s.u)
-        x_rows.append(s.x)
+        u_rows.append(s["u"])
+        x_rows.append(s["x"])
     dxi = 1.0 / n_xi
     spec_u = covariance_spectrum(np.array(u_rows), dxi)
     spec_x = covariance_spectrum(np.array(x_rows), dxi)

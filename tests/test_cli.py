@@ -123,10 +123,17 @@ def test_datagen_outputs_and_determinism(micro, tmp_path):
 def test_preprocess_artifact(micro):
     from radonet.equidistribution import load_preprocessed
 
+    assert {f.name for f in micro["prep"].iterdir()} == {
+        "manifest.json", "provenance.json", "xi.npy",
+        *(f"{col}_{split}.npy" for col in ("x", "u", "w_sol", "w_coord")
+          for split in ("train", "val", "test"))}
+    manifest = json.loads((micro["prep"] / "manifest.json").read_text())
+    assert manifest == {"format_version": 3, "problem": "advection",
+                        "splits": {"train": {"n_samples": 6}, "val": {"n_samples": 3},
+                                   "test": {"n_samples": 4}}}
     pset = load_preprocessed(micro["prep"])["train"]
     assert pset.x.shape == (6, 17)
-    assert pset.meta["problem"] == "advection"
-    assert pset.meta["periodic"] is True
+    assert pset.problem == "advection"
     assert np.all(np.diff(pset.x, axis=1) > 0.0)
     prov = json.loads((micro["prep"] / "provenance.json").read_text())
     data_prov = json.loads((micro["data"] / "provenance.json").read_text())
@@ -223,9 +230,9 @@ def test_every_artifact_file_is_a_store_array_or_a_known_json_or_csv(micro, tmp_
             continue
         assert f.suffix == ".npy", f
         readable = []
-        for ndim, dtype in ((1, "<f8"), (2, "<f8"), (1, "<i8")):
+        for ndim in (1, 2):
             try:
-                readable.append(store.read_array(f.parent, f.stem, ndim, dtype))
+                readable.append(store.read_array(f.parent, f.stem, ndim))
             except ValueError:
                 pass
         assert len(readable) == 1, f
@@ -349,6 +356,46 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
         assert err["kind"] == "config"
         assert spec[-1].split("=")[0].split(".")[-1] in err["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    "model.n_basis=true", "model.n_basis=2.5", "train.epochs=abc", "train.epochs=null",
+    "model.branch_hidden=[16,true]", "model.branch_hidden=16", "train.base_lr=true",
+    "preprocess.m_cap=null", "model.family=3", "seed=1.0", "model=3", "eval.xi_points=2.5",
+])
+def test_config_values_of_the_wrong_json_type_are_config_errors(tmp_path, capsys, spec):
+    out = tmp_path / "d"
+    run_cli("datagen", "--set", spec, "--out", str(out), expect=2)
+    err = read_error(capsys)
+    assert err["kind"] == "config"
+    assert repr(spec.split("=")[0]) in err["message"]
+    assert not out.exists()
+
+
+def test_config_types_take_ints_for_floats_and_null_where_allowed(tmp_path):
+    class Args:
+        config = None
+        set = ["train.base_lr=1", "train.batch_size=null", "train.batch_size=8",
+               "preprocess.ratio_limit=null", "eval.xi_points=null", "preprocess.beta=2"]
+
+    cfg = resolve_config(Args())
+    # values are not converted, so config_hash sees what the user wrote
+    assert type(cfg["train"]["base_lr"]) is int and cfg["train"]["batch_size"] == 8
+    assert cfg["preprocess"]["ratio_limit"] is None and cfg["eval"]["xi_points"] is None
+    assert cfg["preprocess"]["beta"] == 2
+
+
+def test_sod_geometry_comes_from_the_dataset(tmp_path):
+    # a non-default domain reaches the preprocessed knots and the grid
+    c = ("--set", "problem=sod", "--set", "data.domain=[-10,10]", "--set", "data.n_grid=256",
+         "--set", "counts={\"train\": 3}", "--set", "preprocess.n_xi=16")
+    run_cli("datagen", *c, "--out", str(tmp_path / "data"))
+    run_cli("preprocess", *c, "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "prep"))
+    from radonet.equidistribution import load_preprocessed
+
+    pset = load_preprocessed(tmp_path / "prep")["train"]
+    assert np.all(pset.x[:, 0] == -10.0) and np.all(pset.x[:, -1] == 10.0)
+    np.testing.assert_array_equal(pset.xi, np.linspace(-10.0, 10.0, 17))
 
 
 def test_every_stage_refuses_data_keys_the_problem_lacks(micro, tmp_path, capsys):

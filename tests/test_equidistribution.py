@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radonet.equidistribution import (
-    AdaptiveSample,
     DensityField,
     PreprocessedSet,
     close_periodic,
@@ -239,17 +240,19 @@ def test_weight_formulas_and_caps():
 def test_preprocess_sample_shapes_and_invariants():
     _, u = box_signal()
     s = preprocess_sample(u, (0.0, 1.0), 64, periodic=True)
-    assert s.x.shape == (65,)
-    np.testing.assert_allclose(s.xi, np.linspace(0.0, 1.0, 65), atol=1e-15)
-    assert s.x[0] == 0.0 and s.x[-1] == 1.0
-    assert np.all(np.diff(s.x) > 0.0)
-    assert np.all(s.det_j > 0.0)
-    assert np.all((s.w_sol >= 1.0) & (s.w_sol <= 2.0))
-    assert np.all((s.w_coord >= 1.0) & (s.w_coord <= 100.0))
+    assert set(s) == {"x", "u", "w_sol", "w_coord"}
+    assert all(col.shape == (65,) for col in s.values())
+    assert s["x"][0] == 0.0 and s["x"][-1] == 1.0
+    assert np.all(np.diff(s["x"]) > 0.0)
+    assert np.all((s["w_sol"] >= 1.0) & (s["w_sol"] <= 2.0))
+    assert np.all((s["w_coord"] >= 1.0) & (s["w_coord"] <= 100.0))
+    # the weights come from the mesh Jacobian on the computational grid
+    det_j = jacobian_det_1d(s["x"], 1.0 / 64)
+    np.testing.assert_array_equal(s["w_sol"], weight_solution(det_j))
     # solution on the mesh is the raw field sampled at the adaptive knots
     grid = np.arange(2048) / 2048
     np.testing.assert_allclose(
-        s.u, np.interp(s.x, np.append(grid, 1.0), np.append(u, u[0])), atol=1e-12)
+        s["u"], np.interp(s["x"], np.append(grid, 1.0), np.append(u, u[0])), atol=1e-12)
 
 
 def test_preprocess_residual_invariant_small():
@@ -257,7 +260,7 @@ def test_preprocess_residual_invariant_small():
     rho = density_arclength(u, dx=1.0 / 2048, periodic=True)
     rho = limit_density_ratio(rho, 64)
     s = preprocess_sample(u, (0.0, 1.0), 64, periodic=True)
-    assert equidistribution_residual(s, rho) <= 0.05
+    assert equidistribution_residual(s["x"], rho) <= 0.05
 
 
 def test_preprocess_raw_density_concentrates_knots():
@@ -265,7 +268,7 @@ def test_preprocess_raw_density_concentrates_knots():
     # the two jump layers: each jump carries mass ~ height >> flat mass
     _, u = box_signal(height=2.0)
     s = preprocess_sample(u, (0.0, 1.0), 64, periodic=True, ratio_limit=None)
-    near_jump = (np.abs(s.x - 0.3) < 0.01) | (np.abs(s.x - 0.55) < 0.01)
+    near_jump = (np.abs(s["x"] - 0.3) < 0.01) | (np.abs(s["x"] - 0.55) < 0.01)
     assert np.count_nonzero(near_jump) >= 33
 
 
@@ -276,37 +279,26 @@ def test_preprocess_sample_validation():
         preprocess_sample(np.ones((3, 4)), (0.0, 1.0), 4)
 
 
-def test_adaptive_sample_shape_check():
-    xi = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        AdaptiveSample(xi=xi, x=xi, u=xi[:-1], det_j=xi, w_sol=xi, w_coord=xi)
-
-
 # --- container round trip ---------------------------------------------------
 
 
-def _small_set(n_xi, offsets, m=2048, meta=None, sample_ids=None):
+def _small_set(n_xi, offsets, m=2048, problem="unit-test"):
     _, u = box_signal(m=m)
     return PreprocessedSet.from_samples(
-        [preprocess_sample(np.roll(u, k), (0.0, 1.0), n_xi, periodic=True) for k in offsets],
-        sample_ids=sample_ids, meta=meta)
+        problem, np.linspace(0.0, 1.0, n_xi + 1),
+        [preprocess_sample(np.roll(u, k), (0.0, 1.0), n_xi, periodic=True) for k in offsets])
 
 
 def test_preprocessed_container_roundtrip(tmp_path):
-    meta = {"problem": "unit-test", "n_xi": 16}
-    sets = {"train": _small_set(16, (0, 100, 200), meta=meta, sample_ids=[5, 9, 11]),
-            "val": _small_set(16, (300,), meta=meta)}
+    sets = {"train": _small_set(16, (0, 100, 200)), "val": _small_set(16, (300,))}
     path = tmp_path / "set"
     save_preprocessed(path, sets)
     back = load_preprocessed(path)
     assert set(back) == {"train", "val"}
     for split, pset in sets.items():
-        for name in PreprocessedSet._FLOAT_COLUMNS:
+        for name in ("xi", *PreprocessedSet.ROW_COLUMNS):
             np.testing.assert_array_equal(getattr(back[split], name), getattr(pset, name))
-        np.testing.assert_array_equal(back[split].sample_ids, pset.sample_ids)
-        assert back[split].sample_ids.dtype == np.int64
-        assert back[split].meta == meta
-    np.testing.assert_array_equal(back["train"].sample_ids, [5, 9, 11])
+        assert back[split].problem == "unit-test"
 
     # byte-identical rewrite
     save_preprocessed(tmp_path / "again", back)
@@ -322,26 +314,48 @@ def test_preprocessed_container_rejects_junk(tmp_path):
     (tmp_path / "manifest.json").write_text('{"format_version": 1, "meta": {}, "splits": {}}')
     with pytest.raises(ValueError, match="format version 1"):
         load_preprocessed(tmp_path)
+    (tmp_path / "manifest.json").write_text('{"format_version": 3, "problem": "advection", '
+                                             '"splits": {}}')
+    with pytest.raises(ValueError, match="'splits' is empty"):
+        load_preprocessed(tmp_path)
     pset = _small_set(8, (0,))
     save_preprocessed(tmp_path, {"train": pset})
+    (tmp_path / "manifest.json").write_text('{"format_version": 3, "problem": "advection", '
+                                             '"splits": {"train": {"n_samples": 2}}}')
+    with pytest.raises(ValueError, match="n_samples"):  # one row per sample counted
+        load_preprocessed(tmp_path)
     (tmp_path / "x_train.npy").write_bytes(b"\x93NUMPY not a header\n1234")
     with pytest.raises(ValueError, match="x_train.npy"):
         load_preprocessed(tmp_path)
     with pytest.raises(ValueError, match="share xi"):  # one xi per artifact
         save_preprocessed(tmp_path, {"train": pset, "val": _small_set(16, (0,))})
+    with pytest.raises(ValueError, match="share xi and problem"):
+        save_preprocessed(tmp_path, {"train": pset, "val": _small_set(8, (0,), problem="sod")})
     with pytest.raises(ValueError):  # one mesh per sample, no time axis
-        PreprocessedSet(xi=pset.xi, sample_ids=pset.sample_ids,
-                        **{name: getattr(pset, name)[:, None]
-                           for name in PreprocessedSet._ROW_COLUMNS})
+        PreprocessedSet("unit-test", pset.xi, **{name: getattr(pset, name)[:, None]
+                                                 for name in PreprocessedSet.ROW_COLUMNS})
+
+
+def test_format_2_preprocessed_set_is_refused(tmp_path):
+    # format 2 also stored det_j, int64 sample_ids and a meta object; its
+    # columns are not read as a format 3 set
+    save_preprocessed(tmp_path, {"train": _small_set(8, (0, 40), m=256)})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest.update(format_version=2, meta={"problem": "unit-test", "n_xi": 8})
+    del manifest["problem"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    np.save(tmp_path / "sample_ids_train.npy", np.arange(2, dtype="<i8"))
+    np.save(tmp_path / "det_j_train.npy", np.ones((2, 9)))
+    with pytest.raises(ValueError, match="format version 2 unsupported"):
+        load_preprocessed(tmp_path)
 
 
 @pytest.fixture(scope="module")
 def container(tmp_path_factory):
     """A scratch directory and the files of a small valid preprocessed set."""
     root = tmp_path_factory.mktemp("prep")
-    meta = {"problem": "unit-test"}
-    save_preprocessed(root / "good", {"train": _small_set(8, (0, 40), m=256, meta=meta),
-                                      "val": _small_set(8, (80,), m=256, meta=meta)})
+    save_preprocessed(root / "good", {"train": _small_set(8, (0, 40), m=256),
+                                      "val": _small_set(8, (80,), m=256)})
     return root, snapshot(root / "good")
 
 
@@ -354,11 +368,14 @@ def test_corrupt_containers_raise_value_error_without_large_reads(container, dat
         sets = load_guarded(load_preprocessed, root / "corrupt")
     except ValueError:
         return
-    # a corruption that keeps the container well formed loads as valid sets
-    for pset in sets.values():
-        assert pset.x.shape == pset.u.shape == pset.w_coord.shape
-        assert pset.sample_ids.shape == (pset.x.shape[0],)
+    # a corruption that keeps the container well formed loads as valid sets,
+    # each with the row count its manifest entry gives
+    splits = json.loads((root / "corrupt" / "manifest.json").read_text())["splits"]
+    for split, pset in sets.items():
+        assert pset.x.shape[0] == splits[split]["n_samples"]
+        assert pset.x.shape == pset.u.shape == pset.w_sol.shape == pset.w_coord.shape
         assert pset.xi.shape == (pset.x.shape[1],)
+        assert pset.x.dtype == np.float64
 
 
 def test_container_header_cannot_claim_more_than_the_file(tmp_path, container):

@@ -105,7 +105,7 @@ def test_backward_input_gradient():
         xp[0, j] += eps
         xm[0, j] -= eps
         fd = (mlp_forward(params, xp)[0] - mlp_forward(params, xm)[0]) / (2 * eps)
-        assert abs(grads.inputs[0, j] - fd[0, 0]) < 1e-8
+        assert abs((grads.delta @ params.weights[0])[0, j] - fd[0, 0]) < 1e-8
 
 
 def test_adam_reduces_quadratic_loss():
@@ -152,17 +152,16 @@ def _reference_forward(weights, biases, activation, batch):
 
 
 def _reference_backward(weights, activation, hs, output_grad):
-    """Out-of-place backward pass: (weight grads, bias grads, input grad)."""
+    """Out-of-place backward pass: (weight grads, bias grads, first-layer delta)."""
     n = len(weights)
     w_grads, b_grads, delta = [None] * n, [None] * n, output_grad
     for layer in range(n - 1, -1, -1):
         w_grads[layer] = delta.T @ hs[layer]
         b_grads[layer] = delta.sum(axis=0)
-        delta = delta @ weights[layer]
         if layer > 0:
             h = hs[layer]
             act_grad = (h > 0.0).astype(h.dtype) if activation == "relu" else 1.0 - h * h
-            delta = delta * act_grad
+            delta = (delta @ weights[layer]) * act_grad
     return w_grads, b_grads, delta
 
 
@@ -202,13 +201,13 @@ def test_in_place_step_matches_the_reference_arithmetic(activation, batch):
         adam_step(state, params, grads, lr)
 
         ref_out, hs = _reference_forward(ps[0::2], ps[1::2], activation, x)
-        ref_w, ref_b, ref_in = _reference_backward(ps[0::2], activation, hs,
+        ref_w, ref_b, ref_delta = _reference_backward(ps[0::2], activation, hs,
                                                    2.0 * (ref_out - target) / ref_out.size)
         ref_g = [a for pair in zip(ref_w, ref_b) for a in pair]
         ps, ms, vs = _reference_adam(t, ps, ms, vs, ref_g, lr)
 
         np.testing.assert_array_equal(out, ref_out)
-        np.testing.assert_array_equal(grads.inputs, ref_in)
+        np.testing.assert_array_equal(grads.delta, ref_delta)
         np.testing.assert_array_equal(grads.flat, _flat(ref_g))
         np.testing.assert_array_equal(params.flat, _flat(ps))
         np.testing.assert_array_equal(state.m, _flat(ms))

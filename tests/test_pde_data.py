@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,10 +346,12 @@ def test_corrupt_datasets_raise_value_error_without_large_reads(dataset_dir, dat
         datasets = load_guarded(load_dataset, root / "corrupt")
     except ValueError:
         return
-    # a corruption that keeps the dataset well formed loads as valid splits
-    for ds in datasets.values():
+    # a corruption that keeps the dataset well formed loads as valid splits,
+    # each with the row count its manifest entry gives
+    splits = json.loads((root / "corrupt" / "manifest.json").read_text())["splits"]
+    for split, ds in datasets.items():
         assert ds.inputs.ndim == ds.outputs.ndim == 2
-        assert ds.inputs.shape[0] == ds.outputs.shape[0]
+        assert ds.inputs.shape[0] == ds.outputs.shape[0] == splits[split]["n_samples"]
         assert ds.x_grid.ndim == 1
 
 
