@@ -8,6 +8,11 @@ Downstream stages recompute upstream hashes and refuse to run on anything
 stale or hand-edited. All randomness flows from the single seed in the
 config through named substreams, so reruns are reproducible byte for byte.
 
+A stage's --out must not exist yet. main builds it through stage_output: the
+stage fills a fresh sibling directory, which is renamed onto --out when the
+stage returns and deleted when it raises, so an --out holds exactly one
+stage's complete output or does not exist.
+
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
 object describing the error is printed to stderr.
@@ -16,9 +21,12 @@ object describing the error is printed to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -94,8 +102,7 @@ _FREE_SECTIONS = {"counts", "data"}
 # keys that may also be null, with the type of their other values
 _NULLABLE = {"train.batch_size": int, "preprocess.ratio_limit": float, "eval.xi_points": int}
 
-_TYPE_NAMES = {dict: "an object", list: "a list of integers", int: "an integer",
-               float: "a number", str: "a string"}
+_TYPE_NAMES = {dict: "an object", int: "an integer", float: "a number", str: "a string"}
 
 _FAMILIES = ("vanilla", "shift", "radaptive")
 
@@ -151,22 +158,29 @@ def _apply_override(cfg: dict, spec: str) -> None:
     node[parts[-1]] = value
 
 
+def _is_a(kind: type, value) -> bool:
+    # JSON types: true is not an integer, and a number may be written as one
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
 def _check_types(defaults: dict, cfg: dict, path: str = "") -> None:
-    """Refuse a value whose JSON type is not its default's: integer keys and
-    integer lists take integers only (not true, not 2.5), float keys take
-    integers or floats, and null is taken only where _NULLABLE allows it."""
-    for key, default in defaults.items():
-        where, value = path + key, cfg[key]
+    """Refuse a value of cfg whose JSON type is not its default's: integer
+    keys take integers only (not true, not 2.5), float keys take integers or
+    floats, and null is taken only where _NULLABLE allows it. A list default
+    takes a list of its elements' type, a tuple default (a range or a domain)
+    a list of as many numbers."""
+    for key, value in cfg.items():
+        where, default = path + key, defaults[key]
         kind = _NULLABLE.get(where, type(default))
-        if kind is list:
-            ok = type(value) is list and all(type(v) is int for v in value)
+        if kind in (list, tuple):
+            ok = (type(value) is list and all(_is_a(type(default[0]), v) for v in value)
+                  and (kind is list or len(value) == len(default)))
+            want = "a list of integers" if kind is list else f"a list of {len(default)} numbers"
         else:
-            ok = (type(value) in ((int, float) if kind is float else (kind,))
-                  or (value is None and where in _NULLABLE))
+            ok = _is_a(kind, value) or (value is None and where in _NULLABLE)
+            want = _TYPE_NAMES[kind] + (" or null" if where in _NULLABLE else "")
         if not ok:
-            null = " or null" if where in _NULLABLE else ""
-            raise CliError(f"config key {where!r} must be {_TYPE_NAMES[kind]}{null}, "
-                           f"got {value!r}")
+            raise CliError(f"config key {where!r} must be {want}, got {value!r}")
         if kind is dict and key not in _FREE_SECTIONS:
             _check_types(default, value, where + ".")
 
@@ -187,12 +201,15 @@ def resolve_config(args) -> dict:
     for spec in getattr(args, "set", None) or []:
         _apply_override(cfg, spec)
     _check_types(DEFAULT_CONFIG, cfg)
+    if cfg["seed"] < 0:
+        raise CliError(f"config key 'seed' must be non-negative, got {cfg['seed']}")
     if cfg["model"]["family"] not in _FAMILIES:
         raise CliError(f"model.family must be one of {_FAMILIES}")
-    try:  # refuses an unknown problem too
+    try:  # refuses an unknown problem and data keys it lacks
         dataset_params(cfg["problem"], cfg["data"])
     except ValueError as exc:
         raise CliError(str(exc))
+    _check_types(dataset_params(cfg["problem"], {}), cfg["data"], "data.")
     for split, n in cfg["counts"].items():
         if type(n) is not int or n < 1:
             raise CliError(f"counts.{split} must be a positive integer, got {n!r}")
@@ -235,12 +252,29 @@ def write_provenance(out: Path, stage: str, cfg: dict, upstream: dict,
     (out / "provenance.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_outputs(out_dir: str, table: tuple[str, list[str]], report: tuple[str, dict],
+@contextlib.contextmanager
+def stage_output(path: str):
+    """The directory a stage writes into: refuses an existing path, yields a
+    fresh sibling .<name>.<pid>.partial, renames it onto path when the block
+    returns and deletes it when the block raises."""
+    final = Path(path)
+    if os.path.lexists(final):
+        raise CliError(f"{path} already exists; every stage writes a new --out", kind="usage")
+    final.parent.mkdir(parents=True, exist_ok=True)
+    partial = final.with_name(f".{final.name}.{os.getpid()}.partial")
+    partial.mkdir()  # not mkdtemp, whose directories are private (mode 0700)
+    try:
+        yield partial
+        os.rename(partial, final)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+
+
+def _write_outputs(out: Path, table: tuple[str, list[str]], report: tuple[str, dict],
                    stage: str, cfg: dict, upstream: dict) -> None:
     """Write a stage's outputs: the CSV lines of table, the JSON of report
     (each under its file name) and provenance.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / table[0]).write_text("\n".join(table[1]) + "\n")
     (out / report[0]).write_text(json.dumps(report[1], indent=2, sort_keys=True) + "\n")
     write_provenance(out, stage, cfg, upstream)
@@ -334,14 +368,13 @@ def _report_dict(report) -> dict:
 # stages
 
 
-def cmd_datagen(args) -> None:
+def cmd_datagen(args, out: Path) -> None:
     cfg = resolve_config(args)
     datasets = dataset_build(cfg["problem"], cfg["seed"], cfg["counts"], cfg["data"])
-    out = Path(args.out)
     save_dataset(out, datasets)
     write_provenance(out, "datagen", cfg, {})
     print(f"wrote {sum(d.n_samples for d in datasets.values())} samples "
-          f"across {len(datasets)} splits to {out}")
+          f"across {len(datasets)} splits to {args.out}")
 
 
 def _config_dataset(cfg: dict, path: str):
@@ -355,18 +388,17 @@ def _config_dataset(cfg: dict, path: str):
     return datasets, ds_prov
 
 
-def cmd_preprocess(args) -> None:
+def cmd_preprocess(args, out: Path) -> None:
     cfg = resolve_config(args)
     datasets, ds_prov = _config_dataset(cfg, args.dataset)
     domain, periodic = next(iter(datasets.values())).geometry()
     xi = np.linspace(domain[0], domain[1], cfg["preprocess"]["n_xi"] + 1)
-    out = Path(args.out)
     sets = {split: PreprocessedSet.from_samples(cfg["problem"], xi, [
         preprocess_sample(row, domain, periodic=periodic, **cfg["preprocess"])
         for row in ds.outputs]) for split, ds in datasets.items()}
     save_preprocessed(out, sets)
     write_provenance(out, "preprocess", cfg, {"dataset": ds_prov["content_hash"]})
-    print(f"preprocessed {len(datasets)} splits into {out}")
+    print(f"preprocessed {len(datasets)} splits into {args.out}")
 
 
 def _load_split(splits: dict, split: str, what: str):
@@ -375,7 +407,7 @@ def _load_split(splits: dict, split: str, what: str):
     return splits[split]
 
 
-def cmd_train(args) -> None:
+def cmd_train(args, out: Path) -> None:
     cfg = resolve_config(args)
     family, problem = cfg["model"]["family"], cfg["problem"]
     datasets, ds_prov = _config_dataset(cfg, args.dataset)
@@ -383,7 +415,6 @@ def cmd_train(args) -> None:
     domain, periodic = train_ds.geometry()
     val_ds = datasets.get("val")
     tc = TrainConfig(**cfg["train"], seed=cfg["seed"])
-    out = Path(args.out)
     upstream = {"dataset": ds_prov["content_hash"]}
     encoding = {"advection": "box-params(height,width,shift)",
                 "burgers": f"{train_ds.inputs.shape[1]}-point-sensors",
@@ -450,7 +481,7 @@ def cmd_train(args) -> None:
     print(f"trained {family} model on {problem}; best validation errors {best}")
 
 
-def cmd_eval(args) -> None:
+def cmd_eval(args, out: Path) -> None:
     cfg = resolve_config(args)
     model_dir, model_prov = check_artifact(args.model)
     ds_dir, ds_prov = check_artifact(args.dataset)
@@ -501,7 +532,7 @@ def cmd_eval(args) -> None:
     summary["mean_rel_l2"] = float(np.mean(per))
     lines = ["sample,rel_l2"]
     lines += [f"{i},{e:.12e}" for i, e in enumerate(per)]
-    _write_outputs(args.out, ("per_sample.csv", lines), ("summary.json", summary), "eval", cfg,
+    _write_outputs(out, ("per_sample.csv", lines), ("summary.json", summary), "eval", cfg,
                    {"model": model_prov["content_hash"], "dataset": ds_prov["content_hash"]})
     print(f"{summary['family']} on {ds.problem}/{split}: "
           f"mean relative L2 error {summary['mean_rel_l2']:.6e}")
@@ -522,8 +553,11 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _args_config(args) -> dict:
-    """JSON-safe view of an argparse namespace, for provenance hashing."""
-    return {k: v for k, v in vars(args).items() if not callable(v)}
+    """JSON-safe view of an argparse namespace, for provenance hashing. Paths
+    are left out: upstream names the inputs by content hash, and where the
+    output goes does not change it."""
+    return {k: v for k, v in vars(args).items()
+            if not callable(v) and k not in ("out", "dataset", "prep")}
 
 
 def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
@@ -552,7 +586,7 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
     return data, dx, tag, upstream
 
 
-def cmd_analyze_spectrum(args) -> None:
+def cmd_analyze_spectrum(args, out: Path) -> None:
     data, dx, tag, upstream = _spectrum_source(args)
     report = covariance_spectrum(data, dx, tag=tag)
     lines = ["index,eigenvalue"]
@@ -564,24 +598,24 @@ def cmd_analyze_spectrum(args) -> None:
         "trace": float(np.sum(report.eigenvalues)),
         "leading": [float(v) for v in report.eigenvalues[:10]],
     }
-    _write_outputs(args.out, ("spectrum.csv", lines), ("spectrum.json", doc),
+    _write_outputs(out, ("spectrum.csv", lines), ("spectrum.json", doc),
                    "analyze-spectrum", _args_config(args), upstream)
     print(f"spectrum of {tag}: trace {doc['trace']:.6e}")
 
 
-def cmd_analyze_tail(args) -> None:
+def cmd_analyze_tail(args, out: Path) -> None:
     data, dx, tag, upstream = _spectrum_source(args)
     report = covariance_spectrum(data, dx, tag=tag)
     modes = _parse_int_list(args.modes, "--modes")
     tails = [(n, optimal_error_tail(report, n)) for n in modes]
     lines = ["n,tail"] + [f"{n},{t:.12e}" for n, t in tails]
     doc = {"tag": tag, "tails": {str(n): float(t) for n, t in tails}}
-    _write_outputs(args.out, ("tail.csv", lines), ("tail.json", doc), "analyze-tail",
+    _write_outputs(out, ("tail.csv", lines), ("tail.json", doc), "analyze-tail",
                    _args_config(args), upstream)
     print(f"tail sums of {tag}: " + ", ".join(f"n={n}: {t:.3e}" for n, t in tails))
 
 
-def cmd_analyze_adaptive_rate(args) -> None:
+def cmd_analyze_adaptive_rate(args, out: Path) -> None:
     ns = _parse_int_list(args.ns, "--ns")
     rows = []
     for n in ns:
@@ -592,13 +626,13 @@ def cmd_analyze_adaptive_rate(args) -> None:
     lines = ["n,delta,error"] + [f"{n},{d:.12e},{e:.12e}" for n, d, e in rows]
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "delta_power": args.delta_power}
-    _write_outputs(args.out, ("adaptive_rate.csv", lines), ("adaptive_rate.json", doc),
+    _write_outputs(out, ("adaptive_rate.csv", lines), ("adaptive_rate.json", doc),
                    "analyze-adaptive-rate", _args_config(args), {})
     print(f"adaptive interpolant rate: slope {result.slope:.4f} "
           f"(residual {result.residual:.2e})")
 
 
-def cmd_analyze_fem_rate(args) -> None:
+def cmd_analyze_fem_rate(args, out: Path) -> None:
     ns = _parse_int_list(args.ns, "--ns")
     m = int(args.fine_points)
     if m < 4097:
@@ -616,7 +650,7 @@ def cmd_analyze_fem_rate(args) -> None:
     lines = ["n,error"] + [f"{n},{e:.12e}" for n, e in rows]
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "target": args.target}
-    _write_outputs(args.out, ("fem_rate.csv", lines), ("fem_rate.json", doc),
+    _write_outputs(out, ("fem_rate.csv", lines), ("fem_rate.json", doc),
                    "analyze-fem-rate", _args_config(args), {})
     print(f"uniform-mesh interpolation rate on {args.target}: slope {result.slope:.4f}")
 
@@ -710,7 +744,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        if getattr(args, "out", None) is None:
+            args.func(args)
+        else:
+            with stage_output(args.out) as out:
+                args.func(args, out)
     except SystemExit as exc:
         return int(exc.code or 0)
     except CliError as exc:

@@ -55,7 +55,6 @@ class PdeDataset:
     """One split of generated operator data."""
 
     problem: str
-    split: str
     inputs: np.ndarray
     outputs: np.ndarray
     x_grid: np.ndarray
@@ -103,7 +102,7 @@ def _build_advection(seed: int, split: str, n: int, p: dict) -> PdeDataset:
         params = sample_box_params(rng, p["height_range"], p["width_range"], p["shift_range"])
         inputs[i] = encode_box_params(params)
         outputs[i] = advection_exact(params, x, p["speed"], p["final_time"], p["period"])
-    return PdeDataset("advection", split, inputs, outputs, x, seed, p)
+    return PdeDataset("advection", inputs, outputs, x, seed, p)
 
 
 def _build_burgers(seed: int, split: str, n: int, p: dict) -> PdeDataset:
@@ -117,7 +116,7 @@ def _build_burgers(seed: int, split: str, n: int, p: dict) -> PdeDataset:
         inputs[i] = grf_eval(coeffs, sensor_grid)
         u0[i] = grf_eval(coeffs, solver_grid)
     outputs = burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])
-    return PdeDataset("burgers", split, inputs, outputs, solver_grid, seed, p)
+    return PdeDataset("burgers", inputs, outputs, solver_grid, seed, p)
 
 
 def _build_sod(seed: int, split: str, n: int, p: dict) -> PdeDataset:
@@ -131,7 +130,7 @@ def _build_sod(seed: int, split: str, n: int, p: dict) -> PdeDataset:
         inputs[i] = z
         rho, u, pres = euler_riemann_exact(state, x, p["final_time"])
         outputs[i] = total_energy(rho, u, pres, state.gamma)
-    return PdeDataset("sod", split, inputs, outputs, x, seed, p)
+    return PdeDataset("sod", inputs, outputs, x, seed, p)
 
 
 _BUILDERS = {"advection": _build_advection, "burgers": _build_burgers, "sod": _build_sod}
@@ -177,6 +176,6 @@ def load_dataset(path) -> dict[str, PdeDataset]:
     manifest, shared, splits = store.read_splits(
         Path(path), "dataset", DATASET_VERSION, {"problem": str, "seed": int, "params": dict},
         {"x_grid": 1}, {"inputs": 2, "outputs": 2})
-    return {split: PdeDataset(manifest["problem"], split, cols["inputs"], cols["outputs"],
+    return {split: PdeDataset(manifest["problem"], cols["inputs"], cols["outputs"],
                               shared["x_grid"], manifest["seed"], manifest["params"])
             for split, cols in splits.items()}

@@ -349,7 +349,8 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "dataset_build", build)
     out = tmp_path / "d"
     for spec in (("data.bogus=1",), ("problem=burgers", "data.record_times=[0.5]"),
-                 ("counts.train=0",), ("counts.val=-3",), ("counts.test=2.5",)):
+                 ("counts.train=0",), ("counts.val=-3",), ("counts.test=2.5",),
+                 ("seed=-1",), ("problem=sod", "data.n_grid=2.5")):
         run_cli("datagen", *(arg for s in spec for arg in ("--set", s)), "--out", str(out),
                 expect=2)
         err = read_error(capsys)
@@ -362,6 +363,8 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
     "model.n_basis=true", "model.n_basis=2.5", "train.epochs=abc", "train.epochs=null",
     "model.branch_hidden=[16,true]", "model.branch_hidden=16", "train.base_lr=true",
     "preprocess.m_cap=null", "model.family=3", "seed=1.0", "model=3", "eval.xi_points=2.5",
+    "data.n_grid=2.5", "data.speed=true", "data.height_range=0.5", "data.width_range=[0.1]",
+    "data.shift_range=[0,\"a\"]",
 ])
 def test_config_values_of_the_wrong_json_type_are_config_errors(tmp_path, capsys, spec):
     out = tmp_path / "d"
@@ -376,13 +379,15 @@ def test_config_types_take_ints_for_floats_and_null_where_allowed(tmp_path):
     class Args:
         config = None
         set = ["train.base_lr=1", "train.batch_size=null", "train.batch_size=8",
-               "preprocess.ratio_limit=null", "eval.xi_points=null", "preprocess.beta=2"]
+               "preprocess.ratio_limit=null", "eval.xi_points=null", "preprocess.beta=2",
+               "data.speed=2", "data.height_range=[0,1]"]
 
     cfg = resolve_config(Args())
     # values are not converted, so config_hash sees what the user wrote
     assert type(cfg["train"]["base_lr"]) is int and cfg["train"]["batch_size"] == 8
     assert cfg["preprocess"]["ratio_limit"] is None and cfg["eval"]["xi_points"] is None
     assert cfg["preprocess"]["beta"] == 2
+    assert cfg["data"] == {"speed": 2, "height_range": [0, 1]}
 
 
 def test_sod_geometry_comes_from_the_dataset(tmp_path):
@@ -550,6 +555,77 @@ def test_analyze_rates(tmp_path):
             "--fine-points", "8193", "--out", str(fem))
     doc = json.loads((fem / "fem_rate.json").read_text())
     assert -0.75 < doc["slope"] < -0.3
+
+
+def test_analyze_config_hash_ignores_paths(micro, tmp_path):
+    # identical results in different places record the same provenance;
+    # the inputs enter it through upstream's content hashes
+    import shutil
+
+    run_cli("analyze", "adaptive-rate", "--ns", "16,32,64", "--out", str(tmp_path / "a1"))
+    run_cli("analyze", "adaptive-rate", "--ns", "16,32,64", "--out", str(tmp_path / "sub" / "a2"))
+    assert (tmp_path / "a1" / "provenance.json").read_bytes() == \
+        (tmp_path / "sub" / "a2" / "provenance.json").read_bytes()
+
+    shutil.copytree(micro["data"], tmp_path / "data_copy")
+    for name, data in (("s1", micro["data"]), ("s2", tmp_path / "data_copy")):
+        run_cli("analyze", "spectrum", "--dataset", str(data), "--out", str(tmp_path / name))
+    assert (tmp_path / "s1" / "provenance.json").read_bytes() == \
+        (tmp_path / "s2" / "provenance.json").read_bytes()
+
+
+# every subcommand that takes --out, named as its cmd_ function
+STAGES = ("datagen", "preprocess", "train", "eval", "analyze_spectrum", "analyze_tail",
+          "analyze_adaptive_rate", "analyze_fem_rate")
+
+
+def _stage_argvs(micro) -> dict:
+    c, data = ("--config", str(micro["cfg"])), ("--dataset", str(micro["data"]))
+    return {
+        "datagen": ("datagen", *c),
+        "preprocess": ("preprocess", *c, *data),
+        "train": ("train", *c, *data),
+        "eval": ("eval", *c, "--model", str(micro["van"]), *data),
+        "analyze_spectrum": ("analyze", "spectrum", *data),
+        "analyze_tail": ("analyze", "tail", *data),
+        "analyze_adaptive_rate": ("analyze", "adaptive-rate", "--ns", "16,32"),
+        "analyze_fem_rate": ("analyze", "fem-rate", "--ns", "16,32", "--fine-points", "4097"),
+    }
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_existing_out_is_refused_before_any_work(micro, tmp_path, capsys, monkeypatch, stage):
+    from radonet import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stage ran into an existing --out")
+
+    monkeypatch.setattr(cli, "dataset_build", refuse)
+    monkeypatch.setattr(cli, f"cmd_{stage}", refuse)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stray.txt").write_text("left by an earlier run\n")
+    run_cli(*_stage_argvs(micro)[stage], "--out", str(out), expect=2)
+    err = read_error(capsys)
+    assert err["kind"] == "usage" and "exists" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert [p.name for p in out.iterdir()] == ["stray.txt"]
+    assert (out / "stray.txt").read_text() == "left by an earlier run\n"
+
+
+def test_failed_stage_leaves_no_output(micro, tmp_path, capsys, monkeypatch):
+    # eval has written per_sample.csv and summary.json when provenance fails
+    from radonet import cli
+
+    def broken(out, *args, **kwargs):
+        assert (out / "summary.json").exists()
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_provenance", broken)
+    run_cli(*_stage_argvs(micro)["eval"], "--out", str(tmp_path / "e"), expect=1)
+    err = read_error(capsys)
+    assert err["kind"] == "runtime" and "disk full" in err["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_are_json(capsys):

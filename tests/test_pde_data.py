@@ -318,10 +318,10 @@ def test_dataset_validation(tmp_path):
     with pytest.raises(ValueError):
         load_dataset(tmp_path)
     with pytest.raises(ValueError):
-        PdeDataset("advection", "train", np.zeros((2, 3)), np.zeros((3, 8)),
+        PdeDataset("advection", np.zeros((2, 3)), np.zeros((3, 8)),
                    np.zeros(8), 0, {})
     with pytest.raises(ValueError):  # one field per sample, no time axis
-        PdeDataset("burgers", "train", np.zeros((2, 3)), np.zeros((2, 4, 8)),
+        PdeDataset("burgers", np.zeros((2, 3)), np.zeros((2, 4, 8)),
                    np.zeros(8), 0, {})
 
 
