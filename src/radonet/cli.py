@@ -15,7 +15,14 @@ stage's complete output or does not exist.
 
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
-object describing the error is printed to stderr.
+object describing the error is printed to stderr. resolve_config refuses,
+before any work, a value of the wrong JSON type or outside the range a
+stage can run.
+
+At module level this file imports only what parsing, config resolution and
+the stage writer need. Each stage imports the modules it runs when it
+starts, so that eval, say, never loads the training loop, the analysis
+code or a PDE solver.
 """
 
 from __future__ import annotations
@@ -33,35 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    adaptive_box_construct,
-    box_samples,
-    covariance_spectrum,
-    fem_uniform_interp_error,
-    optimal_error_tail,
-    rate_fit,
-)
-from .equidistribution import (
-    PreprocessedSet,
-    close_periodic,
-    fd_derivative,
-    load_preprocessed,
-    preprocess_sample,
-    save_preprocessed,
-)
-from .models import (
-    CoordinateNet,
-    DeepOnetModel,
-    RAdaptiveSystem,
-    ShiftDeepOnetModel,
-    load_bundle,
-    radaptive_predict_graph,
-    save_bundle,
-)
-from .nn import mlp_init, substream
-from .pde_data import dataset_build, dataset_params, load_dataset, save_dataset
-from .reconstruct import recover_uniform, rel_l2_error
-from .training import TrainConfig, model_predict, train, train_pair
+from .pde_data.dataset import dataset_params
 
 DEFAULT_CONFIG = {
     "problem": "advection",
@@ -105,6 +84,17 @@ _NULLABLE = {"train.batch_size": int, "preprocess.ratio_limit": float, "eval.xi_
 _TYPE_NAMES = {dict: "an object", int: "an integer", float: "a number", str: "a string"}
 
 _FAMILIES = ("vanilla", "shift", "radaptive")
+
+# bytes content_hash reads from a file at a time
+_HASH_CHUNK = 1 << 18
+
+# the least value of each integer key that a stage can run; a null passes,
+# and so does a data key that the problem lacks
+_AT_LEAST = {
+    "data.n_grid": 1, "data.n_modes": 1, "data.sensors": 1, "preprocess.n_xi": 2,
+    "train.epochs": 1, "train.batch_size": 1, "train.decay_interval": 1,
+    "train.validation_cadence": 1, "eval.xi_points": 2,
+}
 
 
 class CliError(Exception):
@@ -185,6 +175,31 @@ def _check_types(defaults: dict, cfg: dict, path: str = "") -> None:
             _check_types(default, value, where + ".")
 
 
+def _check_ranges(cfg: dict) -> None:
+    """Refuse values of the right type that no stage can run: integers below
+    their _AT_LEAST, a base_lr not above 0, a decay_fraction outside [0, 1),
+    a *_range whose lo exceeds its hi and a domain whose lo is not below its hi."""
+    data = dataset_params(cfg["problem"], cfg["data"])
+    for key, least in _AT_LEAST.items():
+        section, name = key.split(".")
+        value = (data if section == "data" else cfg[section]).get(name)
+        if value is not None and value < least:
+            raise CliError(f"config key {key!r} must be at least {least}, got {value!r}")
+    train = cfg["train"]
+    if not train["base_lr"] > 0:
+        raise CliError(f"config key 'train.base_lr' must be above 0, got {train['base_lr']!r}")
+    if not 0 <= train["decay_fraction"] < 1:
+        raise CliError("config key 'train.decay_fraction' must be in [0, 1), "
+                       f"got {train['decay_fraction']!r}")
+    for key, value in data.items():
+        if key.endswith("_range") and value[0] > value[1]:
+            raise CliError(f"config key 'data.{key}' must be [lo, hi] with lo <= hi, "
+                           f"got {value!r}")
+    if "domain" in data and not data["domain"][0] < data["domain"][1]:
+        raise CliError(f"config key 'data.domain' must be [lo, hi] with lo < hi, "
+                       f"got {data['domain']!r}")
+
+
 def resolve_config(args) -> dict:
     user = {}
     if getattr(args, "config", None):
@@ -213,6 +228,7 @@ def resolve_config(args) -> dict:
     for split, n in cfg["counts"].items():
         if type(n) is not int or n < 1:
             raise CliError(f"counts.{split} must be a positive integer, got {n!r}")
+    _check_ranges(cfg)
     return cfg
 
 
@@ -226,12 +242,19 @@ def config_hash(cfg: dict) -> str:
 
 
 def content_hash(root: Path) -> str:
+    """sha256 over path NUL bytes NUL of every file under root but
+    provenance.json, in sorted path order; each file streams through one
+    fixed-size buffer, so hashing holds no whole file in memory."""
     h = hashlib.sha256()
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
     for f in sorted(root.rglob("*")):
         if f.is_file() and f.name != "provenance.json":
             h.update(f.relative_to(root).as_posix().encode("utf-8"))
             h.update(b"\0")
-            h.update(f.read_bytes())
+            with open(f, "rb") as fh:
+                while n := fh.readinto(buf):
+                    h.update(view[:n])
             h.update(b"\0")
     return h.hexdigest()
 
@@ -310,10 +333,15 @@ def check_artifact(path_str: str) -> tuple[Path, dict]:
 
 
 def _derived_seed(root_seed: int, *names: str) -> int:
+    from .nn import substream
+
     return int(substream(root_seed, *names).integers(0, 2**63 - 1))
 
 
-def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str) -> DeepOnetModel:
+def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str):
+    from .models import CoordinateNet, DeepOnetModel
+    from .nn import mlp_init
+
     m = cfg["model"]
     n_basis = m["n_basis"]
     branch = mlp_init([n_inputs, *m["branch_hidden"], n_basis],
@@ -327,7 +355,10 @@ def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str) -> DeepOnetMo
                query_lo=[bounds[0]], query_hi=[bounds[1]])
 
 
-def _make_shift(cfg: dict, n_inputs: int, bounds) -> ShiftDeepOnetModel:
+def _make_shift(cfg: dict, n_inputs: int, bounds):
+    from .models import ShiftDeepOnetModel
+    from .nn import mlp_init
+
     m = cfg["model"]
     n_basis = m["n_basis"]
     base = _make_deeponet(cfg, n_inputs, bounds, role="shift")
@@ -342,6 +373,8 @@ def _make_shift(cfg: dict, n_inputs: int, bounds) -> ShiftDeepOnetModel:
 
 def _uniform_targets(ds, n_points: int, domain, periodic: bool):
     """Resample a split's output fields onto n uniform query points."""
+    from .equidistribution import close_periodic
+
     lo, hi = domain
     grid, outputs = ds.x_grid, ds.outputs
     if periodic:
@@ -369,6 +402,8 @@ def _report_dict(report) -> dict:
 
 
 def cmd_datagen(args, out: Path) -> None:
+    from .pde_data.dataset import dataset_build, save_dataset
+
     cfg = resolve_config(args)
     datasets = dataset_build(cfg["problem"], cfg["seed"], cfg["counts"], cfg["data"])
     save_dataset(out, datasets)
@@ -377,18 +412,22 @@ def cmd_datagen(args, out: Path) -> None:
           f"across {len(datasets)} splits to {args.out}")
 
 
-def _config_dataset(cfg: dict, path: str):
-    """(splits, provenance) of the dataset artifact at path, refused unless it
-    holds the config's problem."""
+def _config_dataset(cfg: dict, path: str, splits=None):
+    """(the named splits, None: all, and the provenance) of the dataset
+    artifact at path, refused unless it holds the config's problem."""
+    from .pde_data.dataset import load_dataset
+
     ds_dir, ds_prov = check_artifact(path)
-    datasets = load_dataset(ds_dir)
-    problem = next(iter(datasets.values())).problem
-    if problem != cfg["problem"]:
-        raise CliError(f"dataset holds {problem!r} but config says {cfg['problem']!r}")
+    datasets = load_dataset(ds_dir, splits)
+    for ds in datasets.values():
+        if ds.problem != cfg["problem"]:
+            raise CliError(f"dataset holds {ds.problem!r} but config says {cfg['problem']!r}")
     return datasets, ds_prov
 
 
 def cmd_preprocess(args, out: Path) -> None:
+    from .equidistribution import PreprocessedSet, preprocess_sample, save_preprocessed
+
     cfg = resolve_config(args)
     datasets, ds_prov = _config_dataset(cfg, args.dataset)
     domain, periodic = next(iter(datasets.values())).geometry()
@@ -408,9 +447,12 @@ def _load_split(splits: dict, split: str, what: str):
 
 
 def cmd_train(args, out: Path) -> None:
+    from .models import RAdaptiveSystem, save_bundle
+    from .training import TrainConfig, train, train_pair
+
     cfg = resolve_config(args)
     family, problem = cfg["model"]["family"], cfg["problem"]
-    datasets, ds_prov = _config_dataset(cfg, args.dataset)
+    datasets, ds_prov = _config_dataset(cfg, args.dataset, ("train", "val"))
     train_ds = _load_split(datasets, "train", "training")
     domain, periodic = train_ds.geometry()
     val_ds = datasets.get("val")
@@ -421,6 +463,8 @@ def cmd_train(args, out: Path) -> None:
                 "sod": "riemann-z6"}[problem]
 
     if family == "radaptive":
+        from .equidistribution import load_preprocessed
+
         if not args.prep:
             raise CliError("family 'radaptive' requires --prep", kind="missing-input")
         prep_dir, prep_prov = check_artifact(args.prep)
@@ -428,7 +472,7 @@ def cmd_train(args, out: Path) -> None:
             raise CliError("preprocessed artifact was built from a different dataset",
                            kind="stale-upstream")
         upstream["prep"] = prep_prov["content_hash"]
-        psets = load_preprocessed(prep_dir)
+        psets = load_preprocessed(prep_dir, ("train", "val"))
         pset = _load_split(psets, "train", "training")
         vset = None if val_ds is None else psets.get("val")
         xi = pset.xi
@@ -482,6 +526,10 @@ def cmd_train(args, out: Path) -> None:
 
 
 def cmd_eval(args, out: Path) -> None:
+    from .models import load_bundle, model_predict, radaptive_predict_graph
+    from .pde_data.dataset import load_dataset
+    from .reconstruct import recover_uniform, rel_l2_error
+
     cfg = resolve_config(args)
     model_dir, model_prov = check_artifact(args.model)
     ds_dir, ds_prov = check_artifact(args.dataset)
@@ -490,9 +538,8 @@ def cmd_eval(args, out: Path) -> None:
         raise CliError("model was trained against a different dataset artifact",
                        kind="stale-upstream")
     model = load_bundle(model_dir)
-    datasets = load_dataset(ds_dir)
     split = cfg["eval"]["split"]
-    ds = _load_split(datasets, split, "evaluation")
+    ds = _load_split(load_dataset(ds_dir, (split,)), split, "evaluation")
     domain, _ = ds.geometry()
     grid = ds.x_grid
     refs = ds.outputs
@@ -500,6 +547,8 @@ def cmd_eval(args, out: Path) -> None:
                "family": model.family}
 
     if model.family == "radaptive":
+        from .equidistribution import fd_derivative
+
         preds = np.empty_like(refs)
         # the solution net is continuous along the computational axis, so
         # evaluation may sample it more densely than the training grid; the
@@ -511,9 +560,9 @@ def cmd_eval(args, out: Path) -> None:
         else:
             n_pts = max(n_pts, model.xi_grid.size)
             xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
-        # one call for the whole split: each trunk runs once, while the
-        # branches run row by row, so the bytes match evaluating each sample
-        # on its own (a many-row branch matmul rounds differently)
+        # one call for the whole split: each trunk runs once, and each branch
+        # runs on a stack of one-row batches, so the bytes match evaluating
+        # each sample on its own (a many-row branch matmul rounds differently)
         pred = radaptive_predict_graph(model, ds.inputs, xi=xi_eval)
         # mesh usability is judged on the model's own computational grid,
         # where the coordinate net predicts its knots
@@ -564,9 +613,11 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
     """Pick the dataset matrix for spectrum/tail commands."""
     upstream = {}
     if args.prep:
+        from .equidistribution import load_preprocessed
+
         prep_dir, prep_prov = check_artifact(args.prep)
         upstream["prep"] = prep_prov["content_hash"]
-        pset = _load_split(load_preprocessed(prep_dir), args.split, "analysis")
+        pset = _load_split(load_preprocessed(prep_dir, (args.split,)), args.split, "analysis")
         field = args.field
         if field not in ("u", "x"):
             raise CliError(f"--field must be 'u' or 'x', got {field!r}")
@@ -574,12 +625,13 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
         dx = float(pset.xi[1] - pset.xi[0])
         tag = f"{pset.problem}/{args.split}/{field}(xi)"
     else:
+        from .pde_data.dataset import load_dataset
+
         if not args.dataset:
             raise CliError("need --dataset or --prep", kind="missing-input")
         ds_dir, ds_prov = check_artifact(args.dataset)
         upstream["dataset"] = ds_prov["content_hash"]
-        datasets = load_dataset(ds_dir)
-        ds = _load_split(datasets, args.split, "analysis")
+        ds = _load_split(load_dataset(ds_dir, (args.split,)), args.split, "analysis")
         data = ds.outputs
         dx = float(ds.x_grid[1] - ds.x_grid[0])
         tag = f"{ds.problem}/{args.split}/u(x)"
@@ -587,6 +639,8 @@ def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
 
 
 def cmd_analyze_spectrum(args, out: Path) -> None:
+    from .analysis import covariance_spectrum
+
     data, dx, tag, upstream = _spectrum_source(args)
     report = covariance_spectrum(data, dx, tag=tag)
     lines = ["index,eigenvalue"]
@@ -604,6 +658,8 @@ def cmd_analyze_spectrum(args, out: Path) -> None:
 
 
 def cmd_analyze_tail(args, out: Path) -> None:
+    from .analysis import covariance_spectrum, optimal_error_tail
+
     data, dx, tag, upstream = _spectrum_source(args)
     report = covariance_spectrum(data, dx, tag=tag)
     modes = _parse_int_list(args.modes, "--modes")
@@ -616,6 +672,8 @@ def cmd_analyze_tail(args, out: Path) -> None:
 
 
 def cmd_analyze_adaptive_rate(args, out: Path) -> None:
+    from .analysis import adaptive_box_construct, rate_fit
+
     ns = _parse_int_list(args.ns, "--ns")
     rows = []
     for n in ns:
@@ -633,6 +691,8 @@ def cmd_analyze_adaptive_rate(args, out: Path) -> None:
 
 
 def cmd_analyze_fem_rate(args, out: Path) -> None:
+    from .analysis import box_samples, fem_uniform_interp_error, rate_fit
+
     ns = _parse_int_list(args.ns, "--ns")
     m = int(args.fine_points)
     if m < 4097:

@@ -382,12 +382,13 @@ def save_preprocessed(path, sets: dict[str, PreprocessedSet]) -> None:
                         for split, p in sets.items()})
 
 
-def load_preprocessed(path) -> dict[str, PreprocessedSet]:
-    """Re-load every split written by save_preprocessed; anything malformed,
-    including an array header that claims more data than its file holds,
-    raises ValueError."""
-    manifest, shared, splits = store.read_splits(
+def load_preprocessed(path, splits=None) -> dict[str, PreprocessedSet]:
+    """Re-load the named splits (None: every split) written by
+    save_preprocessed, leaving out names it lacks; anything malformed in any
+    split, including an array header that claims more data than its file
+    holds, raises ValueError."""
+    manifest, shared, loaded = store.read_splits(
         Path(path), "preprocessed set", PREPROCESSED_VERSION, {"problem": str},
-        {"xi": 1}, dict.fromkeys(PreprocessedSet.ROW_COLUMNS, 2))
+        {"xi": 1}, dict.fromkeys(PreprocessedSet.ROW_COLUMNS, 2), splits)
     return {split: PreprocessedSet(manifest["problem"], shared["xi"], **cols)
-            for split, cols in splits.items()}
+            for split, cols in loaded.items()}

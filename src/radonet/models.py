@@ -54,6 +54,12 @@ def _predict_chunks(forward, model, inputs: np.ndarray, queries: np.ndarray) -> 
                            for start in range(0, len(q), PREDICT_CHUNK)], axis=1)
 
 
+def model_predict(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Forward pass for evaluation, with no caches kept (see the models'
+    predict). Training's validation calls it too, as training.model_predict."""
+    return model.predict(inputs, queries)
+
+
 class _OperatorNet:
     """What the operator nets share: query bounds, copies and bundle files.
 
@@ -430,17 +436,16 @@ class RAdaptivePrediction:
 def _rowwise_forward(model: DeepOnetModel, a: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """deeponet_forward_batch's predictions, with the trunk run once for all rows.
 
-    The branch pass and the branch-trunk product run one input row at a time,
-    exactly as a single-input call runs them: numpy hands a one-row matmul to
-    BLAS gemv and a many-row one to gemm, and the two round differently, so
-    batching them would move every prediction by an ulp or so.
+    The branch pass and the branch-trunk product run each input row exactly
+    as a single-input call runs it: numpy hands a one-row matmul to BLAS gemv
+    and a many-row one to gemm, and the two round differently, so a plain
+    (N, d) batch would move every prediction by an ulp or so. The rows go in
+    as an (N, 1, d) stack instead, so each matmul is one numpy call that
+    issues one gemv per row, the same gemv as the one-row call.
     """
     t_out, _ = mlp_forward(model.trunk, model.normalize_queries(queries))
-    pred = np.empty((a.shape[0], t_out.shape[0]))
-    for i in range(a.shape[0]):
-        b_out, _ = mlp_forward(model.branch, a[i:i + 1])
-        pred[i] = (b_out @ t_out.T)[0]
-    return pred
+    b_out, _ = mlp_forward(model.branch, a[:, None, :])
+    return (b_out @ t_out.T)[:, 0, :]
 
 
 def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
@@ -455,9 +460,10 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
     sharpen the recovered solution near steep features, where the mesh
     packs many query points.
 
-    Each trunk runs once per call, since its output does not depend on the
-    input; each branch still runs row by row (see _rowwise_forward), so every
-    row is bit-identical to a call with that input alone.
+    A call makes four mlp_forward calls: each trunk runs once, since
+    its output does not depend on the input, and each branch once on a stack
+    of one-row batches (see _rowwise_forward), so every row is bit-identical
+    to a call with that input alone.
     """
     a = _as_2d(inputs, system.coord_net.branch.layer_sizes[0], "inputs")
     g = _rowwise_forward(system.coord_net, a, system.xi_grid)

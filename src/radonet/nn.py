@@ -119,16 +119,23 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Forward pass on a (batch, d_in) array; returns (outputs, cache).
+    """Forward pass on a (..., B, d_in) array; returns (outputs, cache).
 
     Hidden layers use the configured activation, the output layer is linear.
     The cache holds the input, the hidden states and the output shape for
-    mlp_backward.
+    mlp_backward, which takes the cache of a (B, d_in) batch only.
+
+    Leading axes stack independent batches: each layer is one matmul call,
+    and numpy runs it batch by batch with the same BLAS routine as a call on
+    that batch alone. An (N, 1, d_in) stack therefore costs one call, not N,
+    yet each of its rows goes through the one-row gemv and is bit-identical
+    to mlp_forward on that row; a (N, d_in) batch goes through gemm, which
+    rounds differently.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
+    if x.ndim < 2 or x.shape[-1] != params.layer_sizes[0]:
         raise ValueError(
-            f"batch must have shape (B, {params.layer_sizes[0]}), got {x.shape}"
+            f"batch must have shape (..., B, {params.layer_sizes[0]}), got {x.shape}"
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite values in network input")
@@ -155,6 +162,9 @@ def mlp_backward(params: MlpParams, cache: tuple, output_grad: np.ndarray) -> Ml
     that needs the input gradient pays for its product with weights[0].
     """
     hs, out_shape = cache
+    if len(out_shape) != 2:
+        raise ValueError(f"mlp_backward needs the cache of a (B, d_in) batch, "
+                         f"not of a stack of shape {hs[0].shape}")
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != out_shape:
         raise ValueError(f"output_grad shape {g.shape} != output shape {out_shape}")

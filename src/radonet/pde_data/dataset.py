@@ -4,7 +4,8 @@ A dataset is a directory holding a JSON manifest (problem, seed, counts,
 generation parameters, format version) plus one little-endian .npy file per
 split and array. Generation is deterministic: every sample draws from its
 own seed substream, so rebuilding with the same seed reproduces the files
-byte for byte.
+byte for byte. Each builder imports its own solver module, so loading a
+dataset, or building one problem, loads no other problem's solver.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import numpy as np
 
 from .. import store
 from ..nn import substream
-from .advection import BoxWaveParams, advection_exact, encode_box_params, sample_box_params
-from .burgers import burgers_solve
-from .grf import grf_draw, grf_eval
-from .riemann import euler_riemann_exact, sod_params_sample, total_energy
 
 DATASET_VERSION = 1
 
@@ -94,6 +91,8 @@ def dataset_params(problem: str, overrides: dict | None) -> dict:
 
 
 def _build_advection(seed: int, split: str, n: int, p: dict) -> PdeDataset:
+    from .advection import advection_exact, encode_box_params, sample_box_params
+
     x = np.arange(p["n_grid"]) / p["n_grid"] * p["period"]
     inputs = np.empty((n, 3))
     outputs = np.empty((n, p["n_grid"]))
@@ -106,6 +105,9 @@ def _build_advection(seed: int, split: str, n: int, p: dict) -> PdeDataset:
 
 
 def _build_burgers(seed: int, split: str, n: int, p: dict) -> PdeDataset:
+    from .burgers import burgers_solve
+    from .grf import grf_draw, grf_eval
+
     solver_grid = np.arange(p["n_modes"]) / p["n_modes"]
     sensor_grid = np.arange(p["sensors"]) / p["sensors"]
     inputs = np.empty((n, p["sensors"]))
@@ -120,6 +122,8 @@ def _build_burgers(seed: int, split: str, n: int, p: dict) -> PdeDataset:
 
 
 def _build_sod(seed: int, split: str, n: int, p: dict) -> PdeDataset:
+    from .riemann import euler_riemann_exact, sod_params_sample, total_energy
+
     lo, hi = p["domain"]
     x = np.linspace(lo, hi, p["n_grid"])
     inputs = np.empty((n, 6))
@@ -169,13 +173,14 @@ def save_dataset(path, datasets: dict[str, PdeDataset]) -> None:
                         for split, ds in datasets.items()})
 
 
-def load_dataset(path) -> dict[str, PdeDataset]:
-    """Re-load every split from a dataset directory; anything malformed,
-    including an array header that claims more data than its file holds,
-    raises ValueError."""
-    manifest, shared, splits = store.read_splits(
+def load_dataset(path, splits=None) -> dict[str, PdeDataset]:
+    """Re-load the named splits (None: every split) of a dataset directory,
+    leaving out names it lacks; anything malformed in any split, including
+    an array header that claims more data than its file holds, raises
+    ValueError."""
+    manifest, shared, loaded = store.read_splits(
         Path(path), "dataset", DATASET_VERSION, {"problem": str, "seed": int, "params": dict},
-        {"x_grid": 1}, {"inputs": 2, "outputs": 2})
+        {"x_grid": 1}, {"inputs": 2, "outputs": 2}, splits)
     return {split: PdeDataset(manifest["problem"], cols["inputs"], cols["outputs"],
                               shared["x_grid"], manifest["seed"], manifest["params"])
-            for split, cols in splits.items()}
+            for split, cols in loaded.items()}

@@ -4,7 +4,8 @@ Datasets, preprocessed sets (both split tables, see write_splits) and model
 bundles are stored this way. A reader asks for an array's name and number of
 dimensions and gets exactly that or a ValueError; it reads no array data
 before the .npy header's shape times itemsize has been found to equal the
-bytes left in the file.
+bytes left in the file. A split table may be read for some of its splits
+only; the headers of the others are checked all the same.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ def check_fields(root: Path, doc: dict, fields: dict, prefix: str = "") -> dict:
     return doc
 
 
-def read_array(root: Path, name: str, ndim: int) -> np.ndarray:
-    """root/<name>.npy, refused unless its header gives <f8, C order and ndim
-    dimensions, and its data fills the rest of the file exactly."""
+def _read(root: Path, name: str, ndim: int, data: bool) -> tuple[tuple, np.ndarray | None]:
+    """(shape, array) of root/<name>.npy, with no array read when data is
+    False, refused unless its header gives <f8, C order and ndim dimensions,
+    and its data fills the rest of the file exactly."""
     path = root / f"{name}.npy"
     try:
         fh = open(path, "rb")
@@ -98,8 +100,16 @@ def read_array(root: Path, name: str, ndim: int) -> np.ndarray:
         if count * found.itemsize != left:
             raise ValueError(f"{path}: header describes {count * found.itemsize} bytes of "
                              f"data but {left} bytes follow it")
+        if not data:
+            return shape, None
         fh.seek(head.tell())
-        return np.fromfile(fh, dtype=found, count=count).reshape(shape)
+        return shape, np.fromfile(fh, dtype=found, count=count).reshape(shape)
+
+
+def read_array(root: Path, name: str, ndim: int) -> np.ndarray:
+    """root/<name>.npy, refused unless its header gives <f8, C order and ndim
+    dimensions, and its data fills the rest of the file exactly."""
+    return _read(root, name, ndim, True)[1]
 
 
 def write_splits(root: Path, manifest: dict, shared: dict, splits: dict) -> None:
@@ -117,18 +127,26 @@ def write_splits(root: Path, manifest: dict, shared: dict, splits: dict) -> None
 
 
 def read_splits(root: Path, what: str, version: int, fields: dict, shared: dict,
-                columns: dict) -> tuple[dict, dict, dict]:
+                columns: dict, splits=None) -> tuple[dict, dict, dict]:
     """(manifest, shared arrays, {split: {column: array}}) of a split table
     with at least one split, where shared and columns give each array's
-    number of dimensions; a column must hold its split's n_samples rows."""
+    number of dimensions; a column must hold its split's n_samples rows.
+
+    splits names the splits whose columns are loaded (None: all of them); a
+    name the table lacks is left out. The columns of every other split are
+    checked as thoroughly, header, size and rows, but their data is not read.
+    """
     manifest = read_manifest(root, what, version, dict(fields, splits=dict))
     if not manifest["splits"]:
         raise ValueError(f"{root / 'manifest.json'}: entry 'splits' is empty")
     check_fields(root, manifest["splits"], dict.fromkeys(manifest["splits"], {"n_samples": int}),
                  "splits.")
-    out = {split: {name: read_array(root, f"{name}_{split}", ndim)
-                   for name, ndim in columns.items()} for split in manifest["splits"]}
-    for split, cols in out.items():
-        if any(len(arr) != manifest["splits"][split]["n_samples"] for arr in cols.values()):
+    out = {}
+    for split, entry in manifest["splits"].items():
+        load = splits is None or split in splits
+        cols = {name: _read(root, f"{name}_{split}", ndim, load) for name, ndim in columns.items()}
+        if any(shape[0] != entry["n_samples"] for shape, _ in cols.values()):
             raise ValueError(f"{root}: split {split!r} columns disagree with its n_samples")
+        if load:
+            out[split] = {name: arr for name, (_, arr) in cols.items()}
     return manifest, {name: read_array(root, name, ndim) for name, ndim in shared.items()}, out

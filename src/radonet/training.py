@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import model_predict
 from .nn import adam_init, adam_step, lr_schedule, substream
 from .reconstruct import rel_l2_error
 
@@ -84,12 +85,6 @@ def loss_coordinate(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
         raise ValueError(f"weights shape {weights.shape} != prediction shape {pred.shape}")
     r = pred - target
     return float(np.mean(weights * r * r)), 2.0 * weights * r / r.size
-
-
-def model_predict(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Forward pass for evaluation, with no caches kept (see the models'
-    predict)."""
-    return model.predict(inputs, queries)
 
 
 def _loss_and_grad(pred, target, loss, weights):

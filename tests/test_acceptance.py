@@ -32,20 +32,19 @@ from radonet.equidistribution import (
 )
 from radonet.models import DeepOnetModel, deeponet_backward_batch, deeponet_forward_batch
 from radonet.nn import mlp_init, substream
-from radonet.pde_data import (
-    advection_exact,
-    burgers_solve,
-    dataset_build,
+from radonet.pde_data import dataset_build
+from radonet.pde_data.advection import advection_exact, sample_box_params
+from radonet.pde_data.burgers import burgers_solve
+from radonet.pde_data.grf import grf_draw, grf_eval
+from radonet.pde_data.riemann import (
+    RiemannState,
     euler_riemann_exact,
-    grf_draw,
-    grf_eval,
     riemann_state_from_z,
-    sample_box_params,
-    solve_star,
     sod_params_sample,
+    solve_star,
+    star_region,
     total_energy,
 )
-from radonet.pde_data.riemann import RiemannState, star_region
 
 from oracles import (
     flat_grad_rel_error,

@@ -341,16 +341,25 @@ def test_monotone_mesh_fraction_counts_the_predicted_knots(micro, tmp_path):
 
 
 def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatch):
-    from radonet import cli
+    from radonet.pde_data import dataset
 
     def build(*args, **kwargs):
         raise AssertionError("samples were generated for a refused config")
 
-    monkeypatch.setattr(cli, "dataset_build", build)
+    monkeypatch.setattr(dataset, "dataset_build", build)
     out = tmp_path / "d"
     for spec in (("data.bogus=1",), ("problem=burgers", "data.record_times=[0.5]"),
                  ("counts.train=0",), ("counts.val=-3",), ("counts.test=2.5",),
-                 ("seed=-1",), ("problem=sod", "data.n_grid=2.5")):
+                 ("seed=-1",), ("problem=sod", "data.n_grid=2.5"),
+                 # values of the right type that no stage can run
+                 ("data.n_grid=0",), ("problem=burgers", "data.n_modes=0"),
+                 ("problem=burgers", "data.sensors=-2"), ("data.width_range=[0.5,0.1]",),
+                 ("data.height_range=[1,0]",), ("problem=sod", "data.domain=[5,-5]"),
+                 ("problem=sod", "data.domain=[1,1]"), ("preprocess.n_xi=1",),
+                 ("train.epochs=0",), ("train.validation_cadence=0",),
+                 ("train.decay_interval=0",), ("train.batch_size=0",), ("train.base_lr=-1",),
+                 ("train.base_lr=0",), ("train.base_lr=NaN",), ("train.decay_fraction=1",),
+                 ("train.decay_fraction=-0.1",), ("eval.xi_points=1",)):
         run_cli("datagen", *(arg for s in spec for arg in ("--set", s)), "--out", str(out),
                 expect=2)
         err = read_error(capsys)
@@ -388,6 +397,31 @@ def test_config_types_take_ints_for_floats_and_null_where_allowed(tmp_path):
     assert cfg["preprocess"]["ratio_limit"] is None and cfg["eval"]["xi_points"] is None
     assert cfg["preprocess"]["beta"] == 2
     assert cfg["data"] == {"speed": 2, "height_range": [0, 1]}
+
+
+def test_config_range_edges_are_accepted():
+    class Args:
+        config = None
+        set = ["data.width_range=[0.1,0.1]", "preprocess.n_xi=2", "train.epochs=1",
+               "train.validation_cadence=1", "train.decay_interval=1", "train.batch_size=1",
+               "train.base_lr=1e-300", "train.decay_fraction=0", "eval.xi_points=2"]
+
+    cfg = resolve_config(Args())
+    assert cfg["data"]["width_range"] == [0.1, 0.1] and cfg["preprocess"]["n_xi"] == 2
+    assert cfg["train"]["decay_fraction"] == 0 and cfg["eval"]["xi_points"] == 2
+
+
+def test_range_errors_are_config_errors_in_every_stage(micro, tmp_path, capsys):
+    # every stage resolves the whole config, so a train key stops eval too
+    data = ("--dataset", str(micro["data"]))
+    for stage, inputs in (("preprocess", data), ("train", data),
+                          ("eval", ("--model", str(micro["van"]), *data))):
+        out = tmp_path / stage
+        run_cli(stage, "--config", str(micro["cfg"]), "--set", "train.base_lr=-1", *inputs,
+                "--out", str(out), expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "config" and "base_lr" in err["message"]
+        assert not out.exists()
 
 
 def test_sod_geometry_comes_from_the_dataset(tmp_path):
@@ -480,6 +514,108 @@ def test_stale_artifact_refusal(micro, tmp_path, capsys):
     run_cli("eval", "--config", str(micro["cfg"]), "--model", str(micro["van"]),
             "--dataset", str(other_data), "--out", str(tmp_path / "e"), expect=2)
     assert read_error(capsys)["kind"] == "stale-upstream"
+
+
+def _rerecord(data, model):
+    """Record data's current content hash in its provenance, and as model's
+    upstream dataset, so that only the loaders can refuse a tampered file."""
+    prov = json.loads((data / "provenance.json").read_text())
+    prov["content_hash"] = content_hash(data)
+    (data / "provenance.json").write_text(json.dumps(prov))
+    model_prov = json.loads((model / "provenance.json").read_text())
+    model_prov["upstream"]["dataset"] = prov["content_hash"]
+    (model / "provenance.json").write_text(json.dumps(model_prov))
+
+
+@pytest.mark.parametrize("stage, unread", [("eval", "train"), ("train", "test")])
+def test_a_corrupt_header_in_a_split_the_stage_does_not_read_is_refused(
+        micro, tmp_path, capsys, stage, unread):
+    # eval reads only its split and train only train and val, yet every
+    # array header is checked
+    import shutil
+
+    data, model = tmp_path / "data", tmp_path / "model"
+    shutil.copytree(micro["data"], data)
+    shutil.copytree(micro["van"], model)
+    blob = (data / f"outputs_{unread}.npy").read_bytes()
+    assert blob.count(b"'<f8'") == 1
+    (data / f"outputs_{unread}.npy").write_bytes(blob.replace(b"'<f8'", b"'<f4'"))
+    _rerecord(data, model)
+    inputs = ("--model", str(model)) if stage == "eval" else ()
+    run_cli(stage, "--config", str(micro["cfg"]), *inputs, "--dataset", str(data),
+            "--out", str(tmp_path / "out"), expect=1)
+    err = read_error(capsys)
+    assert err["kind"] == "runtime" and f"outputs_{unread}.npy" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_content_hash_streams_the_documented_digest(tmp_path):
+    # sha256 over path NUL bytes NUL of each file but provenance.json, in
+    # sorted relative path order (FORMATS.md); files larger than the read
+    # buffer, and empty ones, hash the same as when read whole
+    import hashlib
+    import tracemalloc
+
+    from radonet import cli
+
+    rng = np.random.default_rng(0)
+    files = {"b.npy": rng.bytes(4 * 2**20 + 3), "a.json": b"{}\n", "sub/c.csv": b"",
+             "sub/d.bin": rng.bytes(cli._HASH_CHUNK), "provenance.json": b"left out"}
+    for name, blob in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(blob)
+    h = hashlib.sha256()
+    for name in ("a.json", "b.npy", "sub/c.csv", "sub/d.bin"):
+        h.update(name.encode() + b"\0" + files[name] + b"\0")
+    tracemalloc.start()
+    try:
+        digest = content_hash(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == h.hexdigest()
+    assert peak < 2**20  # no whole 4 MB file in memory
+
+
+_SOLVERS = {f"radonet.pde_data.{m}" for m in ("advection", "burgers", "grf", "riemann")}
+
+
+def _modules_loaded(*argv) -> set:
+    """The modules a fresh interpreter holds after importing radonet.cli and
+    running main(argv), when argv is given."""
+    import subprocess
+    import sys
+
+    import radonet
+
+    code = ("import sys, radonet.cli; argv = sys.argv[1:]; "
+            "code = radonet.cli.main(argv) if argv else 0; "
+            "print(code, ' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(radonet.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()[-1].split()
+    assert out[0] == "0"
+    return set(out[1:])
+
+
+def test_importing_the_cli_loads_no_stage_code():
+    # each stage imports what it runs; the module itself needs only config
+    # resolution and the stage writer
+    loaded = _modules_loaded()
+    assert "radonet.cli" in loaded
+    assert not loaded & {"radonet.analysis", "radonet.training", "radonet.models",
+                         "radonet.equidistribution", "radonet.reconstruct", *_SOLVERS}
+
+
+def test_eval_loads_no_training_analysis_or_solver_code(micro, tmp_path):
+    for name, family in (("van", "vanilla"), ("rad", "radaptive")):
+        loaded = _modules_loaded("eval", "--config", str(micro["cfg"]), "--model",
+                                 str(micro[name]), "--dataset", str(micro["data"]),
+                                 "--out", str(tmp_path / name))
+        assert {"radonet.models", "radonet.reconstruct"} <= loaded
+        assert not loaded & {"radonet.analysis", "radonet.training", *_SOLVERS}
+        # only the mesh checks of a radaptive eval use equidistribution
+        assert ("radonet.equidistribution" in loaded) == (family == "radaptive")
 
 
 def test_malformed_provenance_is_refused(micro, tmp_path, capsys):
@@ -596,11 +732,12 @@ def _stage_argvs(micro) -> dict:
 @pytest.mark.parametrize("stage", STAGES)
 def test_existing_out_is_refused_before_any_work(micro, tmp_path, capsys, monkeypatch, stage):
     from radonet import cli
+    from radonet.pde_data import dataset
 
     def refuse(*args, **kwargs):
         raise AssertionError("the stage ran into an existing --out")
 
-    monkeypatch.setattr(cli, "dataset_build", refuse)
+    monkeypatch.setattr(dataset, "dataset_build", refuse)
     monkeypatch.setattr(cli, f"cmd_{stage}", refuse)
     out = tmp_path / "out"
     out.mkdir()

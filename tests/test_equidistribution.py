@@ -299,6 +299,9 @@ def test_preprocessed_container_roundtrip(tmp_path):
         for name in ("xi", *PreprocessedSet.ROW_COLUMNS):
             np.testing.assert_array_equal(getattr(back[split], name), getattr(pset, name))
         assert back[split].problem == "unit-test"
+    val = load_preprocessed(path, ("val",))  # one split's data only
+    assert set(val) == {"val"}
+    np.testing.assert_array_equal(val["val"].x, sets["val"].x)
 
     # byte-identical rewrite
     save_preprocessed(tmp_path / "again", back)

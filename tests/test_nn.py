@@ -77,6 +77,29 @@ def test_forward_rejects_bad_batches():
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_one_row_batches_match_one_call_per_row(activation):
+    # an (N, 1, d) stack runs each row through the one-row BLAS call, so every
+    # row is bit-identical to mlp_forward on that row alone
+    params = mlp_init([3, 128, 128, 64], activation=activation, seed=8)
+    rows = substream(8, "stack", activation).standard_normal((7, 3))
+    stacked, _ = mlp_forward(params, rows[:, None, :])
+    assert stacked.shape == (7, 1, 64)
+    for i, row in enumerate(rows):
+        np.testing.assert_array_equal(stacked[i], mlp_forward(params, row[None, :])[0])
+    wide, _ = mlp_forward(params, np.stack([rows, rows[::-1]]))  # any leading axes
+    np.testing.assert_allclose(wide[1], wide[0][::-1], rtol=1e-13, atol=1e-13)
+
+
+def test_forward_refuses_a_single_vector_and_backward_a_stack():
+    params = mlp_init([4, 8, 2], seed=0)
+    with pytest.raises(ValueError):
+        mlp_forward(params, np.zeros(4))
+    out, cache = mlp_forward(params, np.zeros((3, 1, 4)))
+    with pytest.raises(ValueError, match="stack"):
+        mlp_backward(params, cache, np.ones_like(out))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_backward_matches_finite_differences(activation):
     rng = substream(33, "grad", activation)
     for trial in range(4):

@@ -6,24 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radonet.nn import substream
-from radonet.pde_data import (
+from radonet.pde_data import PdeDataset, dataset_build, load_dataset, save_dataset
+from radonet.pde_data.advection import (
     BoxWaveParams,
-    PdeDataset,
-    RiemannState,
     advection_exact,
     box_wave,
-    burgers_solve,
-    dataset_build,
     encode_box_params,
-    euler_riemann_exact,
-    grf_draw,
-    grf_eval,
-    grf_mode_std,
-    grf_sample,
-    load_dataset,
-    riemann_state_from_z,
     sample_box_params,
-    save_dataset,
+)
+from radonet.pde_data.burgers import burgers_solve
+from radonet.pde_data.grf import grf_draw, grf_eval, grf_mode_std, grf_sample
+from radonet.pde_data.riemann import (
+    RiemannState,
+    euler_riemann_exact,
+    riemann_state_from_z,
     sod_params_sample,
     solve_star,
     star_region,
@@ -345,6 +341,9 @@ def test_corrupt_datasets_raise_value_error_without_large_reads(dataset_dir, dat
     try:
         datasets = load_guarded(load_dataset, root / "corrupt")
     except ValueError:
+        # reading one split checks the files of the others all the same
+        with pytest.raises(ValueError):
+            load_guarded(lambda path: load_dataset(path, ("val",)), root / "corrupt")
         return
     # a corruption that keeps the dataset well formed loads as valid splits,
     # each with the row count its manifest entry gives
@@ -380,3 +379,22 @@ def test_dataset_manifest_that_is_not_an_object_is_refused(dataset_dir, tmp_path
     restore(tmp_path, dict(dataset_dir[1], **{"manifest.json": b'["train", "val"]'}))
     with pytest.raises(ValueError, match="JSON object"):
         load_dataset(tmp_path)
+
+
+def test_reading_some_splits_loads_those_and_checks_the_rest(dataset_dir, tmp_path):
+    root, good = dataset_dir
+    full = load_dataset(root / "good")
+    some = load_dataset(root / "good", ("val", "holdout"))  # a name it lacks is left out
+    assert set(some) == {"val"}
+    for name in ("inputs", "outputs", "x_grid"):
+        np.testing.assert_array_equal(getattr(some["val"], name), getattr(full["val"], name))
+    header, body = split_npy(good["outputs_train.npy"])
+    three_rows = join_npy(dict(header, shape=(3, 64)), body[:3 * 64 * 8])
+    for files, match in ((_with_outputs_shape(good, (10**6, 10**6)), "bytes of data"),
+                         (_with_outputs_shape(good, (4, 63)), "bytes of data"),
+                         (dict(good, **{"outputs_train.npy": three_rows}), "n_samples"),
+                         (dict(good, **{"outputs_train.npy": join_npy(
+                             dict(header, descr="<f4"), body)}), "expected <f8")):
+        restore(tmp_path, files)
+        with pytest.raises(ValueError, match=match):
+            load_guarded(lambda path: load_dataset(path, ("val",)), tmp_path)
