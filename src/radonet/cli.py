@@ -16,8 +16,8 @@ stage's complete output or does not exist.
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
 object describing the error is printed to stderr. resolve_config refuses,
-before any work, a value of the wrong JSON type or outside the range a
-stage can run.
+before any work and in one walk of the config, an unknown key, a value of
+the wrong JSON type and a value that fails its row of _RULES.
 
 At module level this file imports only what parsing, config resolution and
 the stage writer need. Each stage imports the modules it runs when it
@@ -75,25 +75,52 @@ DEFAULT_CONFIG = {
     "eval": {"split": "test", "xi_points": 513},
 }
 
-# sections whose keys are not fixed in advance
-_FREE_SECTIONS = {"counts", "data"}
-
 # keys that may also be null, with the type of their other values
 _NULLABLE = {"train.batch_size": int, "preprocess.ratio_limit": float, "eval.xi_points": int}
 
 _TYPE_NAMES = {dict: "an object", int: "an integer", float: "a number", str: "a string"}
 
-_FAMILIES = ("vanilla", "shift", "radaptive")
-
 # bytes content_hash reads from a file at a time
 _HASH_CHUNK = 1 << 18
 
-# the least value of each integer key that a stage can run; a null passes,
-# and so does a data key that the problem lacks
-_AT_LEAST = {
-    "data.n_grid": 1, "data.n_modes": 1, "data.sensors": 1, "preprocess.n_xi": 2,
-    "train.epochs": 1, "train.batch_size": 1, "train.decay_interval": 1,
-    "train.validation_cadence": 1, "eval.xi_points": 2,
+
+def _at_least(least):
+    return f"at least {least}", lambda v: v >= least
+
+
+def _one_of(*choices):
+    return f"one of {choices}", lambda v: v in choices
+
+
+_ABOVE_0 = "above 0", lambda v: v > 0
+_ORDERED = "[lo, hi] with lo <= hi", lambda v: v[0] <= v[1]
+_LAYERS = "a list of integers at least 1", lambda v: all(n >= 1 for n in v)
+
+# (what a value must be, the test of it) for each key whose values of the
+# right type not every stage can run; NaN fails every test, and a null passes.
+# A data key's row is named by its problem, not by "data", and counts.* is
+# the row of every split
+_RULES = {
+    "seed": _at_least(0), "counts.*": _at_least(1),
+    "advection.n_grid": _at_least(3), "advection.period": _ABOVE_0,
+    "advection.height_range": _ORDERED, "advection.width_range": _ORDERED,
+    "advection.shift_range": _ORDERED,
+    "burgers.nu": _ABOVE_0, "burgers.n_modes": _at_least(8), "burgers.dt": _ABOVE_0,
+    "burgers.sensors": _at_least(1), "burgers.final_time": _at_least(0),
+    "burgers.grf_convention": _one_of("angular", "integer"), "burgers.grf_modes": _at_least(1),
+    "sod.n_grid": _at_least(3), "sod.domain": ("[lo, hi] with lo < hi", lambda v: v[0] < v[1]),
+    "sod.final_time": _ABOVE_0,
+    "preprocess.n_xi": _at_least(2), "preprocess.m_cap": _at_least(1),
+    "preprocess.mbar_cap": _at_least(1), "preprocess.beta": _at_least(0),
+    "preprocess.smoothing_passes": _at_least(0), "preprocess.ratio_limit": _ABOVE_0,
+    "model.family": _one_of("vanilla", "shift", "radaptive"), "model.n_basis": _at_least(1),
+    "model.branch_hidden": _LAYERS, "model.trunk_hidden": _LAYERS,
+    "model.branch_activation": _one_of("relu", "tanh"),
+    "model.trunk_activation": _one_of("relu", "tanh"), "model.output_points": _at_least(1),
+    "train.epochs": _at_least(1), "train.batch_size": _at_least(1), "train.base_lr": _ABOVE_0,
+    "train.decay_fraction": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "train.decay_interval": _at_least(1), "train.validation_cadence": _at_least(1),
+    "eval.xi_points": _at_least(2),
 }
 
 
@@ -111,21 +138,13 @@ def _emit_error(kind: str, message: str) -> None:
 # config plumbing
 
 
-def _merge(defaults: dict, user: dict, free: bool, path: str) -> dict:
-    out = {}
-    for key in sorted(set(defaults) | set(user)):
-        where = f"{path}.{key}" if path else key
-        if key not in defaults:
-            if not free:
-                raise CliError(f"unknown config key {where!r}")
-            out[key] = copy.deepcopy(user[key])
-        elif key not in user:
-            out[key] = copy.deepcopy(defaults[key])
-        elif isinstance(defaults[key], dict) and isinstance(user[key], dict):
-            out[key] = _merge(defaults[key], user[key], key in _FREE_SECTIONS, where)
-        else:
-            out[key] = copy.deepcopy(user[key])
-    return out
+def _merge(base: dict, over: dict) -> dict:
+    """over laid on base: where both hold an object the two merge, anywhere
+    else the value of over replaces that of base."""
+    return {key: _merge(base[key], over[key])
+            if isinstance(base.get(key), dict) and isinstance(over.get(key), dict)
+            else copy.deepcopy(over.get(key, base.get(key)))
+            for key in sorted(set(base) | set(over))}
 
 
 def _apply_override(cfg: dict, spec: str) -> None:
@@ -136,16 +155,13 @@ def _apply_override(cfg: dict, spec: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    parts = key.split(".")
-    node, free = cfg, False
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
+    *sections, name = key.split(".")
+    node = cfg
+    for part in sections:
+        if not isinstance(node.get(part), dict):
             raise CliError(f"no config section {part!r} in override {spec!r}")
-        free = part in _FREE_SECTIONS
         node = node[part]
-    if parts[-1] not in node and not free:
-        raise CliError(f"unknown config key {key!r}")
-    node[parts[-1]] = value
+    node[name] = value
 
 
 def _is_a(kind: type, value) -> bool:
@@ -153,14 +169,19 @@ def _is_a(kind: type, value) -> bool:
     return type(value) in ((int, float) if kind is float else (kind,))
 
 
-def _check_types(defaults: dict, cfg: dict, path: str = "") -> None:
-    """Refuse a value of cfg whose JSON type is not its default's: integer
-    keys take integers only (not true, not 2.5), float keys take integers or
-    floats, and null is taken only where _NULLABLE allows it. A list default
-    takes a list of its elements' type, a tuple default (a range or a domain)
-    a list of as many numbers."""
+def _check(schema: dict, cfg: dict, problem: str, path: str = "") -> None:
+    """Refuse a key of cfg that schema lacks (a schema key "*" stands for
+    any), a value whose JSON type is not its schema value's and a value that
+    fails its _RULES row. Integer keys take integers only (not true, not
+    2.5), float keys integers or floats, and null only where _NULLABLE allows
+    it. A list schema value takes a list of its elements' type, a tuple (a
+    range or a domain) a list of as many numbers."""
     for key, value in cfg.items():
-        where, default = path + key, defaults[key]
+        where = path + key
+        if key not in schema and "*" not in schema:
+            raise CliError(f"unknown {problem} parameter {where!r}" if path == "data."
+                           else f"unknown config key {where!r}")
+        default = schema.get(key, schema.get("*"))
         kind = _NULLABLE.get(where, type(default))
         if kind in (list, tuple):
             ok = (type(value) is list and all(_is_a(type(default[0]), v) for v in value)
@@ -171,36 +192,17 @@ def _check_types(defaults: dict, cfg: dict, path: str = "") -> None:
             want = _TYPE_NAMES[kind] + (" or null" if where in _NULLABLE else "")
         if not ok:
             raise CliError(f"config key {where!r} must be {want}, got {value!r}")
-        if kind is dict and key not in _FREE_SECTIONS:
-            _check_types(default, value, where + ".")
-
-
-def _check_ranges(cfg: dict) -> None:
-    """Refuse values of the right type that no stage can run: integers below
-    their _AT_LEAST, a base_lr not above 0, a decay_fraction outside [0, 1),
-    a *_range whose lo exceeds its hi and a domain whose lo is not below its hi."""
-    data = dataset_params(cfg["problem"], cfg["data"])
-    for key, least in _AT_LEAST.items():
-        section, name = key.split(".")
-        value = (data if section == "data" else cfg[section]).get(name)
-        if value is not None and value < least:
-            raise CliError(f"config key {key!r} must be at least {least}, got {value!r}")
-    train = cfg["train"]
-    if not train["base_lr"] > 0:
-        raise CliError(f"config key 'train.base_lr' must be above 0, got {train['base_lr']!r}")
-    if not 0 <= train["decay_fraction"] < 1:
-        raise CliError("config key 'train.decay_fraction' must be in [0, 1), "
-                       f"got {train['decay_fraction']!r}")
-    for key, value in data.items():
-        if key.endswith("_range") and value[0] > value[1]:
-            raise CliError(f"config key 'data.{key}' must be [lo, hi] with lo <= hi, "
-                           f"got {value!r}")
-    if "domain" in data and not data["domain"][0] < data["domain"][1]:
-        raise CliError(f"config key 'data.domain' must be [lo, hi] with lo < hi, "
-                       f"got {data['domain']!r}")
+        if kind is dict:
+            _check(default, value, problem, where + ".")
+        rule = f"{problem}.{key}" if path == "data." else where if key in schema else path + "*"
+        if rule in _RULES and value is not None and not _RULES[rule][1](value):
+            raise CliError(f"config key {where!r} must be {_RULES[rule][0]}, got {value!r}")
 
 
 def resolve_config(args) -> dict:
+    """The defaults, with the --config file merged over them and each --set
+    laid over that, refused unless _check passes all of it; the data section
+    takes the parameters of the config's problem."""
     user = {}
     if getattr(args, "config", None):
         cfg_path = Path(args.config)
@@ -212,23 +214,14 @@ def resolve_config(args) -> dict:
             raise CliError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(user, dict):
             raise CliError(f"config file {args.config} must hold a JSON object")
-    cfg = _merge(DEFAULT_CONFIG, user, False, "")
+    cfg = _merge(DEFAULT_CONFIG, user)
     for spec in getattr(args, "set", None) or []:
         _apply_override(cfg, spec)
-    _check_types(DEFAULT_CONFIG, cfg)
-    if cfg["seed"] < 0:
-        raise CliError(f"config key 'seed' must be non-negative, got {cfg['seed']}")
-    if cfg["model"]["family"] not in _FAMILIES:
-        raise CliError(f"model.family must be one of {_FAMILIES}")
-    try:  # refuses an unknown problem and data keys it lacks
-        dataset_params(cfg["problem"], cfg["data"])
+    try:  # refuses an unknown problem
+        data = dataset_params(str(cfg["problem"]), {})
     except ValueError as exc:
         raise CliError(str(exc))
-    _check_types(dataset_params(cfg["problem"], {}), cfg["data"], "data.")
-    for split, n in cfg["counts"].items():
-        if type(n) is not int or n < 1:
-            raise CliError(f"counts.{split} must be a positive integer, got {n!r}")
-    _check_ranges(cfg)
+    _check({**DEFAULT_CONFIG, "counts": {"*": 1}, "data": data}, cfg, cfg["problem"])
     return cfg
 
 

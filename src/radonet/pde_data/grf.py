@@ -69,20 +69,3 @@ def grf_eval(coeffs: GrfCoefficients, x: np.ndarray) -> np.ndarray:
     )
     return values
 
-
-def grf_sample(rng: np.random.Generator, n_grid: int, n_modes: int | None = None,
-               convention: str = "angular", amplitude: float = 25.0,
-               tau: float = 5.0, exponent: float = 4.0) -> np.ndarray:
-    """One field on the uniform periodic grid {j / n_grid}.
-
-    n_grid must be a power of two (grids are shared with FFT-based solvers);
-    modes default to just below the grid Nyquist limit.
-    """
-    if n_grid < 4 or (n_grid & (n_grid - 1)) != 0:
-        raise ValueError(f"n_grid must be a power of two >= 4, got {n_grid}")
-    if n_modes is None:
-        n_modes = n_grid // 2 - 1
-    if n_modes > n_grid // 2 - 1:
-        raise ValueError(f"n_modes {n_modes} exceeds grid Nyquist limit {n_grid // 2 - 1}")
-    coeffs = grf_draw(rng, n_modes, convention, amplitude, tau, exponent)
-    return grf_eval(coeffs, np.arange(n_grid) / n_grid)

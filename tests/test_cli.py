@@ -359,7 +359,18 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  ("train.epochs=0",), ("train.validation_cadence=0",),
                  ("train.decay_interval=0",), ("train.batch_size=0",), ("train.base_lr=-1",),
                  ("train.base_lr=0",), ("train.base_lr=NaN",), ("train.decay_fraction=1",),
-                 ("train.decay_fraction=-0.1",), ("eval.xi_points=1",)):
+                 ("train.decay_fraction=-0.1",), ("eval.xi_points=1",),
+                 # values that a solver, preprocess or training refuses at run time
+                 ("problem=burgers", "data.dt=0"), ("problem=burgers", "data.nu=-1"),
+                 ("problem=burgers", "data.final_time=-1"), ("problem=burgers", "data.grf_modes=0"),
+                 ("problem=burgers", "data.n_modes=4"),
+                 ("problem=burgers", 'data.grf_convention="x"'), ("problem=sod", "data.final_time=0"),
+                 ("data.period=0",), ("data.n_grid=2",), ("preprocess.m_cap=0.5",),
+                 ("preprocess.mbar_cap=0.5",), ("preprocess.beta=-1",),
+                 ("preprocess.smoothing_passes=-1",), ("preprocess.ratio_limit=0",),
+                 ("model.n_basis=0",), ("model.output_points=0",), ("model.branch_hidden=[0]",),
+                 ("model.trunk_hidden=[16,0]",), ('model.branch_activation="sigmoid"',),
+                 ('model.trunk_activation="sigmoid"',)):
         run_cli("datagen", *(arg for s in spec for arg in ("--set", s)), "--out", str(out),
                 expect=2)
         err = read_error(capsys)
@@ -404,11 +415,32 @@ def test_config_range_edges_are_accepted():
         config = None
         set = ["data.width_range=[0.1,0.1]", "preprocess.n_xi=2", "train.epochs=1",
                "train.validation_cadence=1", "train.decay_interval=1", "train.batch_size=1",
-               "train.base_lr=1e-300", "train.decay_fraction=0", "eval.xi_points=2"]
+               "train.base_lr=1e-300", "train.decay_fraction=0", "eval.xi_points=2",
+               "data.n_grid=3", "preprocess.m_cap=1", "preprocess.mbar_cap=1", "preprocess.beta=0",
+               "preprocess.smoothing_passes=0", "model.output_points=1", "model.branch_hidden=[]"]
 
     cfg = resolve_config(Args())
     assert cfg["data"]["width_range"] == [0.1, 0.1] and cfg["preprocess"]["n_xi"] == 2
     assert cfg["train"]["decay_fraction"] == 0 and cfg["eval"]["xi_points"] == 2
+    assert cfg["data"]["n_grid"] == 3 and cfg["preprocess"]["m_cap"] == 1
+    assert cfg["preprocess"]["beta"] == 0 and cfg["preprocess"]["smoothing_passes"] == 0
+    assert cfg["model"]["output_points"] == 1 and cfg["model"]["branch_hidden"] == []
+    Args.set = ["problem=burgers", "data.n_modes=8", "data.final_time=0"]
+    assert resolve_config(Args())["data"] == {"n_modes": 8, "final_time": 0}
+
+
+def test_every_rule_names_a_config_key():
+    # a misspelt row would never fire
+    from radonet.cli import _RULES
+    from radonet.pde_data.dataset import _DEFAULTS
+
+    def paths(section, prefix):
+        for key, value in section.items():
+            yield from paths(value, f"{prefix}{key}.") if type(value) is dict else [prefix + key]
+
+    keys = {*paths(DEFAULT_CONFIG, ""), "counts.*"}
+    keys |= {f"{problem}.{key}" for problem, params in _DEFAULTS.items() for key in params}
+    assert set(_RULES) <= keys
 
 
 def test_range_errors_are_config_errors_in_every_stage(micro, tmp_path, capsys):
@@ -416,12 +448,14 @@ def test_range_errors_are_config_errors_in_every_stage(micro, tmp_path, capsys):
     data = ("--dataset", str(micro["data"]))
     for stage, inputs in (("preprocess", data), ("train", data),
                           ("eval", ("--model", str(micro["van"]), *data))):
-        out = tmp_path / stage
-        run_cli(stage, "--config", str(micro["cfg"]), "--set", "train.base_lr=-1", *inputs,
-                "--out", str(out), expect=2)
-        err = read_error(capsys)
-        assert err["kind"] == "config" and "base_lr" in err["message"]
-        assert not out.exists()
+        for spec in ("train.base_lr=-1", "preprocess.m_cap=0.5", "model.output_points=0",
+                     "data.n_grid=2"):
+            out = tmp_path / stage
+            run_cli(stage, "--config", str(micro["cfg"]), "--set", spec, *inputs,
+                    "--out", str(out), expect=2)
+            err = read_error(capsys)
+            assert err["kind"] == "config" and spec.split("=")[0] in err["message"]
+            assert not out.exists()
 
 
 def test_sod_geometry_comes_from_the_dataset(tmp_path):

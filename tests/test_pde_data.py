@@ -15,7 +15,7 @@ from radonet.pde_data.advection import (
     sample_box_params,
 )
 from radonet.pde_data.burgers import burgers_solve
-from radonet.pde_data.grf import grf_draw, grf_eval, grf_mode_std, grf_sample
+from radonet.pde_data.grf import grf_draw, grf_eval, grf_mode_std
 from radonet.pde_data.riemann import (
     RiemannState,
     euler_riemann_exact,
@@ -107,19 +107,10 @@ def test_grf_population_variance():
     np.testing.assert_allclose(np.var(acc, axis=0), expected, rtol=0.10)
 
 
-def test_grf_sample_grid_constraints():
-    rng = substream(13, "grf-grid")
-    u = grf_sample(rng, 64)
-    assert u.shape == (64,)
-    with pytest.raises(ValueError):
-        grf_sample(rng, 48)
-    with pytest.raises(ValueError):
-        grf_sample(rng, 64, n_modes=32)
-
-
 def test_grf_determinism():
-    a = grf_sample(substream(7, "x"), 128, n_modes=20)
-    b = grf_sample(substream(7, "x"), 128, n_modes=20)
+    x = np.arange(128) / 128
+    a = grf_eval(grf_draw(substream(7, "x"), 20), x)
+    b = grf_eval(grf_draw(substream(7, "x"), 20), x)
     np.testing.assert_array_equal(a, b)
 
 
