@@ -85,30 +85,47 @@ _HASH_CHUNK = 1 << 18
 
 
 def _at_least(least):
-    return f"at least {least}", lambda v: v >= least
+    return f"at least {least}", lambda v, _: v >= least
 
 
 def _one_of(*choices):
-    return f"one of {choices}", lambda v: v in choices
+    return f"one of {choices}", lambda v, _: v in choices
 
 
-_ABOVE_0 = "above 0", lambda v: v > 0
-_ORDERED = "[lo, hi] with lo <= hi", lambda v: v[0] <= v[1]
-_LAYERS = "a list of integers at least 1", lambda v: all(n >= 1 for n in v)
+def _whole_steps(final_time, dt) -> bool:
+    from .pde_data.burgers import step_count
+
+    return step_count(final_time, dt) is not None
+
+
+_ABOVE_0 = "above 0", lambda v, _: v > 0
+_ORDERED = "[lo, hi] with lo <= hi", lambda v, _: v[0] <= v[1]
+_POSITIVE = "[lo, hi] with 0 < lo <= hi", lambda v, _: 0 < v[0] <= v[1]
+_LAYERS = "a list of integers at least 1", lambda v, _: all(n >= 1 for n in v)
 
 # (what a value must be, the test of it) for each key whose values of the
 # right type not every stage can run; NaN fails every test, and a null passes.
-# A data key's row is named by its problem, not by "data", and counts.* is
-# the row of every split
+# A test takes the value and its section, the defaults with the config's
+# values over them, so a row may read the value's neighbours. A data key's
+# row is named by its problem, not by "data", and counts.* is the row of
+# every split
 _RULES = {
     "seed": _at_least(0), "counts.*": _at_least(1),
-    "advection.n_grid": _at_least(3), "advection.period": _ABOVE_0,
-    "advection.height_range": _ORDERED, "advection.width_range": _ORDERED,
+    "advection.n_grid": _at_least(3),
+    "advection.period": ("above the upper end of data.width_range",
+                         lambda v, s: v > s["width_range"][1]),
+    "advection.height_range": _POSITIVE,
+    "advection.width_range": ("[lo, hi] with 0 < lo <= hi < data.period",
+                              lambda v, s: 0 < v[0] <= v[1] < s["period"]),
     "advection.shift_range": _ORDERED,
-    "burgers.nu": _ABOVE_0, "burgers.n_modes": _at_least(8), "burgers.dt": _ABOVE_0,
-    "burgers.sensors": _at_least(1), "burgers.final_time": _at_least(0),
+    "burgers.nu": _ABOVE_0, "burgers.n_modes": _at_least(8),
+    "burgers.dt": ("above 0 and dividing data.final_time into whole steps",
+                   lambda v, s: _whole_steps(s["final_time"], v)),
+    "burgers.sensors": _at_least(1),
+    "burgers.final_time": ("at least 0 and a whole number of data.dt steps",
+                           lambda v, s: _whole_steps(v, s["dt"])),
     "burgers.grf_convention": _one_of("angular", "integer"), "burgers.grf_modes": _at_least(1),
-    "sod.n_grid": _at_least(3), "sod.domain": ("[lo, hi] with lo < hi", lambda v: v[0] < v[1]),
+    "sod.n_grid": _at_least(3), "sod.domain": ("[lo, hi] with lo < hi", lambda v, _: v[0] < v[1]),
     "sod.final_time": _ABOVE_0,
     "preprocess.n_xi": _at_least(2), "preprocess.m_cap": _at_least(1),
     "preprocess.mbar_cap": _at_least(1), "preprocess.beta": _at_least(0),
@@ -118,7 +135,7 @@ _RULES = {
     "model.branch_activation": _one_of("relu", "tanh"),
     "model.trunk_activation": _one_of("relu", "tanh"), "model.output_points": _at_least(1),
     "train.epochs": _at_least(1), "train.batch_size": _at_least(1), "train.base_lr": _ABOVE_0,
-    "train.decay_fraction": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "train.decay_fraction": ("in [0, 1)", lambda v, _: 0 <= v < 1),
     "train.decay_interval": _at_least(1), "train.validation_cadence": _at_least(1),
     "eval.xi_points": _at_least(2),
 }
@@ -175,7 +192,8 @@ def _check(schema: dict, cfg: dict, problem: str, path: str = "") -> None:
     fails its _RULES row. Integer keys take integers only (not true, not
     2.5), float keys integers or floats, and null only where _NULLABLE allows
     it. A list schema value takes a list of its elements' type, a tuple (a
-    range or a domain) a list of as many numbers."""
+    range or a domain) a list of as many numbers. Every value of a section
+    has its type checked before any rule of the section reads it."""
     for key, value in cfg.items():
         where = path + key
         if key not in schema and "*" not in schema:
@@ -194,8 +212,11 @@ def _check(schema: dict, cfg: dict, problem: str, path: str = "") -> None:
             raise CliError(f"config key {where!r} must be {want}, got {value!r}")
         if kind is dict:
             _check(default, value, problem, where + ".")
+    section = {**schema, **cfg}
+    for key, value in cfg.items():
+        where = path + key
         rule = f"{problem}.{key}" if path == "data." else where if key in schema else path + "*"
-        if rule in _RULES and value is not None and not _RULES[rule][1](value):
+        if rule in _RULES and value is not None and not _RULES[rule][1](value, section):
             raise CliError(f"config key {where!r} must be {_RULES[rule][0]}, got {value!r}")
 
 
@@ -379,12 +400,17 @@ def _uniform_targets(ds, n_points: int, domain, periodic: bool):
     return q.reshape(-1, 1), targets
 
 
+def _finite(value) -> float | None:
+    # strict JSON has no NaN or Infinity: an aborted run's loss is written as null
+    return float(value) if np.isfinite(value) else None
+
+
 def _report_dict(report) -> dict:
     return {
-        "validation_history": [[int(e), float(v)] for e, v in report.validation_history],
+        "validation_history": [[int(e), _finite(v)] for e, v in report.validation_history],
         "best_epoch": int(report.best_epoch),
-        "best_error": float(report.best_error),
-        "final_loss": float(report.final_loss),
+        "best_error": _finite(report.best_error),
+        "final_loss": _finite(report.final_loss),
         "aborted": bool(report.aborted),
         "epochs_run": int(report.epochs_run),
     }
@@ -420,14 +446,21 @@ def _config_dataset(cfg: dict, path: str, splits=None):
 
 def cmd_preprocess(args, out: Path) -> None:
     from .equidistribution import PreprocessedSet, preprocess_sample, save_preprocessed
+    from .parallel import split_rows
 
     cfg = resolve_config(args)
     datasets, ds_prov = _config_dataset(cfg, args.dataset)
     domain, periodic = next(iter(datasets.values())).geometry()
     xi = np.linspace(domain[0], domain[1], cfg["preprocess"]["n_xi"] + 1)
-    sets = {split: PreprocessedSet.from_samples(cfg["problem"], xi, [
-        preprocess_sample(row, domain, periodic=periodic, **cfg["preprocess"])
-        for row in ds.outputs]) for split, ds in datasets.items()}
+
+    def prep(split, rows):
+        return PreprocessedSet.from_samples(cfg["problem"], xi, [
+            preprocess_sample(row, domain, periodic=periodic, **cfg["preprocess"])
+            for row in datasets[split].outputs[rows.start:rows.stop]]).columns()
+
+    # a row depends on nothing but its dataset row, so the rows may run in two halves
+    columns = split_rows({split: ds.n_samples for split, ds in datasets.items()}, prep)
+    sets = {split: PreprocessedSet(cfg["problem"], xi, **cols) for split, cols in columns.items()}
     save_preprocessed(out, sets)
     write_provenance(out, "preprocess", cfg, {"dataset": ds_prov["content_hash"]})
     print(f"preprocessed {len(datasets)} splits into {args.out}")
@@ -441,7 +474,8 @@ def _load_split(splits: dict, split: str, what: str):
 
 def cmd_train(args, out: Path) -> None:
     from .models import RAdaptiveSystem, save_bundle
-    from .training import TrainConfig, train, train_pair
+    from .parallel import run_pair
+    from .training import TrainConfig, train
 
     cfg = resolve_config(args)
     family, problem = cfg["model"]["family"], cfg["problem"]
@@ -478,7 +512,7 @@ def cmd_train(args, out: Path) -> None:
         coord = _make_deeponet(cfg, n_in, bounds, role="coord")
         sol = _make_deeponet(cfg, n_in, bounds, role="sol")
         # the two nets share nothing, so they may train at the same time
-        (coord, coord_rep), (sol, sol_rep) = train_pair(
+        (coord, coord_rep), (sol, sol_rep) = run_pair(
             lambda: train(coord, tr_in, pset.x, queries, tc, loss="coordinate",
                           weights=pset.w_coord, val_inputs=va_in,
                           val_targets=None if vset is None else vset.x),

@@ -365,6 +365,10 @@ class PreprocessedSet:
         return cls(problem, xi, **{name: np.stack([s[name] for s in samples])
                                    for name in cls.ROW_COLUMNS})
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """{name: row column} for each of ROW_COLUMNS."""
+        return {name: getattr(self, name) for name in self.ROW_COLUMNS}
+
 
 def save_preprocessed(path, sets: dict[str, PreprocessedSet]) -> None:
     """Write preprocessed splits as a split table (radonet.store): xi.npy,
@@ -378,8 +382,7 @@ def save_preprocessed(path, sets: dict[str, PreprocessedSet]) -> None:
     store.write_splits(Path(path),
                        {"format_version": PREPROCESSED_VERSION, "problem": first.problem},
                        {"xi": first.xi},
-                       {split: {name: getattr(p, name) for name in PreprocessedSet.ROW_COLUMNS}
-                        for split, p in sets.items()})
+                       {split: p.columns() for split, p in sets.items()})
 
 
 def load_preprocessed(path, splits=None) -> dict[str, PreprocessedSet]:

@@ -90,51 +90,64 @@ def dataset_params(problem: str, overrides: dict | None) -> dict:
     return params
 
 
-def _build_advection(seed: int, split: str, n: int, p: dict) -> PdeDataset:
+def _x_grid(problem: str, p: dict) -> np.ndarray:
+    """The grid a problem's output fields are sampled on."""
+    if problem == "sod":
+        lo, hi = p["domain"]
+        return np.linspace(lo, hi, p["n_grid"])
+    if problem == "burgers":  # the solver's grid on the unit circle
+        return np.arange(p["n_modes"]) / p["n_modes"]
+    return np.arange(p["n_grid"]) / p["n_grid"] * p["period"]
+
+
+# Each builder makes the rows `rows` (a range) of one split, as
+# {"inputs": ..., "outputs": ...}. A row draws from its own substream of
+# (seed, problem, split, row index), so any range of rows comes out as the
+# same bytes as those rows of the whole split.
+
+
+def _build_advection(seed: int, split: str, rows: range, p: dict, x: np.ndarray) -> dict:
     from .advection import advection_exact, encode_box_params, sample_box_params
 
-    x = np.arange(p["n_grid"]) / p["n_grid"] * p["period"]
-    inputs = np.empty((n, 3))
-    outputs = np.empty((n, p["n_grid"]))
-    for i in range(n):
+    inputs = np.empty((len(rows), 3))
+    outputs = np.empty((len(rows), x.size))
+    for j, i in enumerate(rows):
         rng = substream(seed, "advection", split, str(i))
         params = sample_box_params(rng, p["height_range"], p["width_range"], p["shift_range"])
-        inputs[i] = encode_box_params(params)
-        outputs[i] = advection_exact(params, x, p["speed"], p["final_time"], p["period"])
-    return PdeDataset("advection", inputs, outputs, x, seed, p)
+        inputs[j] = encode_box_params(params)
+        outputs[j] = advection_exact(params, x, p["speed"], p["final_time"], p["period"])
+    return {"inputs": inputs, "outputs": outputs}
 
 
-def _build_burgers(seed: int, split: str, n: int, p: dict) -> PdeDataset:
+def _build_burgers(seed: int, split: str, rows: range, p: dict, x: np.ndarray) -> dict:
     from .burgers import burgers_solve
     from .grf import grf_draw, grf_eval
 
-    solver_grid = np.arange(p["n_modes"]) / p["n_modes"]
     sensor_grid = np.arange(p["sensors"]) / p["sensors"]
-    inputs = np.empty((n, p["sensors"]))
-    u0 = np.empty((n, p["n_modes"]))
-    for i in range(n):
+    inputs = np.empty((len(rows), p["sensors"]))
+    u0 = np.empty((len(rows), x.size))
+    for j, i in enumerate(rows):
         rng = substream(seed, "burgers", split, str(i))
         coeffs = grf_draw(rng, p["grf_modes"], p["grf_convention"])
-        inputs[i] = grf_eval(coeffs, sensor_grid)
-        u0[i] = grf_eval(coeffs, solver_grid)
-    outputs = burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])
-    return PdeDataset("burgers", inputs, outputs, solver_grid, seed, p)
+        inputs[j] = grf_eval(coeffs, sensor_grid)
+        u0[j] = grf_eval(coeffs, x)
+    # one batch of FFTs; each row is transformed on its own, so a batch of
+    # some of the rows gives those rows' bytes
+    return {"inputs": inputs, "outputs": burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])}
 
 
-def _build_sod(seed: int, split: str, n: int, p: dict) -> PdeDataset:
+def _build_sod(seed: int, split: str, rows: range, p: dict, x: np.ndarray) -> dict:
     from .riemann import euler_riemann_exact, sod_params_sample, total_energy
 
-    lo, hi = p["domain"]
-    x = np.linspace(lo, hi, p["n_grid"])
-    inputs = np.empty((n, 6))
-    outputs = np.empty((n, p["n_grid"]))
-    for i in range(n):
+    inputs = np.empty((len(rows), 6))
+    outputs = np.empty((len(rows), x.size))
+    for j, i in enumerate(rows):
         rng = substream(seed, "sod", split, str(i))
         z, state = sod_params_sample(rng)
-        inputs[i] = z
+        inputs[j] = z
         rho, u, pres = euler_riemann_exact(state, x, p["final_time"])
-        outputs[i] = total_energy(rho, u, pres, state.gamma)
-    return PdeDataset("sod", inputs, outputs, x, seed, p)
+        outputs[j] = total_energy(rho, u, pres, state.gamma)
+    return {"inputs": inputs, "outputs": outputs}
 
 
 _BUILDERS = {"advection": _build_advection, "burgers": _build_burgers, "sod": _build_sod}
@@ -142,16 +155,20 @@ _BUILDERS = {"advection": _build_advection, "burgers": _build_burgers, "sod": _b
 
 def dataset_build(problem: str, seed: int, counts: dict[str, int],
                   params: dict | None = None) -> dict[str, PdeDataset]:
-    """Generate every requested split of a problem deterministically."""
+    """Generate every requested split of a problem deterministically; the
+    rows are made on two cores where radonet.parallel.split_rows can, and a
+    split of fewer than one row raises ValueError."""
+    from ..parallel import split_rows
+
     merged = dataset_params(problem, params)
     if not counts:
         raise ValueError("need at least one split count")
-    out = {}
-    for split, n in counts.items():
-        if n < 1:
-            raise ValueError(f"split {split!r} needs a positive sample count, got {n}")
-        out[split] = _BUILDERS[problem](seed, split, int(n), merged)
-    return out
+    x = _x_grid(problem, merged)
+    build = _BUILDERS[problem]
+    columns = split_rows({split: int(n) for split, n in counts.items()},
+                         lambda split, rows: build(seed, split, rows, merged, x))
+    return {split: PdeDataset(problem, cols["inputs"], cols["outputs"], x, seed, merged)
+            for split, cols in columns.items()}
 
 
 def save_dataset(path, datasets: dict[str, PdeDataset]) -> None:

@@ -5,18 +5,11 @@ regression against redistributed-grid targets, and coordinate-map
 regression through the monotone mesh head. It reaches a model only through
 the protocol in `models` (`nets`, `forward`, `backward`, `predict`,
 `copy`). Losses are written with explicit gradient companions so the whole
-backward pass stays hand-assembled. `train_pair` runs two independent fits,
-such as the two nets of the r-adaptive family, at the same time in two
-processes.
+backward pass stays hand-assembled.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import pickle
-import signal
 import time
 from dataclasses import dataclass, field
 
@@ -171,106 +164,3 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
     report.final_loss = epoch_loss
     report.wall_seconds = time.perf_counter() - t_start
     return best_model, report
-
-
-# (getter, setter) symbol names of the OpenBLAS thread count, per build
-_OPENBLAS_THREAD_API = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas():
-    """(get, set) for the thread count of the OpenBLAS numpy loaded, or None.
-
-    The library is found in this process's memory map, so only a BLAS that
-    is really in use is touched.
-    """
-    paths = set()
-    try:
-        with open("/proc/self/maps") as fh:
-            for line in fh:
-                fields = line.split()
-                if len(fields) >= 6 and "openblas" in fields[-1].lower() and ".so" in fields[-1]:
-                    paths.add(fields[-1])
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_API:
-            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if getter is not None and setter is not None:
-                getter.restype, getter.argtypes = ctypes.c_int, []
-                setter.restype, setter.argtypes = None, [ctypes.c_int]
-                return getter, setter
-    return None
-
-
-def train_pair(first, second):
-    """Run two independent training jobs and return (first(), second()).
-
-    Each job is a callable without arguments. When this process may use two
-    or more cores and the loaded OpenBLAS lets its thread count be set,
-    `second` runs in a forked child while this process runs `first`, and
-    each process gets half of the BLAS threads (one each on two cores); the
-    count is restored afterwards. Otherwise the jobs run one after the
-    other. Both paths give the same bytes, since training is deterministic
-    and its products round the same on one BLAS thread as on several.
-    """
-    blas = _openblas()
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if blas is None or cores < 2:
-        return first(), second()
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(max(1, min(threads, cores) // 2))
-    try:
-        return _forked_pair(first, second)
-    finally:
-        set_threads(threads)
-
-
-def _forked_pair(first, second):
-    # a bare fork rather than a process pool: the child inherits the loaded
-    # modules and the job's inputs instead of importing and unpickling them,
-    # which keeps start-up time and peak memory down. OpenBLAS registers a
-    # fork handler that stops its thread pool, so the child starts a fresh one
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: never return into the caller, never flush its buffers
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, second())
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                payload = (False, f"{type(exc).__name__}: {exc}")
-            with os.fdopen(write_fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    reaped = False
-    with os.fdopen(read_fd, "rb") as fh:
-        try:
-            first_result = first()
-            data = fh.read()
-            _, status = os.waitpid(pid, 0)
-            reaped = True
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError("training worker process died without a result "
-                           f"(exit code {os.waitstatus_to_exitcode(status)})")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise RuntimeError(f"training worker process failed: {value}")
-    return first_result, value

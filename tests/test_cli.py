@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radonet import store, training
+from radonet import parallel, store, training
 from radonet.cli import DEFAULT_CONFIG, config_hash, content_hash, main, resolve_config
 
 
@@ -152,6 +152,21 @@ def test_train_artifacts(micro):
         assert manifest["input_encoding"] == "box-params(height,width,shift)"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
+def test_aborted_train_writes_strict_json(micro, tmp_path):
+    out = tmp_path / "aborted"
+    run_cli("train", "--config", str(micro["cfg"]), "--set", "train.base_lr=1e200",
+            "--dataset", str(micro["data"]), "--out", str(out))
+
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}, which is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    rep = report["reports"]["model"]
+    assert rep["aborted"] is True and rep["final_loss"] is None
+    assert np.isfinite(rep["best_error"])
+
+
 def test_train_content_hash_is_reproducible(micro, tmp_path):
     # wall times go to provenance.json, which the hash leaves out, so a rerun
     # of either family records the same content_hash
@@ -170,21 +185,7 @@ def test_train_content_hash_is_reproducible(micro, tmp_path):
 
 
 def _can_train_concurrently() -> bool:
-    return len(os.sched_getaffinity(0)) >= 2 and training._openblas() is not None
-
-
-def _fork_spy(monkeypatch) -> list:
-    """Record the pid of every child forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
+    return parallel.usable_cores() >= 2 and parallel._openblas() is not None
 
 
 def _train_radaptive(micro, out, expect=0):
@@ -194,13 +195,13 @@ def _train_radaptive(micro, out, expect=0):
 
 
 def test_radaptive_pair_trains_the_same_bytes_concurrently_and_in_turn(
-        micro, tmp_path, monkeypatch):
+        micro, tmp_path, monkeypatch, forks):
     if not _can_train_concurrently():
         pytest.skip("needs two usable cores and an OpenBLAS thread setter")
-    pids = _fork_spy(monkeypatch)
+    pids = forks
     _train_radaptive(micro, tmp_path / "together")
     assert len(pids) == 1
-    monkeypatch.setattr(training, "_openblas", lambda: None)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
     _train_radaptive(micro, tmp_path / "in_turn")
     assert len(pids) == 1
 
@@ -239,10 +240,10 @@ def test_every_artifact_file_is_a_store_array_or_a_known_json_or_csv(micro, tmp_
 
 
 @pytest.mark.parametrize("failure", ["raise", "exit"])
-def test_worker_failure_is_a_runtime_error(micro, tmp_path, monkeypatch, capsys, failure):
+def test_worker_failure_is_a_runtime_error(micro, tmp_path, monkeypatch, capsys, forks, failure):
     if not _can_train_concurrently():
         pytest.skip("needs two usable cores and an OpenBLAS thread setter")
-    pids = _fork_spy(monkeypatch)
+    pids = forks
     parent = os.getpid()
 
     def broken_loss(*args):  # only the solution net, trained in the child, uses it
@@ -252,7 +253,7 @@ def test_worker_failure_is_a_runtime_error(micro, tmp_path, monkeypatch, capsys,
         os._exit(3)
 
     monkeypatch.setattr(training, "loss_weighted", broken_loss)
-    get_threads, set_threads = training._openblas()
+    get_threads, set_threads = parallel._openblas()
     threads = get_threads()
     set_threads(2)
     try:
@@ -370,7 +371,14 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  ("preprocess.smoothing_passes=-1",), ("preprocess.ratio_limit=0",),
                  ("model.n_basis=0",), ("model.output_points=0",), ("model.branch_hidden=[0]",),
                  ("model.trunk_hidden=[16,0]",), ('model.branch_activation="sigmoid"',),
-                 ('model.trunk_activation="sigmoid"',)):
+                 ('model.trunk_activation="sigmoid"',),
+                 # rows that read a neighbouring key
+                 ("problem=burgers", "data.final_time=0.00015"),
+                 ("problem=burgers", "data.dt=0.003"),
+                 ("data.width_range=[0.1,1.0]",), ("data.width_range=[0.1,1.5]",),
+                 ("data.period=0.3",), ("data.width_range=[0.5,0.9]", "data.period=0.8"),
+                 ("data.width_range=[0,0.2]",), ("data.width_range=[-0.1,0.2]",),
+                 ("data.height_range=[0,0.5]",), ("data.height_range=[-0.5,0.5]",)):
         run_cli("datagen", *(arg for s in spec for arg in ("--set", s)), "--out", str(out),
                 expect=2)
         err = read_error(capsys)
@@ -400,14 +408,14 @@ def test_config_types_take_ints_for_floats_and_null_where_allowed(tmp_path):
         config = None
         set = ["train.base_lr=1", "train.batch_size=null", "train.batch_size=8",
                "preprocess.ratio_limit=null", "eval.xi_points=null", "preprocess.beta=2",
-               "data.speed=2", "data.height_range=[0,1]"]
+               "data.speed=2", "data.height_range=[1,2]"]
 
     cfg = resolve_config(Args())
     # values are not converted, so config_hash sees what the user wrote
     assert type(cfg["train"]["base_lr"]) is int and cfg["train"]["batch_size"] == 8
     assert cfg["preprocess"]["ratio_limit"] is None and cfg["eval"]["xi_points"] is None
     assert cfg["preprocess"]["beta"] == 2
-    assert cfg["data"] == {"speed": 2, "height_range": [0, 1]}
+    assert cfg["data"] == {"speed": 2, "height_range": [1, 2]}
 
 
 def test_config_range_edges_are_accepted():
@@ -427,6 +435,15 @@ def test_config_range_edges_are_accepted():
     assert cfg["model"]["output_points"] == 1 and cfg["model"]["branch_hidden"] == []
     Args.set = ["problem=burgers", "data.n_modes=8", "data.final_time=0"]
     assert resolve_config(Args())["data"] == {"n_modes": 8, "final_time": 0}
+    Args.set = ["data.height_range=[1e-300,1e-300]", "data.width_range=[1e-300,0.999]",
+                "data.period=1"]
+    assert resolve_config(Args())["data"]["width_range"] == [1e-300, 0.999]
+    Args.set = ["data.period=0.30000000000000004"]  # just above width_range's upper end 0.3
+    assert resolve_config(Args())["data"]["period"] > 0.3
+    Args.set = ["problem=burgers", "data.dt=0.25", "data.final_time=0.75"]
+    assert resolve_config(Args())["data"] == {"dt": 0.25, "final_time": 0.75}
+    Args.set = ["problem=burgers", "data.final_time=1e-4"]  # one step of the default dt
+    assert resolve_config(Args())["data"] == {"final_time": 1e-4}
 
 
 def test_every_rule_names_a_config_key():

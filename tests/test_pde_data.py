@@ -14,7 +14,7 @@ from radonet.pde_data.advection import (
     encode_box_params,
     sample_box_params,
 )
-from radonet.pde_data.burgers import burgers_solve
+from radonet.pde_data.burgers import _etdrk4_coeffs, burgers_solve, step_count
 from radonet.pde_data.grf import grf_draw, grf_eval, grf_mode_std
 from radonet.pde_data.riemann import (
     RiemannState,
@@ -147,6 +147,44 @@ def test_burgers_batched_equals_single():
     for i in range(3):
         np.testing.assert_array_equal(batch[i],
                                       burgers_solve(u0[i], 1e-2, 0.05, dt=5e-4))
+
+
+def _textbook_etdrk4(u0, nu, dt, n_steps):
+    """ETDRK4 as Kassam & Trefethen write it, one new array per operator."""
+    n = u0.shape[1]
+    k = 2.0 * np.pi * np.arange(n // 2 + 1)
+    mask = np.arange(n // 2 + 1) <= n // 3
+    e_full, e_half, q, f1, f2, f3 = _etdrk4_coeffs(-nu * k ** 2, dt)
+
+    def nonlin(spec):
+        field = np.fft.irfft(spec, n=n, axis=-1)
+        return mask * (-0.5j * k) * np.fft.rfft(field * field, axis=-1)
+
+    v = mask * np.fft.rfft(u0, axis=-1)
+    for _ in range(n_steps):
+        nv = nonlin(v)
+        a = e_half * v + q * nv
+        na = nonlin(a)
+        b = e_half * v + q * na
+        nb = nonlin(b)
+        c = e_half * a + q * (2.0 * nb - nv)
+        nc = nonlin(c)
+        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+    return np.fft.irfft(v, n=n, axis=-1)
+
+
+def test_burgers_in_place_step_matches_the_textbook_step_bit_for_bit():
+    rng = substream(29, "in-place")
+    u0 = np.stack([grf_eval(grf_draw(rng, 63), np.arange(256) / 256) for _ in range(5)])
+    got = burgers_solve(u0, 1e-3, 300 * 1e-4, dt=1e-4)
+    assert got.tobytes() == _textbook_etdrk4(u0, 1e-3, 1e-4, 300).tobytes()
+
+
+def test_burgers_step_count():
+    assert step_count(1.0, 1e-4) == 10000 and step_count(0.0, 0.5) == 0
+    for final_time, dt in ((0.00015, 1e-4), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.1),
+                           (1.0, 5e-324), (float("nan"), 0.1), (1.0, float("nan"))):
+        assert step_count(final_time, dt) is None
 
 
 def test_burgers_validation():

@@ -1,10 +1,6 @@
-import os
-import time
-
 import numpy as np
 import pytest
 
-from radonet import training
 from radonet.equidistribution import fd_derivative
 from radonet.models import DeepOnetModel, deeponet_forward_batch
 from radonet.nn import mlp_init, substream
@@ -15,7 +11,6 @@ from radonet.training import (
     loss_weighted,
     model_predict,
     train,
-    train_pair,
 )
 
 from oracles import flat_grad_rel_error, numerical_gradient
@@ -185,45 +180,3 @@ def test_train_validates_after_the_final_epoch():
     from radonet.reconstruct import rel_l2_error
     err = np.mean(rel_l2_error(model_predict(model, inputs, queries), targets))
     assert err == pytest.approx(report.best_error, rel=1e-12)
-
-
-@pytest.mark.parametrize("concurrent", [True, False])
-def test_train_pair_returns_both_results_in_order(monkeypatch, concurrent):
-    if not concurrent:
-        monkeypatch.setattr(training, "_openblas", lambda: None)
-    rng = substream(9, "pair")
-    inputs = rng.uniform(-1.0, 1.0, size=(12, 2))
-    queries = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
-    targets = inputs[:, :1] * queries.T
-    cfg = TrainConfig(epochs=15, validation_cadence=5, seed=1)
-    first, second = train_pair(lambda: "first",
-                               lambda: train(tiny_model(seed=6), inputs, targets, queries, cfg))
-    model, report = train(tiny_model(seed=6), inputs, targets, queries, cfg)
-    assert first == "first"
-    assert second[1].validation_history == report.validation_history
-    for got, want in zip(second[0].branch.weights + second[0].trunk.weights,
-                         model.branch.weights + model.trunk.weights):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_train_pair_reaps_the_worker_when_the_parent_job_raises(monkeypatch):
-    if len(os.sched_getaffinity(0)) < 2 or training._openblas() is None:
-        pytest.skip("needs two usable cores and an OpenBLAS thread setter")
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pids.append(real_fork())
-        return pids[-1]
-
-    monkeypatch.setattr(os, "fork", fork)
-    get_threads, _ = training._openblas()
-    threads = get_threads()
-    start = time.monotonic()
-    with pytest.raises(ZeroDivisionError):
-        train_pair(lambda: 1 / 0, lambda: time.sleep(60))
-    assert time.monotonic() - start < 30.0
-    assert get_threads() == threads
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):  # killed and reaped
-        os.waitpid(pids[0], os.WNOHANG)
