@@ -4,14 +4,16 @@ Stages: datagen -> preprocess -> train -> eval, plus standalone analyze
 subcommands. Every stage writes its outputs into a directory together with a
 provenance.json recording the resolved-config hash, a content hash of the
 artifact files, and the content hashes of the upstream artifacts it consumed.
-Downstream stages recompute upstream hashes and refuse to run on anything
-stale or hand-edited. All randomness flows from the single seed in the
-config through named substreams, so reruns are reproducible byte for byte.
+All randomness flows from the single seed in the config through named
+substreams, so reruns are reproducible byte for byte.
 
-A stage's --out must not exist yet. main builds it through stage_output: the
-stage fills a fresh sibling directory, which is renamed onto --out when the
-stage returns and deleted when it raises, so an --out holds exactly one
-stage's complete output or does not exist.
+main runs every stage the same way. A stage's --out must not exist yet:
+stage_output hands the stage a fresh sibling directory, which is renamed
+onto --out when the stage returns and deleted when it raises, so an --out
+holds exactly one stage's complete output or does not exist. Inside it, main
+resolves the config, checks every artifact flag given (check_inputs), calls
+the stage with the checked paths and writes provenance.json; the stages only
+compute.
 
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
@@ -308,13 +310,11 @@ def stage_output(path: str):
         raise
 
 
-def _write_outputs(out: Path, table: tuple[str, list[str]], report: tuple[str, dict],
-                   stage: str, cfg: dict, upstream: dict) -> None:
-    """Write a stage's outputs: the CSV lines of table, the JSON of report
-    (each under its file name) and provenance.json."""
+def _write_outputs(out: Path, table: tuple[str, list[str]], report: tuple[str, dict]) -> None:
+    """Write the CSV lines of table and the JSON of report, each under its
+    file name."""
     (out / table[0]).write_text("\n".join(table[1]) + "\n")
     (out / report[0]).write_text(json.dumps(report[1], indent=2, sort_keys=True) + "\n")
-    write_provenance(out, stage, cfg, upstream)
 
 
 def check_artifact(path_str: str) -> tuple[Path, dict]:
@@ -340,6 +340,27 @@ def check_artifact(path_str: str) -> tuple[Path, dict]:
             f"{path_str}: contents no longer match what the {prov.get('stage')} stage "
             "wrote (stale or modified artifact)", kind="stale-upstream")
     return root, prov
+
+
+# the artifact flags a stage may take, in the order they are checked; each is
+# recorded in upstream under its own name
+_INPUTS = ("model", "dataset", "prep")
+
+
+def check_inputs(args) -> tuple[dict[str, Path], dict[str, str]]:
+    """({flag: path}, {flag: content hash}) of every artifact flag given,
+    each checked by check_artifact, refused as stale-upstream where one names
+    another given flag in its upstream with a different hash."""
+    checked = {flag: check_artifact(getattr(args, flag))
+               for flag in _INPUTS if getattr(args, flag, None)}
+    for flag, (_, prov) in checked.items():
+        for name, digest in prov.get("upstream", {}).items():
+            if name in checked and digest != checked[name][1]["content_hash"]:
+                raise CliError(f"--{flag} {getattr(args, flag)} was built from another "
+                               f"{name} artifact than --{name} {getattr(args, name)}",
+                               kind="stale-upstream")
+    return ({flag: path for flag, (path, _) in checked.items()},
+            {flag: prov["content_hash"] for flag, (_, prov) in checked.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -420,36 +441,32 @@ def _report_dict(report) -> dict:
 # stages
 
 
-def cmd_datagen(args, out: Path) -> None:
+def cmd_datagen(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .pde_data.dataset import dataset_build, save_dataset
 
-    cfg = resolve_config(args)
     datasets = dataset_build(cfg["problem"], cfg["seed"], cfg["counts"], cfg["data"])
     save_dataset(out, datasets)
-    write_provenance(out, "datagen", cfg, {})
     print(f"wrote {sum(d.n_samples for d in datasets.values())} samples "
           f"across {len(datasets)} splits to {args.out}")
 
 
-def _config_dataset(cfg: dict, path: str, splits=None):
-    """(the named splits, None: all, and the provenance) of the dataset
-    artifact at path, refused unless it holds the config's problem."""
+def _config_dataset(cfg: dict, path: Path, splits=None) -> dict:
+    """The named splits (None: all) of the dataset at path, refused unless it
+    holds the config's problem."""
     from .pde_data.dataset import load_dataset
 
-    ds_dir, ds_prov = check_artifact(path)
-    datasets = load_dataset(ds_dir, splits)
+    datasets = load_dataset(path, splits)
     for ds in datasets.values():
         if ds.problem != cfg["problem"]:
             raise CliError(f"dataset holds {ds.problem!r} but config says {cfg['problem']!r}")
-    return datasets, ds_prov
+    return datasets
 
 
-def cmd_preprocess(args, out: Path) -> None:
+def cmd_preprocess(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .equidistribution import PreprocessedSet, preprocess_sample, save_preprocessed
     from .parallel import split_rows
 
-    cfg = resolve_config(args)
-    datasets, ds_prov = _config_dataset(cfg, args.dataset)
+    datasets = _config_dataset(cfg, inputs["dataset"])
     domain, periodic = next(iter(datasets.values())).geometry()
     xi = np.linspace(domain[0], domain[1], cfg["preprocess"]["n_xi"] + 1)
 
@@ -462,7 +479,6 @@ def cmd_preprocess(args, out: Path) -> None:
     columns = split_rows({split: ds.n_samples for split, ds in datasets.items()}, prep)
     sets = {split: PreprocessedSet(cfg["problem"], xi, **cols) for split, cols in columns.items()}
     save_preprocessed(out, sets)
-    write_provenance(out, "preprocess", cfg, {"dataset": ds_prov["content_hash"]})
     print(f"preprocessed {len(datasets)} splits into {args.out}")
 
 
@@ -472,19 +488,39 @@ def _load_split(splits: dict, split: str, what: str):
     return splits[split]
 
 
-def cmd_train(args, out: Path) -> None:
+def _check_shift_memory(cfg: dict, n_rows: int) -> None:
+    """Refuse a shift model whose training batch cannot fit in this machine's
+    memory. Its trunk runs once per (row, basis function, output point), so a
+    batch of B rows holds 8 B n_basis output_points bytes for each of: the
+    trunk's input and hidden activations, the gradient of its n_basis outputs
+    and, at the widest hidden layer h, backprop's two deltas and its
+    activation derivative. That is (1 + sum(trunk_hidden) + n_basis + 3 h)
+    such terms; measured peaks per batch row were 0.90 (relu) and 1.03
+    (tanh) times it."""
+    m, batch = cfg["model"], cfg["train"]["batch_size"]
+    rows = n_rows if batch is None else min(batch, n_rows)
+    hidden = m["trunk_hidden"]
+    need = (8 * rows * m["n_basis"] * m["output_points"]
+            * (1 + sum(hidden) + m["n_basis"] + 3 * max(hidden, default=0)))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise CliError(f"a shift batch of {rows} rows needs about {need / 1e9:.1f} GB, more "
+                       f"than this machine's {have / 1e9:.1f} GB of memory; lower "
+                       "train.batch_size, model.n_basis, model.output_points or "
+                       "model.trunk_hidden")
+
+
+def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     from .models import RAdaptiveSystem, save_bundle
     from .parallel import run_pair
     from .training import TrainConfig, train
 
-    cfg = resolve_config(args)
     family, problem = cfg["model"]["family"], cfg["problem"]
-    datasets, ds_prov = _config_dataset(cfg, args.dataset, ("train", "val"))
+    datasets = _config_dataset(cfg, inputs["dataset"], ("train", "val"))
     train_ds = _load_split(datasets, "train", "training")
     domain, periodic = train_ds.geometry()
     val_ds = datasets.get("val")
     tc = TrainConfig(**cfg["train"], seed=cfg["seed"])
-    upstream = {"dataset": ds_prov["content_hash"]}
     encoding = {"advection": "box-params(height,width,shift)",
                 "burgers": f"{train_ds.inputs.shape[1]}-point-sensors",
                 "sod": "riemann-z6"}[problem]
@@ -492,14 +528,9 @@ def cmd_train(args, out: Path) -> None:
     if family == "radaptive":
         from .equidistribution import load_preprocessed
 
-        if not args.prep:
+        if "prep" not in inputs:
             raise CliError("family 'radaptive' requires --prep", kind="missing-input")
-        prep_dir, prep_prov = check_artifact(args.prep)
-        if prep_prov.get("upstream", {}).get("dataset") != ds_prov["content_hash"]:
-            raise CliError("preprocessed artifact was built from a different dataset",
-                           kind="stale-upstream")
-        upstream["prep"] = prep_prov["content_hash"]
-        psets = load_preprocessed(prep_dir, ("train", "val"))
+        psets = load_preprocessed(inputs["prep"], ("train", "val"))
         pset = _load_split(psets, "train", "training")
         vset = None if val_ds is None else psets.get("val")
         xi = pset.xi
@@ -524,6 +555,8 @@ def cmd_train(args, out: Path) -> None:
                     extra={"problem": problem, "family": family})
         run_reports = {"coord": coord_rep, "sol": sol_rep}
     else:
+        if family == "shift":
+            _check_shift_memory(cfg, train_ds.n_samples)
         n_points = cfg["model"]["output_points"]
         queries, targets = _uniform_targets(train_ds, n_points, domain, periodic)
         # validation scores what eval scores, rel-L2 on the dataset's own
@@ -546,27 +579,18 @@ def cmd_train(args, out: Path) -> None:
     (out / "report.json").write_text(json.dumps(
         {"family": family, "problem": problem, "reports": reports},
         indent=2, sort_keys=True) + "\n")
-    write_provenance(out, "train", cfg, upstream,
-                     wall_seconds={k: float(r.wall_seconds) for k, r in run_reports.items()})
     best = {k: r["best_error"] for k, r in reports.items()}
     print(f"trained {family} model on {problem}; best validation errors {best}")
+    return {k: float(r.wall_seconds) for k, r in run_reports.items()}
 
 
-def cmd_eval(args, out: Path) -> None:
+def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .models import load_bundle, model_predict, radaptive_predict_graph
-    from .pde_data.dataset import load_dataset
     from .reconstruct import recover_uniform, rel_l2_error
 
-    cfg = resolve_config(args)
-    model_dir, model_prov = check_artifact(args.model)
-    ds_dir, ds_prov = check_artifact(args.dataset)
-    trained_on = model_prov.get("upstream", {}).get("dataset")
-    if trained_on is not None and trained_on != ds_prov["content_hash"]:
-        raise CliError("model was trained against a different dataset artifact",
-                       kind="stale-upstream")
-    model = load_bundle(model_dir)
+    model = load_bundle(inputs["model"])
     split = cfg["eval"]["split"]
-    ds = _load_split(load_dataset(ds_dir, (split,)), split, "evaluation")
+    ds = _load_split(_config_dataset(cfg, inputs["dataset"], (split,)), split, "evaluation")
     domain, _ = ds.geometry()
     grid = ds.x_grid
     refs = ds.outputs
@@ -608,8 +632,7 @@ def cmd_eval(args, out: Path) -> None:
     summary["mean_rel_l2"] = float(np.mean(per))
     lines = ["sample,rel_l2"]
     lines += [f"{i},{e:.12e}" for i, e in enumerate(per)]
-    _write_outputs(out, ("per_sample.csv", lines), ("summary.json", summary), "eval", cfg,
-                   {"model": model_prov["content_hash"], "dataset": ds_prov["content_hash"]})
+    _write_outputs(out, ("per_sample.csv", lines), ("summary.json", summary))
     print(f"{summary['family']} on {ds.problem}/{split}: "
           f"mean relative L2 error {summary['mean_rel_l2']:.6e}")
 
@@ -629,46 +652,64 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _args_config(args) -> dict:
-    """JSON-safe view of an argparse namespace, for provenance hashing. Paths
-    are left out: upstream names the inputs by content hash, and where the
-    output goes does not change it."""
+    """JSON-safe view of an analyze command's arguments, for provenance
+    hashing, refused before any work where the analysis could not run them:
+    radonet.analysis makes the same checks, for its library callers, only
+    once the work has begun. Paths are left out: upstream names the inputs by
+    content hash, and where the output goes does not change it."""
+    kind = args.analysis
+    if kind in ("spectrum", "tail"):
+        if not (args.dataset or args.prep):
+            raise CliError("need --dataset or --prep", kind="missing-input")
+        if args.field not in ("u", "x") or (args.field == "x" and not args.prep):
+            raise CliError(f"--field must be 'u', or 'x' with --prep, got {args.field!r}")
+    if kind == "tail" and min(_parse_int_list(args.modes, "--modes")) < 0:
+        raise CliError(f"--modes must be at least 0, got {args.modes!r}")
+    if kind in ("adaptive-rate", "fem-rate"):
+        ns, least = _parse_int_list(args.ns, "--ns"), 8 if kind == "adaptive-rate" else 2
+        if len(ns) < 3 or min(ns) < least or any(a >= b for a, b in zip(ns, ns[1:])):
+            raise CliError(f"--ns must be at least 3 strictly increasing sizes, each at "
+                           f"least {least}, got {args.ns!r}")
+        if kind == "fem-rate" and args.fine_points < 4097:
+            raise CliError("--fine-points must be at least 4097")
+        if kind == "fem-rate" and args.target not in ("box", "sine"):
+            raise CliError(f"--target must be 'box' or 'sine', got {args.target!r}")
+    if kind == "adaptive-rate":
+        try:  # the ramp width of each size, as the stage computes it
+            widths = [float(n) ** (-args.delta_power) for n in ns]
+        except OverflowError:
+            widths = [np.inf]
+        if not all(0.0 < w < np.pi / 2 for w in widths):
+            raise CliError(f"--delta-power {args.delta_power} gives a ramp width n**-p "
+                           "outside (0, pi/2) for some n of --ns")
     return {k: v for k, v in vars(args).items()
             if not callable(v) and k not in ("out", "dataset", "prep")}
 
 
-def _spectrum_source(args) -> tuple[np.ndarray, float, str, dict]:
+def _spectrum_source(args, inputs: dict) -> tuple[np.ndarray, float, str]:
     """Pick the dataset matrix for spectrum/tail commands."""
-    upstream = {}
-    if args.prep:
+    if "prep" in inputs:
         from .equidistribution import load_preprocessed
 
-        prep_dir, prep_prov = check_artifact(args.prep)
-        upstream["prep"] = prep_prov["content_hash"]
-        pset = _load_split(load_preprocessed(prep_dir, (args.split,)), args.split, "analysis")
-        field = args.field
-        if field not in ("u", "x"):
-            raise CliError(f"--field must be 'u' or 'x', got {field!r}")
-        data = pset.u if field == "u" else pset.x
+        pset = _load_split(load_preprocessed(inputs["prep"], (args.split,)), args.split,
+                           "analysis")
+        data = pset.u if args.field == "u" else pset.x
         dx = float(pset.xi[1] - pset.xi[0])
-        tag = f"{pset.problem}/{args.split}/{field}(xi)"
+        tag = f"{pset.problem}/{args.split}/{args.field}(xi)"
     else:
         from .pde_data.dataset import load_dataset
 
-        if not args.dataset:
-            raise CliError("need --dataset or --prep", kind="missing-input")
-        ds_dir, ds_prov = check_artifact(args.dataset)
-        upstream["dataset"] = ds_prov["content_hash"]
-        ds = _load_split(load_dataset(ds_dir, (args.split,)), args.split, "analysis")
+        ds = _load_split(load_dataset(inputs["dataset"], (args.split,)), args.split, "analysis")
         data = ds.outputs
         dx = float(ds.x_grid[1] - ds.x_grid[0])
         tag = f"{ds.problem}/{args.split}/u(x)"
-    return data, dx, tag, upstream
+    return data, dx, tag
 
 
-def cmd_analyze_spectrum(args, out: Path) -> None:
+def cmd_analyze_spectrum(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .analysis import covariance_spectrum
 
-    data, dx, tag, upstream = _spectrum_source(args)
+    data, dx, tag = _spectrum_source(args, inputs)
     report = covariance_spectrum(data, dx, tag=tag)
     lines = ["index,eigenvalue"]
     lines += [f"{j + 1},{lam:.12e}" for j, lam in enumerate(report.eigenvalues)]
@@ -679,26 +720,24 @@ def cmd_analyze_spectrum(args, out: Path) -> None:
         "trace": float(np.sum(report.eigenvalues)),
         "leading": [float(v) for v in report.eigenvalues[:10]],
     }
-    _write_outputs(out, ("spectrum.csv", lines), ("spectrum.json", doc),
-                   "analyze-spectrum", _args_config(args), upstream)
+    _write_outputs(out, ("spectrum.csv", lines), ("spectrum.json", doc))
     print(f"spectrum of {tag}: trace {doc['trace']:.6e}")
 
 
-def cmd_analyze_tail(args, out: Path) -> None:
+def cmd_analyze_tail(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .analysis import covariance_spectrum, optimal_error_tail
 
-    data, dx, tag, upstream = _spectrum_source(args)
+    data, dx, tag = _spectrum_source(args, inputs)
     report = covariance_spectrum(data, dx, tag=tag)
     modes = _parse_int_list(args.modes, "--modes")
     tails = [(n, optimal_error_tail(report, n)) for n in modes]
     lines = ["n,tail"] + [f"{n},{t:.12e}" for n, t in tails]
     doc = {"tag": tag, "tails": {str(n): float(t) for n, t in tails}}
-    _write_outputs(out, ("tail.csv", lines), ("tail.json", doc), "analyze-tail",
-                   _args_config(args), upstream)
+    _write_outputs(out, ("tail.csv", lines), ("tail.json", doc))
     print(f"tail sums of {tag}: " + ", ".join(f"n={n}: {t:.3e}" for n, t in tails))
 
 
-def cmd_analyze_adaptive_rate(args, out: Path) -> None:
+def cmd_analyze_adaptive_rate(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .analysis import adaptive_box_construct, rate_fit
 
     ns = _parse_int_list(args.ns, "--ns")
@@ -711,34 +750,27 @@ def cmd_analyze_adaptive_rate(args, out: Path) -> None:
     lines = ["n,delta,error"] + [f"{n},{d:.12e},{e:.12e}" for n, d, e in rows]
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "delta_power": args.delta_power}
-    _write_outputs(out, ("adaptive_rate.csv", lines), ("adaptive_rate.json", doc),
-                   "analyze-adaptive-rate", _args_config(args), {})
+    _write_outputs(out, ("adaptive_rate.csv", lines), ("adaptive_rate.json", doc))
     print(f"adaptive interpolant rate: slope {result.slope:.4f} "
           f"(residual {result.residual:.2e})")
 
 
-def cmd_analyze_fem_rate(args, out: Path) -> None:
+def cmd_analyze_fem_rate(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .analysis import box_samples, fem_uniform_interp_error, rate_fit
 
     ns = _parse_int_list(args.ns, "--ns")
-    m = int(args.fine_points)
-    if m < 4097:
-        raise CliError("--fine-points must be at least 4097")
     if args.target == "box":
         domain = (-np.pi, np.pi)
-        u = box_samples(np.linspace(domain[0], domain[1], m))
-    elif args.target == "sine":
-        domain = (0.0, 1.0)
-        u = np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, m))
+        u = box_samples(np.linspace(domain[0], domain[1], args.fine_points))
     else:
-        raise CliError(f"--target must be 'box' or 'sine', got {args.target!r}")
+        domain = (0.0, 1.0)
+        u = np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, args.fine_points))
     rows = [(n, fem_uniform_interp_error(u, n, domain)) for n in ns]
     result = rate_fit([r[0] for r in rows], [r[1] for r in rows])
     lines = ["n,error"] + [f"{n},{e:.12e}" for n, e in rows]
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "target": args.target}
-    _write_outputs(out, ("fem_rate.csv", lines), ("fem_rate.json", doc),
-                   "analyze-fem-rate", _args_config(args), {})
+    _write_outputs(out, ("fem_rate.csv", lines), ("fem_rate.json", doc))
     print(f"uniform-mesh interpolation rate on {args.target}: slope {result.slope:.4f}")
 
 
@@ -835,7 +867,12 @@ def main(argv=None) -> int:
             args.func(args)
         else:
             with stage_output(args.out) as out:
-                args.func(args, out)
+                analyze = args.command == "analyze"
+                cfg = _args_config(args) if analyze else resolve_config(args)
+                inputs, upstream = check_inputs(args)
+                wall_seconds = args.func(args, cfg, inputs, out)
+                write_provenance(out, f"analyze-{args.analysis}" if analyze else args.command,
+                                 cfg, upstream, wall_seconds)
     except SystemExit as exc:
         return int(exc.code or 0)
     except CliError as exc:

@@ -29,7 +29,7 @@ def test_every_traced_name_is_a_module_level_function():
 
 def test_traced_stage_records_cli_spans_and_writes_the_same_bytes(tmp_path):
     # the tracer wraps radonet.cli.content_hash and write_provenance by name,
-    # so it sees them only while the stages call them through those names
+    # so it sees them only while the CLI calls them through those names
     from radonet.cli import main
 
     stage = ["datagen", "--set", 'counts={"train": 2, "test": 1}', "--set", "data.n_grid=64"]

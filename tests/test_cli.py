@@ -194,6 +194,21 @@ def _train_radaptive(micro, out, expect=0):
             expect=expect)
 
 
+def test_shift_model_too_big_for_memory_is_refused(micro, tmp_path, capsys, monkeypatch):
+    # 6 rows x 4096 basis functions x 4096 output points: about 3.4 TB
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused config was trained")
+
+    monkeypatch.setattr(training, "train", refuse)
+    out = tmp_path / "shift"
+    run_cli("train", "--config", str(micro["cfg"]), "--set", "model.family=shift",
+            "--set", "model.n_basis=4096", "--set", "model.output_points=4096",
+            "--dataset", str(micro["data"]), "--out", str(out), expect=2)
+    err = read_error(capsys)
+    assert err["kind"] == "config" and "3363.8 GB" in err["message"]
+    assert not out.exists()
+
+
 def test_radaptive_pair_trains_the_same_bytes_concurrently_and_in_turn(
         micro, tmp_path, monkeypatch, forks):
     if not _can_train_concurrently():
@@ -558,13 +573,20 @@ def test_stale_artifact_refusal(micro, tmp_path, capsys):
             "--out", str(tmp_path / "p"), expect=2)
     assert read_error(capsys)["kind"] == "stale-upstream"
 
-    # model trained against a different dataset artifact is refused too
-    other_data = tmp_path / "other_data"
-    run_cli("datagen", "--config", str(micro["cfg"]), "--set", "seed=4",
-            "--out", str(other_data))
-    run_cli("eval", "--config", str(micro["cfg"]), "--model", str(micro["van"]),
-            "--dataset", str(other_data), "--out", str(tmp_path / "e"), expect=2)
-    assert read_error(capsys)["kind"] == "stale-upstream"
+    # every artifact flag given is cross-checked against the others: a model
+    # trained against a different dataset artifact is refused, and so is a
+    # prep built from one, even where the stage does not read the prep
+    c = ("--config", str(micro["cfg"]))
+    other_data, other_prep = tmp_path / "other_data", tmp_path / "other_prep"
+    run_cli("datagen", *c, "--set", "seed=4", "--out", str(other_data))
+    run_cli("preprocess", *c, "--dataset", str(other_data), "--out", str(other_prep))
+    data = ("--dataset", str(micro["data"]))
+    for argv in (("eval", *c, "--model", str(micro["van"]), "--dataset", str(other_data)),
+                 ("train", *c, *data, "--prep", str(other_prep)),
+                 ("analyze", "spectrum", *data, "--prep", str(other_prep))):
+        run_cli(*argv, "--out", str(tmp_path / "e"), expect=2)
+        assert read_error(capsys)["kind"] == "stale-upstream"
+        assert not (tmp_path / "e").exists()
 
 
 def _rerecord(data, model):
@@ -701,9 +723,39 @@ def test_missing_inputs(micro, tmp_path, capsys):
 
 
 def test_problem_mismatch(micro, tmp_path, capsys):
-    run_cli("preprocess", "--config", str(micro["cfg"]), "--set", "problem=burgers",
-            "--dataset", str(micro["data"]), "--out", str(tmp_path / "p"), expect=2)
-    assert "burgers" in read_error(capsys)["message"]
+    # every stage that reads the dataset refuses one of another problem; sod,
+    # unlike burgers, takes the micro config's data.n_grid, so the config
+    # walk passes and the dataset check is what refuses
+    data = ("--dataset", str(micro["data"]))
+    for stage, inputs in (("preprocess", data), ("train", data),
+                          ("eval", ("--model", str(micro["van"]), *data))):
+        run_cli(stage, "--config", str(micro["cfg"]), "--set", "problem=sod", *inputs,
+                "--out", str(tmp_path / stage), expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "config" and "holds 'advection'" in err["message"]
+        assert not (tmp_path / stage).exists()
+
+
+def test_upstream_records_every_artifact_flag_given(micro, tmp_path):
+    def upstream(root):
+        return json.loads((root / "provenance.json").read_text())["upstream"]
+
+    c, data, prep = ("--config", str(micro["cfg"])), str(micro["data"]), str(micro["prep"])
+    for name, args in (("spec_prep", ("analyze", "spectrum", "--prep", prep)),
+                       ("tail_data", ("analyze", "tail", "--dataset", data)),
+                       ("spec_both", ("analyze", "spectrum", "--dataset", data, "--prep", prep)),
+                       ("van_prep", ("train", *c, "--dataset", data, "--prep", prep))):
+        run_cli(*args, "--out", str(tmp_path / name))
+    hashes = {key: content_hash(micro[key]) for key in ("data", "prep", "van", "rad")}
+    dataset, both = {"dataset": hashes["data"]}, {"dataset": hashes["data"], "prep": hashes["prep"]}
+    for root, want in ((micro["data"], {}), (micro["prep"], dataset), (micro["van"], dataset),
+                       (micro["rad"], both),
+                       (micro["van_eval"], {"model": hashes["van"], **dataset}),
+                       (micro["rad_eval"], {"model": hashes["rad"], **dataset}),
+                       (tmp_path / "spec_prep", {"prep": hashes["prep"]}),
+                       (tmp_path / "tail_data", dataset),
+                       (tmp_path / "spec_both", both), (tmp_path / "van_prep", both)):
+        assert upstream(root) == want, root.name
 
 
 def test_analyze_spectrum_and_tail(micro, tmp_path, capsys):
@@ -742,6 +794,31 @@ def test_analyze_rates(tmp_path):
             "--fine-points", "8193", "--out", str(fem))
     doc = json.loads((fem / "fem_rate.json").read_text())
     assert -0.75 < doc["slope"] < -0.3
+
+
+@pytest.mark.parametrize("argv", [
+    ("adaptive-rate", "--ns", "16,32"),
+    ("adaptive-rate", "--ns", "4,8,16"),
+    ("adaptive-rate", "--ns", "16,16,32"),
+    ("fem-rate", "--ns", "1,2,3", "--fine-points", "4097"),
+    ("fem-rate", "--ns", "16,64,32", "--fine-points", "4097"),
+    ("adaptive-rate", "--delta-power", "-1"),
+    ("tail", "--dataset", "DATA", "--modes=-1,2"),
+    ("spectrum", "--dataset", "DATA", "--field", "x"),
+    ("tail", "--dataset", "DATA", "--field", "x"),
+])
+def test_analyze_arguments_are_refused_before_any_work(micro, tmp_path, capsys, monkeypatch,
+                                                       argv):
+    from radonet import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inputs were checked for refused arguments")
+
+    monkeypatch.setattr(cli, "check_artifact", refuse)
+    argv = [str(micro["data"]) if arg == "DATA" else arg for arg in argv]
+    run_cli("analyze", *argv, "--out", str(tmp_path / "out"), expect=2)
+    assert read_error(capsys)["kind"] == "config"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_config_hash_ignores_paths(micro, tmp_path):
