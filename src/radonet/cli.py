@@ -17,7 +17,14 @@ compute.
 
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
-object describing the error is printed to stderr. resolve_config refuses,
+object describing the error is printed to stderr. main returns that code and
+never exits, so tests and other in-process callers call main. A stage
+process (python -m radonet.cli, or the installed radonet command) enters
+through run, which calls main, flushes stdout and stderr and ends the
+process with os._exit, skipping the interpreter's teardown: by the time main
+returns, stage_output has renamed or deleted the .partial directory, every
+file has been written and closed, and run_pair has reaped its child, so
+teardown has nothing left to finish. resolve_config refuses,
 before any work and in one walk of the config, an unknown key, a value of
 the wrong JSON type and a value that fails its row of _RULES.
 
@@ -408,7 +415,7 @@ def _make_shift(cfg: dict, n_inputs: int, bounds):
 
 def _uniform_targets(ds, n_points: int, domain, periodic: bool):
     """Resample a split's output fields onto n uniform query points."""
-    from .equidistribution import close_periodic
+    from .reconstruct import close_periodic
 
     lo, hi = domain
     grid, outputs = ds.x_grid, ds.outputs
@@ -502,12 +509,18 @@ def _check_shift_memory(cfg: dict, n_rows: int) -> None:
     hidden = m["trunk_hidden"]
     need = (8 * rows * m["n_basis"] * m["output_points"]
             * (1 + sum(hidden) + m["n_basis"] + 3 * max(hidden, default=0)))
+    _refuse_above_memory(need, f"a shift batch of {rows} rows", "train.batch_size, "
+                         "model.n_basis, model.output_points or model.trunk_hidden")
+
+
+def _refuse_above_memory(need: int, what: str, lower: str) -> None:
+    """Refuse, naming what to lower, work that needs more than this machine's
+    physical memory (need bytes)."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise CliError(f"a shift batch of {rows} rows needs about {need / 1e9:.1f} GB, more "
-                       f"than this machine's {have / 1e9:.1f} GB of memory; lower "
-                       "train.batch_size, model.n_basis, model.output_points or "
-                       "model.trunk_hidden")
+        tenths = (need + 5 * 10**7) // 10**8  # integer GB / 10: need may be past float range
+        raise CliError(f"{what} needs about {tenths // 10}.{tenths % 10} GB, more than this "
+                       f"machine's {have / 1e9:.1f} GB of memory; lower {lower}")
 
 
 def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
@@ -586,7 +599,7 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
 
 def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .models import load_bundle, model_predict, radaptive_predict_graph
-    from .reconstruct import recover_uniform, rel_l2_error
+    from .reconstruct import fd_derivative, recover_uniform, rel_l2_error
 
     model = load_bundle(inputs["model"])
     split = cfg["eval"]["split"]
@@ -598,8 +611,6 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
                "family": model.family}
 
     if model.family == "radaptive":
-        from .equidistribution import fd_derivative
-
         preds = np.empty_like(refs)
         # the solution net is continuous along the computational axis, so
         # evaluation may sample it more densely than the training grid; the
@@ -674,6 +685,17 @@ def _args_config(args) -> dict:
             raise CliError("--fine-points must be at least 4097")
         if kind == "fem-rate" and args.target not in ("box", "sine"):
             raise CliError(f"--target must be 'box' or 'sine', got {args.target!r}")
+        # peak float64 arrays the analysis holds, measured with tracemalloc:
+        # fem-rate 7 of --fine-points plus 2 of the largest size's knots,
+        # adaptive-rate 20 of knots (153-157 bytes a knot)
+        top = ns[-1] + 1
+        if kind == "fem-rate":
+            _refuse_above_memory(8 * (7 * args.fine_points + 2 * top),
+                                 f"fem-rate at --fine-points {args.fine_points} and size "
+                                 f"{ns[-1]}", "--fine-points or the largest --ns")
+        else:
+            _refuse_above_memory(8 * 20 * top, f"adaptive-rate at size {ns[-1]}",
+                                 "the largest --ns")
     if kind == "adaptive-rate":
         try:  # the ramp width of each size, as the stage computes it
             widths = [float(n) ** (-args.delta_power) for n in ns]
@@ -884,5 +906,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry point: main on the command line, then os._exit with
+    its code once stdout and stderr are flushed. An exception main lets
+    through (KeyboardInterrupt) takes the interpreter's normal exit."""
+    code = main(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the descriptor was closed at start-up
+                stream.flush()
+    except OSError:  # output was lost: fail, with the code the interpreter's own exit uses
+        code = code or 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

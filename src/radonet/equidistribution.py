@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import store
+from .reconstruct import close_periodic, fd_derivative
 
 PREPROCESSED_VERSION = 3
 
@@ -43,21 +44,6 @@ class DensityField:
 
     def grid(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.values.size)
-
-
-def fd_derivative(u: np.ndarray, dx: float, periodic: bool = False) -> np.ndarray:
-    """Derivative along the last axis of samples spaced dx apart.
-
-    Central differences inside; periodic wrap, or first-order one-sided
-    differences at both ends.
-    """
-    if periodic:
-        return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * dx)
-    du = np.empty_like(u)
-    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
-    du[..., 0] = (u[..., 1] - u[..., 0]) / dx
-    du[..., -1] = (u[..., -1] - u[..., -2]) / dx
-    return du
 
 
 def _smooth3(values: np.ndarray, passes: int, periodic: bool) -> np.ndarray:
@@ -96,14 +82,6 @@ def density_arclength(u_values: np.ndarray, dx: float, smoothing_passes: int = 2
     rho = np.sqrt(1.0 + beta * du * du)
     rho = _smooth3(rho, smoothing_passes, periodic)
     return DensityField(values=rho, dx=dx, x0=x0, periodic=periodic)
-
-
-def close_periodic(grid: np.ndarray, values: np.ndarray, length: float):
-    """A periodic table closed by its wrap point: grid plus grid[0] + length,
-    values (one field, or one per row) plus their first column. Plain np.interp
-    on it equals np.interp(period=length), to the bit when grid[0] is 0 (period=
-    reduces queries modulo the period), without re-sorting the grid per call."""
-    return np.append(grid, grid[0] + length), np.concatenate([values, values[..., :1]], axis=-1)
 
 
 def _domain_mass(values: np.ndarray, dx: float, periodic: bool) -> float:

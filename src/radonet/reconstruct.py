@@ -1,8 +1,33 @@
-"""Recover solutions on uniform grids from predicted graph knots."""
+"""Recover solutions on uniform grids from predicted graph knots, and the
+grid helpers every stage shares: the one finite-difference stencil and the
+one periodic closure."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def fd_derivative(u: np.ndarray, dx: float, periodic: bool = False) -> np.ndarray:
+    """Derivative along the last axis of samples spaced dx apart.
+
+    Central differences inside; periodic wrap, or first-order one-sided
+    differences at both ends.
+    """
+    if periodic:
+        return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * dx)
+    du = np.empty_like(u)
+    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    du[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    du[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    return du
+
+
+def close_periodic(grid: np.ndarray, values: np.ndarray, length: float):
+    """A periodic table closed by its wrap point: grid plus grid[0] + length,
+    values (one field, or one per row) plus their first column. Plain np.interp
+    on it equals np.interp(period=length), to the bit when grid[0] is 0 (period=
+    reduces queries modulo the period), without re-sorting the grid per call."""
+    return np.append(grid, grid[0] + length), np.concatenate([values, values[..., :1]], axis=-1)
 
 
 def monotone_fix(knots: np.ndarray, domain: tuple[float, float]) -> np.ndarray:

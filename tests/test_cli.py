@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radonet
 from radonet import parallel, store, training
 from radonet.cli import DEFAULT_CONFIG, config_hash, content_hash, main, resolve_config
 
@@ -656,11 +659,6 @@ _SOLVERS = {f"radonet.pde_data.{m}" for m in ("advection", "burgers", "grf", "ri
 def _modules_loaded(*argv) -> set:
     """The modules a fresh interpreter holds after importing radonet.cli and
     running main(argv), when argv is given."""
-    import subprocess
-    import sys
-
-    import radonet
-
     code = ("import sys, radonet.cli; argv = sys.argv[1:]; "
             "code = radonet.cli.main(argv) if argv else 0; "
             "print(code, ' '.join(sorted(sys.modules)))")
@@ -681,14 +679,22 @@ def test_importing_the_cli_loads_no_stage_code():
 
 
 def test_eval_loads_no_training_analysis_or_solver_code(micro, tmp_path):
-    for name, family in (("van", "vanilla"), ("rad", "radaptive")):
+    # a radaptive eval's mesh check takes its stencil from reconstruct
+    for name in ("van", "rad"):
         loaded = _modules_loaded("eval", "--config", str(micro["cfg"]), "--model",
                                  str(micro[name]), "--dataset", str(micro["data"]),
                                  "--out", str(tmp_path / name))
         assert {"radonet.models", "radonet.reconstruct"} <= loaded
-        assert not loaded & {"radonet.analysis", "radonet.training", *_SOLVERS}
-        # only the mesh checks of a radaptive eval use equidistribution
-        assert ("radonet.equidistribution" in loaded) == (family == "radaptive")
+        assert not loaded & {"radonet.analysis", "radonet.training",
+                             "radonet.equidistribution", *_SOLVERS}
+
+
+def test_vanilla_train_loads_no_preprocessing_code(micro, tmp_path):
+    # its periodic resampling takes close_periodic from reconstruct
+    loaded = _modules_loaded("train", "--config", str(micro["cfg"]), "--dataset",
+                             str(micro["data"]), "--out", str(tmp_path / "van"))
+    assert "radonet.training" in loaded
+    assert not loaded & {"radonet.analysis", "radonet.equidistribution", *_SOLVERS}
 
 
 def test_malformed_provenance_is_refused(micro, tmp_path, capsys):
@@ -821,6 +827,28 @@ def test_analyze_arguments_are_refused_before_any_work(micro, tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("fem-rate", "--ns", "16,32,10000000000000"),  # 72.8 TiB of knots
+    ("fem-rate", "--fine-points", "100000000000000"),  # 728 TiB of samples
+    ("adaptive-rate", "--ns", "16,32,10000000000000"),
+    ("fem-rate", "--ns", "16,32," + "9" * 400),  # past float range
+])
+def test_analyze_sizes_beyond_memory_are_refused_before_any_allocation(tmp_path, capsys,
+                                                                       monkeypatch, argv):
+    from radonet import analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was allocated for refused arguments")
+
+    for name in ("box_samples", "fem_uniform_interp_error", "adaptive_box_construct"):
+        monkeypatch.setattr(analysis, name, refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+    run_cli("analyze", *argv, "--out", str(tmp_path / "out"), expect=2)
+    err = read_error(capsys)
+    assert err["kind"] == "config" and "GB of memory" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_config_hash_ignores_paths(micro, tmp_path):
     # identical results in different places record the same provenance;
     # the inputs enter it through upstream's content hashes
@@ -898,3 +926,69 @@ def test_usage_errors_are_json(capsys):
     assert read_error(capsys)["kind"] == "usage"
     run_cli("frobnicate", expect=2)
     assert read_error(capsys)["kind"] == "usage"
+
+
+def test_main_returns_its_exit_code_and_never_exits(tmp_path, capsys, monkeypatch):
+    # in-process callers (these tests, the benchmark's tracer) read the code
+    # main returns; only run ends the process
+    from radonet import cli
+
+    def broken(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "cmd_analyze_adaptive_rate", broken)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: radonet")
+    assert main(["frobnicate"]) == 2
+    assert read_error(capsys)["kind"] == "usage"
+    assert main(["analyze", "adaptive-rate", "--out", str(tmp_path / "a")]) == 1
+    assert read_error(capsys)["kind"] == "runtime"
+
+
+def _stage_process(*argv, cwd, stdout=subprocess.PIPE, **popen):
+    """python -m radonet.cli as a stage of a pipeline runs it: its own process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(radonet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as a plain shell runs it
+    return subprocess.run([sys.executable, "-m", "radonet.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120, **popen)
+
+
+def test_stage_process_ends_with_its_output_flushed_and_complete(tmp_path):
+    from radonet.cli import check_artifact
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(MICRO))
+    out, log = tmp_path / "data", tmp_path / "stdout.txt"
+    # to a file, stdout is block-buffered: the line is there only if it was flushed
+    with open(log, "wb") as fh:
+        done = _stage_process("datagen", "--config", str(cfg), "--out", str(out),
+                              cwd=tmp_path, stdout=fh)
+    assert done.returncode == 0 and done.stderr == b""
+    assert log.read_text() == f"wrote 13 samples across 3 splits to {out}\n"
+    check_artifact(str(out))
+    assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "in_process")]) == 0
+    assert {f.name: f.read_bytes() for f in out.iterdir() if f.name != "provenance.json"} == \
+        {f.name: f.read_bytes() for f in (tmp_path / "in_process").iterdir()
+         if f.name != "provenance.json"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "data", "in_process", "stdout.txt"]
+
+    again = _stage_process("datagen", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
+    assert again.returncode == 2 and again.stdout == b""
+    lines = again.stderr.decode().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "usage"
+
+
+def test_stage_process_help(tmp_path):
+    done = _stage_process("--help", cwd=tmp_path)
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout.decode().startswith("usage: radonet")
+    assert "datagen" in done.stdout.decode()
+
+
+def test_stage_process_with_stdout_closed_succeeds(tmp_path):
+    # with descriptor 1 closed at start-up, sys.stdout is None and print writes nothing
+    done = _stage_process("config", "show-defaults", cwd=tmp_path, stdout=None,
+                          preexec_fn=lambda: os.close(1))
+    assert done.returncode == 0 and done.stderr == b""
