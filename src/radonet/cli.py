@@ -139,7 +139,7 @@ _RULES = {
     "preprocess.n_xi": _at_least(2), "preprocess.m_cap": _at_least(1),
     "preprocess.mbar_cap": _at_least(1), "preprocess.beta": _at_least(0),
     "preprocess.smoothing_passes": _at_least(0), "preprocess.ratio_limit": _ABOVE_0,
-    "model.family": _one_of("vanilla", "shift", "radaptive"), "model.n_basis": _at_least(1),
+    "model.family": _one_of("vanilla", "radaptive"), "model.n_basis": _at_least(1),
     "model.branch_hidden": _LAYERS, "model.trunk_hidden": _LAYERS,
     "model.branch_activation": _one_of("relu", "tanh"),
     "model.trunk_activation": _one_of("relu", "tanh"), "model.output_points": _at_least(1),
@@ -397,22 +397,6 @@ def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str):
                query_lo=[bounds[0]], query_hi=[bounds[1]])
 
 
-def _make_shift(cfg: dict, n_inputs: int, bounds):
-    from .models import ShiftDeepOnetModel
-    from .nn import mlp_init
-
-    m = cfg["model"]
-    n_basis = m["n_basis"]
-    base = _make_deeponet(cfg, n_inputs, bounds, role="shift")
-    # the scale and shift nets read the input like the branch, one output per basis function
-    nets = {f"{name}_net": mlp_init([n_inputs, *m["branch_hidden"], n_basis],
-                                    activation=m["branch_activation"],
-                                    seed=_derived_seed(cfg["seed"], "init", "shift", name))
-            for name in ("scale", "shift")}
-    return ShiftDeepOnetModel(branch=base.branch, trunk=base.trunk, n_basis=n_basis,
-                              query_lo=[bounds[0]], query_hi=[bounds[1]], **nets)
-
-
 def _uniform_targets(ds, n_points: int, domain, periodic: bool):
     """Resample a split's output fields onto n uniform query points."""
     from .reconstruct import close_periodic
@@ -495,34 +479,6 @@ def _load_split(splits: dict, split: str, what: str):
     return splits[split]
 
 
-def _check_shift_memory(cfg: dict, n_rows: int) -> None:
-    """Refuse a shift model whose training batch cannot fit in this machine's
-    memory. Its trunk runs once per (row, basis function, output point), so a
-    batch of B rows holds 8 B n_basis output_points bytes for each of: the
-    trunk's input and hidden activations, the gradient of its n_basis outputs
-    and, at the widest hidden layer h, backprop's two deltas and its
-    activation derivative. That is (1 + sum(trunk_hidden) + n_basis + 3 h)
-    such terms; measured peaks per batch row were 0.90 (relu) and 1.03
-    (tanh) times it."""
-    m, batch = cfg["model"], cfg["train"]["batch_size"]
-    rows = n_rows if batch is None else min(batch, n_rows)
-    hidden = m["trunk_hidden"]
-    need = (8 * rows * m["n_basis"] * m["output_points"]
-            * (1 + sum(hidden) + m["n_basis"] + 3 * max(hidden, default=0)))
-    _refuse_above_memory(need, f"a shift batch of {rows} rows", "train.batch_size, "
-                         "model.n_basis, model.output_points or model.trunk_hidden")
-
-
-def _refuse_above_memory(need: int, what: str, lower: str) -> None:
-    """Refuse, naming what to lower, work that needs more than this machine's
-    physical memory (need bytes)."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        tenths = (need + 5 * 10**7) // 10**8  # integer GB / 10: need may be past float range
-        raise CliError(f"{what} needs about {tenths // 10}.{tenths % 10} GB, more than this "
-                       f"machine's {have / 1e9:.1f} GB of memory; lower {lower}")
-
-
 def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     from .models import RAdaptiveSystem, save_bundle
     from .parallel import run_pair
@@ -568,19 +524,13 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
                     extra={"problem": problem, "family": family})
         run_reports = {"coord": coord_rep, "sol": sol_rep}
     else:
-        if family == "shift":
-            _check_shift_memory(cfg, train_ds.n_samples)
         n_points = cfg["model"]["output_points"]
         queries, targets = _uniform_targets(train_ds, n_points, domain, periodic)
         # validation scores what eval scores, rel-L2 on the dataset's own
         # grid: a narrow box can fall between all output_points, and its
         # all-zero resampled target has no relative error
         val = train_ds if val_ds is None else val_ds
-        n_in = train_ds.inputs.shape[1]
-        if family == "vanilla":
-            model = _make_deeponet(cfg, n_in, domain, role="vanilla")
-        else:
-            model = _make_shift(cfg, n_in, domain)
+        model = _make_deeponet(cfg, train_ds.inputs.shape[1], domain, role="vanilla")
         model, report = train(model, train_ds.inputs, targets, queries, tc, loss="mse",
                               val_inputs=val.inputs, val_targets=val.outputs,
                               val_queries=val.x_grid.reshape(-1, 1))
@@ -660,6 +610,16 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not values:
         raise CliError(f"{what} is empty")
     return values
+
+
+def _refuse_above_memory(need: int, what: str, lower: str) -> None:
+    """Refuse, naming what to lower, work that needs more than this machine's
+    physical memory (need bytes)."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        tenths = (need + 5 * 10**7) // 10**8  # integer GB / 10: need may be past float range
+        raise CliError(f"{what} needs about {tenths // 10}.{tenths % 10} GB, more than this "
+                       f"machine's {have / 1e9:.1f} GB of memory; lower {lower}")
 
 
 def _args_config(args) -> dict:
@@ -908,15 +868,22 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry point: main on the command line, then os._exit with
-    its code once stdout and stderr are flushed. An exception main lets
-    through (KeyboardInterrupt) takes the interpreter's normal exit."""
+    its code once stdout and stderr are flushed. Output lost in that flush
+    fails the process like any runtime error, with one JSON line on stderr
+    and exit 1; where main had already failed, it has printed its line, and
+    its code stands. An exception main lets through (KeyboardInterrupt) takes
+    the interpreter's normal exit."""
     code = main(sys.argv[1:])
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None where the descriptor was closed at start-up
                 stream.flush()
-    except OSError:  # output was lost: fail, with the code the interpreter's own exit uses
-        code = code or 120
+    except OSError as exc:
+        if code == 0:
+            code = 1
+            with contextlib.suppress(OSError, AttributeError):  # stderr lost or closed too
+                _emit_error("runtime", f"flushing output: {type(exc).__name__}: {exc}")
+                sys.stderr.flush()
     os._exit(code)
 
 

@@ -1,18 +1,19 @@
 """Branch/trunk operator networks and the two-net adaptive system.
 
-A plain operator net predicts u(y) = sum_k branch_k(a) * trunk_k(y). The
-shifted variant feeds each trunk component an affinely transformed query.
-The adaptive system pairs a coordinate net (predicting mesh locations) with
-a solution net (predicting values on that mesh) over a shared uniform
-computational grid. The coordinate net reads its output through a monotone
-head, so the mesh it predicts cannot fold.
+A DeepONet predicts u(y) = sum_k branch_k(a) * trunk_k(y); it is the
+vanilla family on its own. The adaptive system, the radaptive family, pairs
+a coordinate net (predicting mesh locations) with a solution net (predicting
+values on that mesh), both DeepONets, over a shared uniform computational
+grid. The coordinate net reads its output through a monotone head, so the
+mesh it predicts cannot fold.
 
-Every operator net offers one protocol to training, evaluation and bundles:
-`nets` (its MLP fields, in gradient order), `forward`/`backward` (with
-caches, for training), `predict` (no caches), `copy`, its bundle `kind` and
-the `family` that eval reports; the two-net system has a `kind` and a
-`family` too. The methods call this module's functions by their global
-names, so wrapping a module function wraps every model's use of it.
+Both operator nets, DeepOnetModel and its subclass CoordinateNet, offer one
+protocol to training, evaluation and bundles: `nets` (its MLP fields, in
+gradient order), `forward`/`backward` (with caches, for training), `predict`
+(no caches), `copy`, its bundle `kind` and the `family` that eval reports;
+the two-net system has a `kind` and a `family` too. The methods call this
+module's functions by their global names, so wrapping a module function
+wraps every model's use of it.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def _as_2d(arr: np.ndarray, d: int, what: str) -> np.ndarray:
     return a
 
 
-def _predict_chunks(forward, model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """forward's predictions with no caches kept, PREDICT_CHUNK queries at a
-    time, so memory does not grow with the grid."""
+def _predict_chunks(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """deeponet_forward_batch's predictions with no caches kept,
+    PREDICT_CHUNK queries at a time, so memory does not grow with the grid."""
     q = np.asarray(queries, dtype=np.float64)
-    return np.concatenate([forward(model, inputs, q[start:start + PREDICT_CHUNK])[0]
+    return np.concatenate([deeponet_forward_batch(model, inputs, q[start:start + PREDICT_CHUNK])[0]
                            for start in range(0, len(q), PREDICT_CHUNK)], axis=1)
 
 
@@ -60,25 +61,33 @@ def model_predict(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return model.predict(inputs, queries)
 
 
-class _OperatorNet:
-    """What the operator nets share: query bounds, copies and bundle files.
+@dataclass
+class DeepOnetModel:
+    """Branch net encodes the input function, trunk net provides the basis.
 
-    Subclasses are dataclasses with `branch`, `trunk`, `n_basis`,
-    `query_lo` and `query_hi` fields. In a bundle each net in `nets` is
-    stored as `<stem>_weight_<i>.npy` and `<stem>_bias_<i>.npy`, with its
-    layer sizes and activation in the manifest's `nets` entry under its
-    stem; n_basis is the branch's output size.
+    In a bundle each net in `nets` is stored as `<net>_weight_<i>.npy` and
+    `<net>_bias_<i>.npy`, with its layer sizes and activation in the
+    manifest's `nets` entry under its name; n_basis is the branch's output
+    size.
     """
 
-    nets = ("branch", "trunk")
+    branch: MlpParams
+    trunk: MlpParams
+    n_basis: int
+    query_lo: np.ndarray
+    query_hi: np.ndarray
 
-    def _check(self, outputs: dict[str, int]) -> None:
-        """Refuse nets whose output sizes differ from outputs, by net name,
-        and query bounds that are not ordered (d,) vectors."""
-        for name, want in outputs.items():
+    nets = ("branch", "trunk")
+    kind = "deeponet"
+    family = "vanilla"
+
+    def __post_init__(self):
+        """Refuse nets whose output size is not n_basis and query bounds that
+        are not ordered (d,) vectors."""
+        for name in self.nets:
             got = getattr(self, name).layer_sizes[-1]
-            if got != want:
-                raise ValueError(f"{name} output size {got} != {want}")
+            if got != self.n_basis:
+                raise ValueError(f"{name} output size {got} != {self.n_basis}")
         self.query_lo = np.atleast_1d(np.asarray(self.query_lo, dtype=np.float64))
         self.query_hi = np.atleast_1d(np.asarray(self.query_hi, dtype=np.float64))
         d = self.d_query
@@ -100,58 +109,6 @@ class _OperatorNet:
         """The same model with every net deep-copied."""
         return replace(self, **{name: getattr(self, name).copy() for name in self.nets})
 
-    def _save_parts(self, out: Path, input_encoding: str) -> dict:
-        nets = {}
-        for name, stem in self._stems().items():
-            params = getattr(self, name)
-            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-                store.write_array(out, f"{stem}_weight_{i}", w)
-                store.write_array(out, f"{stem}_bias_{i}", b)
-            nets[stem] = {"layer_sizes": list(params.layer_sizes), "activation": params.activation}
-        return {"nets": nets,
-                "query_lo": [float(v) for v in self.query_lo],
-                "query_hi": [float(v) for v in self.query_hi]}
-
-    @classmethod
-    def _read_parts(cls, root: Path, manifest: dict) -> dict:
-        net = {"layer_sizes": [int], "activation": str}
-        store.check_fields(root, manifest, {"nets": dict.fromkeys(cls._stems().values(), net),
-                                            "query_lo": [float], "query_hi": [float]})
-        parts = {"query_lo": np.asarray(manifest["query_lo"], dtype=np.float64),
-                 "query_hi": np.asarray(manifest["query_hi"], dtype=np.float64)}
-        for name, stem in cls._stems().items():
-            entry = manifest["nets"][stem]
-            layers = range(len(entry["layer_sizes"]) - 1)
-            weights = [store.read_array(root, f"{stem}_weight_{i}", 2) for i in layers]
-            biases = [store.read_array(root, f"{stem}_bias_{i}", 1) for i in layers]
-            try:
-                parts[name] = mlp_params(entry["layer_sizes"], entry["activation"], weights, biases)
-            except ValueError as exc:
-                raise ValueError(f"{root / 'manifest.json'}: net {stem!r}: {exc}") from exc
-        return dict(parts, n_basis=parts["branch"].layer_sizes[-1])
-
-    @classmethod
-    def _stems(cls) -> dict[str, str]:
-        """The bundle file stem of each net: its name without _net."""
-        return {name: name.removesuffix("_net") for name in cls.nets}
-
-
-@dataclass
-class DeepOnetModel(_OperatorNet):
-    """Branch net encodes the input function, trunk net provides the basis."""
-
-    branch: MlpParams
-    trunk: MlpParams
-    n_basis: int
-    query_lo: np.ndarray
-    query_hi: np.ndarray
-
-    kind = "deeponet"
-    family = "vanilla"
-
-    def __post_init__(self):
-        self._check({"branch": self.n_basis, "trunk": self.n_basis})
-
     def forward(self, inputs, queries):
         return deeponet_forward_batch(self, inputs, queries)
 
@@ -159,7 +116,37 @@ class DeepOnetModel(_OperatorNet):
         return deeponet_backward_batch(self, cache, pred_grad)
 
     def predict(self, inputs, queries):
-        return _predict_chunks(deeponet_forward_batch, self, inputs, queries)
+        return _predict_chunks(self, inputs, queries)
+
+    def _save_parts(self, out: Path, input_encoding: str) -> dict:
+        nets = {}
+        for name in self.nets:
+            params = getattr(self, name)
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                store.write_array(out, f"{name}_weight_{i}", w)
+                store.write_array(out, f"{name}_bias_{i}", b)
+            nets[name] = {"layer_sizes": list(params.layer_sizes), "activation": params.activation}
+        return {"nets": nets,
+                "query_lo": [float(v) for v in self.query_lo],
+                "query_hi": [float(v) for v in self.query_hi]}
+
+    @classmethod
+    def _read_parts(cls, root: Path, manifest: dict) -> dict:
+        net = {"layer_sizes": [int], "activation": str}
+        store.check_fields(root, manifest, {"nets": dict.fromkeys(cls.nets, net),
+                                            "query_lo": [float], "query_hi": [float]})
+        parts = {"query_lo": np.asarray(manifest["query_lo"], dtype=np.float64),
+                 "query_hi": np.asarray(manifest["query_hi"], dtype=np.float64)}
+        for name in cls.nets:
+            entry = manifest["nets"][name]
+            layers = range(len(entry["layer_sizes"]) - 1)
+            weights = [store.read_array(root, f"{name}_weight_{i}", 2) for i in layers]
+            biases = [store.read_array(root, f"{name}_bias_{i}", 1) for i in layers]
+            try:
+                parts[name] = mlp_params(entry["layer_sizes"], entry["activation"], weights, biases)
+            except ValueError as exc:
+                raise ValueError(f"{root / 'manifest.json'}: net {name!r}: {exc}") from exc
+        return dict(parts, n_basis=parts["branch"].layer_sizes[-1])
 
 
 def deeponet_forward_batch(model: DeepOnetModel, inputs: np.ndarray,
@@ -270,7 +257,7 @@ class CoordinateNet(DeepOnetModel):
     def predict(self, inputs, queries):
         """Knots on the grid queries; the head runs over the whole row."""
         q = np.asarray(queries, dtype=np.float64)
-        return monotone_head(_predict_chunks(deeponet_forward_batch, self, inputs, q), q)[0]
+        return monotone_head(_predict_chunks(self, inputs, q), q)[0]
 
     @classmethod
     def wrap(cls, net: DeepOnetModel) -> "CoordinateNet":
@@ -294,86 +281,6 @@ def mesh_backward_batch(model: CoordinateNet, cache: tuple, x_grad: np.ndarray):
     net_cache, head_cache = cache
     return deeponet_backward_batch(model, net_cache,
                                    monotone_head_backward(head_cache, x_grad))
-
-
-@dataclass
-class ShiftDeepOnetModel(_OperatorNet):
-    """Operator net whose trunk queries are scaled/shifted per basis function.
-
-    scale_net maps the input encoding to n_basis (d x d) matrices A_k and
-    shift_net to n_basis offsets; component k of the prediction evaluates the
-    shared trunk at A_k y + gamma_k (y already normalized to [-1, 1]^d).
-    """
-
-    branch: MlpParams
-    trunk: MlpParams
-    scale_net: MlpParams
-    shift_net: MlpParams
-    n_basis: int
-    query_lo: np.ndarray
-    query_hi: np.ndarray
-
-    nets = ("branch", "trunk", "scale_net", "shift_net")
-    kind = "shift-deeponet"
-    family = "shift"
-
-    def __post_init__(self):
-        n, d = self.n_basis, self.d_query
-        self._check({"branch": n, "trunk": n, "scale_net": n * d * d, "shift_net": n * d})
-
-    def forward(self, inputs, queries):
-        return shift_forward_batch(self, inputs, queries)
-
-    def backward(self, cache, pred_grad):
-        return shift_backward_batch(self, cache, pred_grad)
-
-    def predict(self, inputs, queries):
-        return _predict_chunks(shift_forward_batch, self, inputs, queries)
-
-
-def shift_forward_batch(model: ShiftDeepOnetModel, inputs: np.ndarray,
-                        queries: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Batched forward pass; caches every intermediate needed for backward.
-
-    Memory scales with N1 * n_basis * N2 trunk evaluations, so keep batches
-    modest when training.
-    """
-    a = _as_2d(inputs, model.branch.layer_sizes[0], "inputs")
-    qn = model.normalize_queries(queries)
-    n1, n2, n, d = a.shape[0], qn.shape[0], model.n_basis, model.d_query
-
-    b_out, b_cache = mlp_forward(model.branch, a)
-    s_out, s_cache = mlp_forward(model.scale_net, a)
-    g_out, g_cache = mlp_forward(model.shift_net, a)
-    scales = s_out.reshape(n1, n, d, d)
-    shifts = g_out.reshape(n1, n, d)
-
-    # z[i, k, j, :] = scales[i, k] @ qn[j] + shifts[i, k]
-    z = np.einsum("ikab,jb->ikja", scales, qn) + shifts[:, :, None, :]
-    t_out, t_cache = mlp_forward(model.trunk, z.reshape(n1 * n * n2, d))
-    tau = t_out.reshape(n1, n, n2, n)[:, np.arange(n), :, np.arange(n)]
-    # fancy indexing puts the basis axis first: tau is (n, n1, n2)
-    pred = np.einsum("ik,kij->ij", b_out, tau)
-    cache = (b_out, tau, qn, b_cache, s_cache, g_cache, t_cache, (n1, n2, n, d))
-    return pred, cache
-
-
-def shift_backward_batch(model: ShiftDeepOnetModel, cache: tuple,
-                         pred_grad: np.ndarray):
-    """Gradients of a scalar loss w.r.t. all four subnetworks."""
-    b_out, tau, qn, b_cache, s_cache, g_cache, t_cache, dims = cache
-    n1, n2, n, d = dims
-    branch_grads = mlp_backward(model.branch, b_cache, np.einsum("ij,kij->ik", pred_grad, tau))
-    dtau = b_out.T[:, :, None] * pred_grad[None, :, :]  # (n, n1, n2)
-    dt_out = np.zeros((n1, n, n2, n))
-    kk = np.arange(n)
-    dt_out[:, kk, :, kk] = dtau
-    trunk_grads = mlp_backward(model.trunk, t_cache, dt_out.reshape(n1 * n * n2, n))
-    dz = (trunk_grads.delta @ model.trunk.weights[0]).reshape(n1, n, n2, d)
-    shift_grads = mlp_backward(model.shift_net, g_cache, dz.sum(axis=2).reshape(n1, n * d))
-    ds = np.einsum("ikja,jb->ikab", dz, qn)
-    scale_grads = mlp_backward(model.scale_net, s_cache, ds.reshape(n1, n * d * d))
-    return branch_grads, trunk_grads, scale_grads, shift_grads
 
 
 @dataclass
@@ -480,7 +387,7 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
 # ---------------------------------------------------------------------------
 # on-disk bundles: manifest + one .npy file per weight and bias (radonet.store)
 
-_BUNDLE_KINDS = {cls.kind: cls for cls in (DeepOnetModel, ShiftDeepOnetModel, RAdaptiveSystem)}
+_BUNDLE_KINDS = {cls.kind: cls for cls in (DeepOnetModel, RAdaptiveSystem)}
 
 
 def save_bundle(path, model, input_encoding: str = "", extra: dict | None = None) -> None:

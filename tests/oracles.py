@@ -44,25 +44,6 @@ def deeponet_forward_loops(model, inputs, queries):
     return out
 
 
-def shift_forward_loops(model, inputs, queries):
-    """Reference for the per-basis affine-query variant, one triple at a time."""
-    a = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, model.d_query)
-    qn = 2.0 * (q - model.query_lo) / (model.query_hi - model.query_lo) - 1.0
-    d, n = model.d_query, model.n_basis
-    b = mlp_forward_loops(model.branch, a)
-    scales = mlp_forward_loops(model.scale_net, a).reshape(a.shape[0], n, d, d)
-    shifts = mlp_forward_loops(model.shift_net, a).reshape(a.shape[0], n, d)
-    out = np.zeros((a.shape[0], q.shape[0]))
-    for i in range(a.shape[0]):
-        for j in range(q.shape[0]):
-            for k in range(n):
-                y = scales[i, k] @ qn[j] + shifts[i, k]
-                tau = mlp_forward_loops(model.trunk, y[None, :])[0, k]
-                out[i, j] += b[i, k] * tau
-    return out
-
-
 def numerical_gradient(loss_of_params, params, eps=1e-6):
     """Central finite differences through every weight and bias entry.
 

@@ -197,19 +197,20 @@ def _train_radaptive(micro, out, expect=0):
             expect=expect)
 
 
-def test_shift_model_too_big_for_memory_is_refused(micro, tmp_path, capsys, monkeypatch):
-    # 6 rows x 4096 basis functions x 4096 output points: about 3.4 TB
+def test_shift_family_is_a_config_error_in_train_and_eval(micro, tmp_path, capsys, monkeypatch):
+    # only vanilla and radaptive models can be built: shift is refused before any work
     def refuse(*args, **kwargs):
         raise AssertionError("a refused config was trained")
 
     monkeypatch.setattr(training, "train", refuse)
-    out = tmp_path / "shift"
-    run_cli("train", "--config", str(micro["cfg"]), "--set", "model.family=shift",
-            "--set", "model.n_basis=4096", "--set", "model.output_points=4096",
-            "--dataset", str(micro["data"]), "--out", str(out), expect=2)
-    err = read_error(capsys)
-    assert err["kind"] == "config" and "3363.8 GB" in err["message"]
-    assert not out.exists()
+    data = ("--dataset", str(micro["data"]))
+    for stage, inputs in (("train", data), ("eval", ("--model", str(micro["van"]), *data))):
+        out = tmp_path / stage
+        run_cli(stage, "--config", str(micro["cfg"]), "--set", "model.family=shift", *inputs,
+                "--out", str(out), expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "config" and "model.family" in err["message"]
+        assert not out.exists()
 
 
 def test_radaptive_pair_trains_the_same_bytes_concurrently_and_in_turn(
@@ -233,17 +234,12 @@ def test_radaptive_pair_trains_the_same_bytes_concurrently_and_in_turn(
     assert together == in_turn
 
 
-def test_every_artifact_file_is_a_store_array_or_a_known_json_or_csv(micro, tmp_path):
+def test_every_artifact_file_is_a_store_array_or_a_known_json_or_csv(micro):
     # one container style: nothing the stages write is an .npz, .rnp or other format
-    c = str(micro["cfg"])
-    shift = ("--config", c, "--set", "model.family=shift", "--dataset", str(micro["data"]))
-    run_cli("train", *shift, "--out", str(tmp_path / "shift"))
-    run_cli("eval", *shift, "--model", str(tmp_path / "shift"),
-            "--out", str(tmp_path / "shift_eval"))
     known = {"manifest.json", "provenance.json", "report.json", "summary.json", "per_sample.csv"}
     dirs = [micro[k] for k in ("data", "prep", "van", "rad", "van_eval", "rad_eval")]
-    files = [f for d in dirs + [tmp_path] for f in d.rglob("*") if f.is_file()]
-    assert {f.name for f in files} >= known | {"x_grid.npy", "xi_grid.npy", "scale_weight_0.npy"}
+    files = [f for d in dirs for f in d.rglob("*") if f.is_file()]
+    assert {f.name for f in files} >= known | {"x_grid.npy", "xi_grid.npy", "branch_weight_0.npy"}
     for f in files:
         if f.name in known:
             continue
@@ -563,6 +559,26 @@ def test_untrained_model_scores_near_one(micro, tmp_path, capsys):
     summary = json.loads((tmp_path / "raw_eval" / "summary.json").read_text())
     assert 0.5 < summary["mean_rel_l2"] < 3.0
     assert "mean relative L2 error" in out
+
+
+def test_eval_refuses_a_shift_deeponet_bundle_as_an_unknown_kind(micro, tmp_path, capsys):
+    # a model artifact of the shift-deeponet kind, which earlier versions wrote,
+    # recorded as a sound artifact, so that only the bundle loader can refuse it
+    import shutil
+
+    model = tmp_path / "shift"
+    shutil.copytree(micro["van"], model)
+    manifest = json.loads((model / "manifest.json").read_text())
+    (model / "manifest.json").write_text(json.dumps(dict(manifest, kind="shift-deeponet")))
+    prov = dict(json.loads((model / "provenance.json").read_text()), content_hash=content_hash(model))
+    (model / "provenance.json").write_text(json.dumps(prov))
+    run_cli("eval", "--config", str(micro["cfg"]), "--model", str(model),
+            "--dataset", str(micro["data"]), "--out", str(tmp_path / "e"), expect=1)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["kind"] == "runtime" and "'shift-deeponet' is unknown" in err["message"]
+    assert not (tmp_path / "e").exists()
 
 
 def test_stale_artifact_refusal(micro, tmp_path, capsys):
@@ -978,6 +994,17 @@ def test_stage_process_ends_with_its_output_flushed_and_complete(tmp_path):
     assert again.returncode == 2 and again.stdout == b""
     lines = again.stderr.decode().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "usage"
+
+
+def test_stage_process_that_cannot_flush_its_output_fails_with_one_json_line(tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    # buffered stdout goes out only in run's final flush, which fails on a full device
+    with open("/dev/full", "wb") as full:
+        done = _stage_process("config", "show-defaults", cwd=tmp_path, stdout=full)
+    assert done.returncode == 1
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "runtime"
 
 
 def test_stage_process_help(tmp_path):

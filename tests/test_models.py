@@ -6,29 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radonet import store
 from radonet.models import (
     BUNDLE_VERSION,
     DeepOnetModel,
     RAdaptiveSystem,
-    ShiftDeepOnetModel,
     deeponet_backward_batch,
     deeponet_forward_batch,
     load_bundle,
     mesh_forward_batch,
     radaptive_predict_graph,
     save_bundle,
-    shift_backward_batch,
-    shift_forward_batch,
 )
 from radonet.nn import mlp_init, substream
 
 from containers import corrupt, join_npy, load_guarded, restore, snapshot, split_npy
-from oracles import (
-    deeponet_forward_loops,
-    flat_grad_rel_error,
-    numerical_gradient,
-    shift_forward_loops,
-)
+from oracles import deeponet_forward_loops, flat_grad_rel_error, numerical_gradient
 
 
 def make_deeponet(n_in=3, n_basis=5, d=1, seed=0, lo=0.0, hi=1.0):
@@ -36,16 +29,6 @@ def make_deeponet(n_in=3, n_basis=5, d=1, seed=0, lo=0.0, hi=1.0):
     trunk = mlp_init([d, 10, n_basis], activation="relu", seed=seed + 1)
     return DeepOnetModel(branch=branch, trunk=trunk, n_basis=n_basis,
                          query_lo=[lo] * d, query_hi=[hi] * d)
-
-
-def make_shift(n_in=3, n_basis=4, d=1, seed=0):
-    branch = mlp_init([n_in, 8, n_basis], activation="tanh", seed=seed)
-    trunk = mlp_init([d, 8, n_basis], activation="tanh", seed=seed + 1)
-    scale = mlp_init([n_in, 8, n_basis * d * d], activation="tanh", seed=seed + 2)
-    shift = mlp_init([n_in, 8, n_basis * d], activation="tanh", seed=seed + 3)
-    return ShiftDeepOnetModel(branch=branch, trunk=trunk, scale_net=scale,
-                              shift_net=shift, n_basis=n_basis,
-                              query_lo=[0.0] * d, query_hi=[1.0] * d)
 
 
 def test_deeponet_validates_sizes():
@@ -104,41 +87,6 @@ def test_deeponet_backward_matches_finite_differences():
     assert flat_grad_rel_error(tg.weights, tg.biases, num_w, num_b) < 1e-7
 
 
-def test_shift_forward_matches_loop_reference():
-    rng = substream(8, "shift")
-    for trial in range(3):
-        model = make_shift(seed=60 + trial)
-        a = rng.standard_normal((3, 3))
-        q = rng.uniform(0.0, 1.0, size=(5, 1))
-        pred, _ = shift_forward_batch(model, a, q)
-        np.testing.assert_allclose(pred, shift_forward_loops(model, a, q),
-                                   rtol=1e-11, atol=1e-11)
-
-
-def test_shift_backward_matches_finite_differences():
-    rng = substream(14, "shift-grad")
-    model = make_shift(n_in=2, n_basis=2, seed=91)
-    a = rng.standard_normal((2, 2))
-    q = rng.uniform(0.0, 1.0, size=(3, 1))
-    target = rng.standard_normal((2, 3))
-
-    pred, cache = shift_forward_batch(model, a, q)
-    grads = shift_backward_batch(model, cache, 2.0 * (pred - target))
-    nets = ["branch", "trunk", "scale_net", "shift_net"]
-
-    for name, g in zip(nets, grads):
-        def loss(p, name=name):
-            kwargs = {n: getattr(model, n) for n in nets}
-            kwargs[name] = p
-            probe = ShiftDeepOnetModel(n_basis=model.n_basis, query_lo=model.query_lo,
-                                       query_hi=model.query_hi, **kwargs)
-            out, _ = shift_forward_batch(probe, a, q)
-            return float(np.sum((out - target) ** 2))
-
-        num_w, num_b = numerical_gradient(loss, getattr(model, name))
-        assert flat_grad_rel_error(g.weights, g.biases, num_w, num_b) < 1e-6, name
-
-
 def test_radaptive_system_validation():
     coord = make_deeponet(seed=1)
     sol = make_deeponet(seed=2)
@@ -186,12 +134,10 @@ def test_radaptive_batch_rows_match_single_input_forward():
                 pred.values[i], deeponet_forward_batch(system.sol_net, a[None, :], xi)[0][0])
 
 
-@pytest.mark.parametrize("kind", ["deeponet", "shift", "radaptive"])
+@pytest.mark.parametrize("kind", ["deeponet", "radaptive"])
 def test_bundle_roundtrip(tmp_path, kind):
     if kind == "deeponet":
         model = make_deeponet(seed=21)
-    elif kind == "shift":
-        model = make_shift(seed=22)
     else:
         model = RAdaptiveSystem(coord_net=make_deeponet(seed=23),
                                 sol_net=make_deeponet(seed=24),
@@ -205,9 +151,6 @@ def test_bundle_roundtrip(tmp_path, kind):
     if kind == "deeponet":
         np.testing.assert_array_equal(deeponet_forward_batch(model, a, q)[0][0],
                                       deeponet_forward_batch(loaded, a, q)[0][0])
-    elif kind == "shift":
-        np.testing.assert_array_equal(shift_forward_batch(model, a, q)[0][0],
-                                      shift_forward_batch(loaded, a, q)[0][0])
     else:
         g1 = radaptive_predict_graph(model, a)
         g2 = radaptive_predict_graph(loaded, a)
@@ -340,29 +283,41 @@ def test_radaptive_sub_bundles_must_be_deeponets(tmp_path):
     system = RAdaptiveSystem(coord_net=make_deeponet(seed=34), sol_net=make_deeponet(seed=35),
                              xi_grid=np.linspace(0.0, 1.0, 11))
     save_bundle(tmp_path / "rad", system)
-    save_bundle(tmp_path / "rad" / "sol", make_shift(seed=36))
+    save_bundle(tmp_path / "rad" / "sol", system)
     with pytest.raises(ValueError, match="is not .deeponet."):
         load_bundle(tmp_path / "rad")
+
+
+def test_shift_deeponet_bundles_are_refused_as_an_unknown_kind(tmp_path):
+    # a shift-DeepONet bundle as earlier versions wrote it: the deeponet's
+    # nets plus a scale and a shift net read like the branch
+    save_bundle(tmp_path, make_deeponet(seed=37))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for i, name in enumerate(("scale", "shift")):
+        net = mlp_init([3, 10, 5], activation="tanh", seed=38 + i)
+        for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+            store.write_array(tmp_path, f"{name}_weight_{layer}", w)
+            store.write_array(tmp_path, f"{name}_bias_{layer}", b)
+        manifest["nets"][name] = {"layer_sizes": [3, 10, 5], "activation": "tanh"}
+    (tmp_path / "manifest.json").write_text(json.dumps(dict(manifest, kind="shift-deeponet")))
+    with pytest.raises(ValueError, match="bundle kind 'shift-deeponet' is unknown"):
+        load_bundle(tmp_path)
 
 
 def _assert_usable(model):
     """model holds nets that fit together: each operator net runs forward
     (on weights a flipped byte may have made non-finite)."""
-    if model.kind == "radaptive-system":
-        nets, forward = [model.coord_net, model.sol_net], deeponet_forward_batch
-    else:
-        nets, forward = [model], type(model).forward
+    nets = [model.coord_net, model.sol_net] if model.kind == "radaptive-system" else [model]
     for net in nets:
         a = np.zeros((2, net.branch.layer_sizes[0]))
         with np.errstate(all="ignore"):
-            assert forward(net, a, np.zeros((3, net.d_query)))[0].shape == (2, 3)
+            assert deeponet_forward_batch(net, a, np.zeros((3, net.d_query)))[0].shape == (2, 3)
 
 
-@pytest.fixture(scope="module", params=["deeponet", "shift", "radaptive"])
+@pytest.fixture(scope="module", params=["deeponet", "radaptive"])
 def bundle_dir(request, tmp_path_factory):
     """A scratch directory and the files of a small valid bundle of each kind."""
     model = {"deeponet": lambda: make_deeponet(seed=40),
-             "shift": lambda: make_shift(seed=41),
              "radaptive": lambda: RAdaptiveSystem(coord_net=make_deeponet(seed=42),
                                                   sol_net=make_deeponet(seed=43),
                                                   xi_grid=np.linspace(0.0, 1.0, 9))}
