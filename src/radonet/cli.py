@@ -571,6 +571,14 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
             xi_eval = None
         else:
             n_pts = max(n_pts, model.xi_grid.size)
+            # peak bytes an xi point holds, measured with tracemalloc: 8 per
+            # unit of the solution trunk's layers plus 9 per sample while the
+            # values are built, or 26 per sample once knots, values and their
+            # differences are all held
+            n = ds.n_samples
+            per_point = max(8 * sum(model.sol_net.trunk.layer_sizes) + 9 * n, 26 * n)
+            _refuse_above_memory(n_pts * per_point, f"eval at eval.xi_points {n_pts}",
+                                 "eval.xi_points")
             xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
         # one call for the whole split: each trunk runs once, and each branch
         # runs on a stack of one-row batches, so the bytes match evaluating
@@ -581,7 +589,7 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
         det = fd_derivative(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
         for i in range(ds.n_samples):
             preds[i] = recover_uniform(pred.knots[i], pred.values[i], grid, domain)
-        # counted on the predicted knots, before recover_uniform repairs them
+        # a mesh with a repeated knot (a jump) is usable but not strictly monotone
         n_monotone = int(np.sum(np.all(np.diff(pred.knots, axis=1) > 0.0, axis=1)))
         summary["xi_points"] = int(pred.knots.shape[1])
         summary["prefix_jacobian_positive_fraction"] = int(np.sum(det > 0.0)) / det.size

@@ -217,18 +217,6 @@ def equidistribute_1d(rho: DensityField, n_xi: int) -> np.ndarray:
     return x
 
 
-def jacobian_det_1d(x: np.ndarray, dxi: float) -> np.ndarray:
-    """d x / d xi by central differences, first-order one-sided at the ends."""
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim != 1 or xv.size < 2:
-        raise ValueError("x must be a 1-d array with >= 2 knots")
-    if not np.all(np.diff(xv) > 0.0):
-        raise ValueError("adaptive coordinates must be strictly increasing")
-    if dxi <= 0.0:
-        raise ValueError(f"dxi must be positive, got {dxi}")
-    return fd_derivative(xv, dxi)
-
-
 def weight_solution(det_j: np.ndarray, cap: float = 2.0) -> np.ndarray:
     """Solution-net loss weight min(cap, sqrt(1 + detJ^2))."""
     if cap < 1.0:
@@ -283,7 +271,7 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     grad_raw = np.abs(fd_derivative(u, dx, periodic))
     if periodic:
         grid, (u, grad_raw) = close_periodic(grid, np.stack([u, grad_raw]), length)
-    det_j = jacobian_det_1d(x, length / n_xi)
+    det_j = fd_derivative(x, length / n_xi)  # dx/dxi
     return {
         "x": x,
         "u": np.interp(x, grid, u),

@@ -332,7 +332,9 @@ class RAdaptivePrediction:
 
     Row i of knots and values is sample i's graph {(knots[i, j], values[i, j])};
     native_knots[i] is its mesh on the system's own xi_grid (the same array
-    as knots when no other xi was asked for).
+    as knots when no other xi was asked for). Where xi has xi_grid's ends,
+    every row of knots is a mesh that reconstruct.monotone_fix accepts: it
+    spans the domain exactly and never decreases, though knots may repeat.
     """
 
     native_knots: np.ndarray
@@ -361,11 +363,11 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
 
     The mesh knots come from the coordinate net on the system's own xi_grid;
     on any other grid xi they are the linear interpolant of those native
-    knots (held at the ends outside xi_grid), so a denser grid never folds
-    the mesh. The solution net is continuous in the
-    computational coordinate and is evaluated on xi itself: denser grids
-    sharpen the recovered solution near steep features, where the mesh
-    packs many query points.
+    knots (held at the ends outside xi_grid), which never decrease and, on a
+    grid with xi_grid's ends, keep the native mesh's exact ends. The
+    solution net is continuous in the computational coordinate and is
+    evaluated on xi itself: denser grids sharpen the recovered solution near
+    steep features, where the mesh packs many query points.
 
     A call makes four mlp_forward calls: each trunk runs once, since
     its output does not depend on the input, and each branch once on a stack
@@ -380,6 +382,11 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
     else:
         xi = np.ravel(xi)
         knots = np.stack([np.interp(xi, system.xi_grid, y) for y in native])
+        # np.interp can round a knot a few ulps past the next native knot, or
+        # past hi, at the end of a steep interval; this undoes it and changes
+        # nothing in any other row
+        np.minimum(knots, system.xi_grid[-1], out=knots)
+        np.maximum.accumulate(knots, axis=1, out=knots)
     values = _rowwise_forward(system.sol_net, a, xi)
     return RAdaptivePrediction(native_knots=native, knots=knots, values=values)
 

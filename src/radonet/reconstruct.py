@@ -1,6 +1,6 @@
-"""Recover solutions on uniform grids from predicted graph knots, and the
-grid helpers every stage shares: the one finite-difference stencil and the
-one periodic closure."""
+"""Recover solutions on uniform grids from predicted graph knots, once they
+are checked to form a mesh, and the grid helpers every stage shares: the one
+finite-difference stencil and the one periodic closure."""
 
 from __future__ import annotations
 
@@ -31,45 +31,31 @@ def close_periodic(grid: np.ndarray, values: np.ndarray, length: float):
 
 
 def monotone_fix(knots: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
-    """Repair a predicted coordinate array into a strictly increasing mesh.
+    """Check that predicted knots are a mesh of domain, and return them.
 
-    Endpoints are pinned to the domain ends; interior knots are clipped to the
-    domain and pushed apart by a cumulative-max sweep with a minimal separation
-    eps = 1e-9 * domain length. Already valid input comes back unchanged.
+    A mesh is a 1-d array of >= 2 knots that starts at lo, ends at hi and
+    never decreases, so every knot is finite. Equal knots are allowed: a
+    repeated knot is a jump, which np.interp takes as one. The monotone head
+    and radaptive_predict_graph build every mesh this way, so anything else
+    is a fault upstream and raises ValueError. A valid mesh comes back as the
+    same array.
     """
     y = np.asarray(knots, dtype=np.float64)
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = domain
     if y.ndim != 1 or y.size < 2:
         raise ValueError(f"knots must be a 1-d array with >= 2 entries, got shape {y.shape}")
-    if not hi > lo:
-        raise ValueError(f"empty domain ({lo}, {hi})")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite knot coordinates")
-    if y[0] == lo and y[-1] == hi and np.all(np.diff(y) > 0.0):
-        return y
-    eps = 1e-9 * (hi - lo)
-    z = np.clip(y, lo, hi)
-    z[0] = lo
-    z[-1] = hi
-    for i in range(1, z.size):
-        if z[i] <= z[i - 1]:
-            z[i] = z[i - 1] + eps
-    # if the forward sweep overshot the right endpoint, sweep back down
-    z[-1] = hi
-    for i in range(z.size - 2, 0, -1):
-        if z[i] >= z[i + 1]:
-            z[i] = z[i + 1] - eps
-    if not np.all(np.diff(z) > 0.0):
-        raise ValueError("could not build a strictly increasing mesh (grid too large for eps)")
-    return z
+    if not (y[0] == lo and y[-1] == hi and np.all(np.diff(y) >= 0.0)):
+        raise ValueError(f"knots must run from {lo} to {hi} without decreasing")
+    return y
 
 
 def recover_uniform(knots: np.ndarray, values: np.ndarray, target_grid: np.ndarray,
                     domain: tuple[float, float]) -> np.ndarray:
     """Turn a predicted graph {(knots[j], values[j])} into values on a grid.
 
-    Applies monotone_fix to the knots, then interpolates linearly; queries
-    outside the domain take the end values.
+    Checks the knots with monotone_fix, then interpolates linearly; a
+    repeated knot is a jump, and queries outside the domain take the end
+    values.
     """
     return np.interp(target_grid, monotone_fix(knots, domain), values)
 

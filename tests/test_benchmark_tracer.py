@@ -47,3 +47,35 @@ def test_traced_stage_records_cli_spans_and_writes_the_same_bytes(tmp_path):
         return {f.name: f.read_bytes() for f in sorted(root.iterdir())}
 
     assert files(tmp_path / "traced") == files(tmp_path / "plain")
+
+
+def test_eval_calls_monotone_fix_through_its_name_once_per_sample(tmp_path, monkeypatch):
+    # reconstruct.monotone_fix.calls counts the wrapper's calls, so eval must
+    # reach the check through radonet.reconstruct.monotone_fix, once a sample
+    from radonet import reconstruct
+    from radonet.cli import main
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "problem": "advection", "seed": 3, "counts": {"train": 4, "val": 2, "test": 3},
+        "data": {"n_grid": 256},
+        "preprocess": {"n_xi": 8}, "model": {"family": "radaptive", "n_basis": 4,
+                                             "branch_hidden": [8], "trunk_hidden": [8]},
+        "train": {"epochs": 2, "validation_cadence": 1}, "eval": {"xi_points": 21}}))
+    c, d, p, m = str(cfg), str(tmp_path / "data"), str(tmp_path / "prep"), str(tmp_path / "rad")
+    assert main(["datagen", "--config", c, "--out", d]) == 0
+    assert main(["preprocess", "--config", c, "--dataset", d, "--out", p]) == 0
+    assert main(["train", "--config", c, "--dataset", d, "--prep", p, "--out", m]) == 0
+
+    calls = []
+    check = reconstruct.monotone_fix
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(reconstruct, "monotone_fix", counted)
+    assert main(["eval", "--config", c, "--model", m, "--dataset", d,
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert len(calls) == 3
+    assert all(knots.shape == (21,) for knots, _ in calls)

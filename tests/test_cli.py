@@ -317,7 +317,8 @@ def test_eval_radaptive_summary_fields(micro):
 def test_monotone_mesh_fraction_counts_the_predicted_knots(micro, tmp_path):
     # a coordinate net whose raw output sinks below -745 on the left of the
     # reference grid: softplus underflows to zero there, so the head returns
-    # a run of equal knots, which eval repairs but must not count as monotone
+    # a run of equal knots, which eval interpolates as a jump but must not
+    # count as monotone
     from radonet.cli import write_provenance
     from radonet.models import (
         CoordinateNet,
@@ -353,6 +354,27 @@ def test_monotone_mesh_fraction_counts_the_predicted_knots(micro, tmp_path):
     assert summary["monotone_mesh_fraction"] == 0.0
     assert summary["prefix_jacobian_positive_fraction"] < 1.0
     assert np.isfinite(summary["mean_rel_l2"])
+
+
+def test_eval_xi_points_beyond_memory_are_refused_before_prediction(micro, tmp_path, capsys,
+                                                                   monkeypatch):
+    from radonet import models
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused xi grid was predicted on")
+
+    monkeypatch.setattr(models, "radaptive_predict_graph", refuse)
+    out = tmp_path / "eval"
+    run_cli("eval", "--config", str(micro["cfg"]), "--set", "eval.xi_points=10000000000000",
+            "--model", str(micro["rad"]), "--dataset", str(micro["data"]), "--out", str(out),
+            expect=2)
+    err = read_error(capsys)
+    assert err["kind"] == "config" and "eval.xi_points" in err["message"]
+    assert "GB of memory" in err["message"]
+    assert not out.exists()
+    # a vanilla model ignores xi_points
+    run_cli("eval", "--config", str(micro["cfg"]), "--set", "eval.xi_points=10000000000000",
+            "--model", str(micro["van"]), "--dataset", str(micro["data"]), "--out", str(out))
 
 
 def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatch):

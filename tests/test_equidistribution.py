@@ -12,7 +12,6 @@ from radonet.equidistribution import (
     density_arclength,
     equidistribute_1d,
     equidistribution_residual,
-    jacobian_det_1d,
     limit_density_ratio,
     load_preprocessed,
     preprocess_sample,
@@ -20,6 +19,7 @@ from radonet.equidistribution import (
     weight_coordinate,
     weight_solution,
 )
+from radonet.reconstruct import fd_derivative
 
 from containers import corrupt, join_npy, load_guarded, restore, snapshot, split_npy
 from oracles import equidistribute_refined
@@ -212,13 +212,9 @@ def test_limiter_validation():
 
 
 def test_jacobian_linear_mesh():
+    # the mesh Jacobian dx/dxi is fd_derivative of the knots on the xi spacing
     x = np.linspace(0.0, 2.0, 33)
-    det = jacobian_det_1d(x, dxi=1.0 / 32)
-    np.testing.assert_allclose(det, 2.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        jacobian_det_1d(x[::-1], dxi=1.0 / 32)
-    with pytest.raises(ValueError):
-        jacobian_det_1d(x, dxi=0.0)
+    np.testing.assert_allclose(fd_derivative(x, 1.0 / 32), 2.0, rtol=1e-12)
 
 
 def test_weight_formulas_and_caps():
@@ -247,7 +243,7 @@ def test_preprocess_sample_shapes_and_invariants():
     assert np.all((s["w_sol"] >= 1.0) & (s["w_sol"] <= 2.0))
     assert np.all((s["w_coord"] >= 1.0) & (s["w_coord"] <= 100.0))
     # the weights come from the mesh Jacobian on the computational grid
-    det_j = jacobian_det_1d(s["x"], 1.0 / 64)
+    det_j = fd_derivative(s["x"], 1.0 / 64)
     np.testing.assert_array_equal(s["w_sol"], weight_solution(det_j))
     # solution on the mesh is the raw field sampled at the adaptive knots
     grid = np.arange(2048) / 2048

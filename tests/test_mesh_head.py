@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from radonet import models
 from radonet.models import (
     PREDICT_CHUNK,
     CoordinateNet,
@@ -15,12 +16,13 @@ from radonet.models import (
     radaptive_predict_graph,
 )
 from radonet.nn import mlp_init, substream
+from radonet.reconstruct import monotone_fix
 from radonet.training import loss_coordinate, model_predict
 
 from oracles import flat_grad_rel_error, numerical_gradient
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 
@@ -120,3 +122,65 @@ def test_system_wraps_plain_coordinate_net_and_interpolates_dense_grids():
     xi_dense = np.linspace(-1.0, 2.0, 50)
     dense = radaptive_predict_graph(system, a, xi=xi_dense)
     np.testing.assert_array_equal(dense.knots[0], np.interp(xi_dense, xi, native))
+
+
+def tied_knot_net():
+    """A coordinate net whose raw output sinks to -2000 on the left half of
+    [0, 1]: softplus underflows to zero there, so the head ties those knots."""
+    branch = mlp_init([3, 1], seed=0)
+    branch.weights[0][:] = 0.0
+    branch.biases[0][:] = 1.0
+    trunk = mlp_init([1, 1, 1], activation="relu", seed=0)
+    trunk.weights[0][:] = -1.0
+    trunk.weights[1][:] = -2000.0  # g = -2000 * relu(-(2 xi - 1))
+    return CoordinateNet(branch=branch, trunk=trunk, n_basis=1, query_lo=[0.0], query_hi=[1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_native=st.integers(2, 130), extra=st.integers(0, 600), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1.0, 30.0, 1e3]), lo=st.floats(-10.0, 10.0),
+       width=st.floats(1e-3, 100.0), tied=st.booleans())
+@example(n_native=129, extra=256, seed=0, scale=1.0, lo=-5.0, width=10.0, tied=False)
+@example(n_native=17, extra=368, seed=0, scale=1.0, lo=0.0, width=1.0, tied=True)
+def test_interpolated_knots_never_fold_and_keep_exact_ends(n_native, extra, seed, scale, lo,
+                                                           width, tied):
+    # on any evaluation grid as fine as the native one or finer, 385 points
+    # on 129 included, every row is a mesh that monotone_fix accepts
+    if tied:
+        coord, lo, width = tied_knot_net(), 0.0, 1.0
+    else:
+        coord = tiny_coord_net(seed=seed, n_in=3, lo=lo, hi=lo + width)
+        coord.trunk.weights[-1] *= scale  # large scales drive softplus into underflow
+    hi = lo + width
+    sol = DeepOnetModel(branch=mlp_init([3, 6, 4], activation="tanh", seed=seed + 2),
+                        trunk=mlp_init([1, 6, 4], activation="relu", seed=seed + 3),
+                        n_basis=4, query_lo=[lo], query_hi=[hi])
+    system = RAdaptiveSystem(coord_net=coord, sol_net=sol, xi_grid=np.linspace(lo, hi, n_native))
+    inputs = substream(seed, "interp-knots").uniform(-2.0, 2.0, size=(3, 3))
+    knots = radaptive_predict_graph(system, inputs,
+                                    xi=np.linspace(lo, hi, n_native + extra)).knots
+    assert np.all(np.diff(knots, axis=1) >= 0.0)
+    assert np.all(knots[:, 0] == lo) and np.all(knots[:, -1] == hi)
+    for row in knots:
+        assert monotone_fix(row, (lo, hi)) is row
+
+
+@pytest.mark.parametrize("hi, native", [
+    # native knots 2 ulps apart after a steep interval: the query just below
+    # the knot at xi = 0 lands a few ulps above the next one
+    (1.0, [-1.0, -0.9, 1e-3, np.nextafter(np.nextafter(1e-3, 1.0), 1.0), 1.0]),
+    # knots tied at hi after a steep interval: the same query lands past hi
+    (5.0, [-5.0, -4.78595185079775, 5.0, 5.0, 5.0]),
+])
+def test_interpolation_folds_are_undone(monkeypatch, hi, native):
+    native = np.array([native])
+    xi_grid = np.linspace(-hi, hi, 5)
+    query = np.array([-hi, -0.75 * hi, -5e-324, 1e-300, 0.5 * hi, hi])
+    raw = np.interp(query, xi_grid, native[0])
+    assert np.any(np.diff(raw) < 0.0)  # np.interp alone folds these knots
+    monkeypatch.setattr(models, "monotone_head", lambda g, xi: (native, None))
+    model = tiny_coord_net(n_in=3, lo=-hi, hi=hi)
+    system = RAdaptiveSystem(coord_net=model, sol_net=model, xi_grid=xi_grid)
+    knots = radaptive_predict_graph(system, np.zeros((1, 3)), xi=query).knots[0]
+    np.testing.assert_array_equal(knots, np.maximum.accumulate(np.minimum(raw, hi)))
+    assert monotone_fix(knots, (-hi, hi)) is knots

@@ -11,28 +11,50 @@ finite_knots = st.lists(
 ).map(np.array)
 
 
+# meshes of [0, 1]: sorted interior knots, drawn so that they often repeat
+# or touch an end
+meshes = st.lists(st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 0.5, 1.0]),
+                  min_size=0, max_size=38).map(
+    lambda inner: np.concatenate([[0.0], np.sort(inner), [1.0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(meshes)
+def test_monotone_fix_accepts_every_mesh_as_is(mesh):
+    assert monotone_fix(mesh, (0.0, 1.0)) is mesh
+
+
 @settings(max_examples=200, deadline=None)
 @given(finite_knots)
-def test_monotone_fix_always_valid(knots):
-    fixed = monotone_fix(knots, (0.0, 1.0))
-    assert fixed[0] == 0.0 and fixed[-1] == 1.0
-    assert np.all(np.diff(fixed) > 0.0)
-    # idempotent: a repaired mesh passes through unchanged
-    np.testing.assert_array_equal(monotone_fix(fixed, (0.0, 1.0)), fixed)
+def test_monotone_fix_refuses_what_is_not_a_mesh(knots):
+    # a fold, an end off the domain or fewer than 2 knots is refused
+    if knots.size >= 2 and knots[0] == 0.0 and knots[-1] == 1.0 and np.all(np.diff(knots) >= 0):
+        return
+    with pytest.raises(ValueError):
+        monotone_fix(knots, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("knots", [
+    [0.0, 0.5, np.nan, 1.0], [-np.inf, 1.0], [0.0, 1.0, np.nan],
+    [0.0, 0.5, np.nextafter(1.0, 2.0)], [-1e-300, 1.0], [], [[0.0, 1.0]],
+])
+def test_monotone_fix_refuses_off_ends_non_finite_and_short(knots):
+    with pytest.raises(ValueError):
+        monotone_fix(np.array(knots), (0.0, 1.0))
 
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(finite_knots, st.data())
-def test_interp_bounded_by_values(knots, data):
-    # recover_uniform stays within the values' range, on any knots (folded,
-    # outside the domain) and at any query, inside the domain or not
-    values = np.array(data.draw(st.lists(finite_values, min_size=knots.size,
-                                         max_size=knots.size)))
+@given(meshes, st.data())
+def test_interp_bounded_by_values(mesh, data):
+    # recover_uniform stays within the values' range, on any mesh (repeated
+    # knots included) and at any query, inside the domain or not
+    values = np.array(data.draw(st.lists(finite_values, min_size=mesh.size,
+                                         max_size=mesh.size)))
     grid = np.array(data.draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=20)))
-    out = recover_uniform(knots, values, grid, (0.0, 1.0))
+    out = recover_uniform(mesh, values, grid, (0.0, 1.0))
     tol = 1e-12 * np.ptp(values)  # rounding in a + t * (b - a)
     assert np.all(values.min() - tol <= out) and np.all(out <= values.max() + tol)
 
@@ -53,13 +75,9 @@ def test_monotone_fix_identity_on_valid_mesh():
     assert out is mesh  # untouched, not copied
 
 
-def test_monotone_fix_repairs_fold():
-    knots = np.array([0.0, 0.3, 0.2, 0.25, 1.0])
-    out = monotone_fix(knots, (0.0, 1.0))
-    assert np.all(np.diff(out) > 0.0)
-    np.testing.assert_array_equal(out[[0, -1]], [0.0, 1.0])
-    # untouched knots that were already fine stay where they were
-    assert out[1] == 0.3
+def test_monotone_fix_refuses_a_fold():
+    with pytest.raises(ValueError, match="without decreasing"):
+        monotone_fix(np.array([0.0, 0.3, 0.2, 0.25, 1.0]), (0.0, 1.0))
 
 
 def test_monotone_fix_validation():
@@ -103,12 +121,17 @@ def test_graph_prediction_validation():
 
 
 def test_recover_uniform_equals_fix_then_interp():
-    knots = np.array([0.0, 0.62, 0.6, 0.61, 1.0])  # slightly folded
-    values = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
+    # monotone_fix passes a mesh through, so a repeated knot reaches np.interp,
+    # which takes it as a jump
+    knots = np.array([0.0, 0.6, 0.6, 0.6, 1.0])
+    values = np.array([0.0, 1.0, 2.0, 3.0, 0.0])
     grid = np.linspace(0.0, 1.0, 33)
     got = recover_uniform(knots, values, grid, (0.0, 1.0))
-    fixed = monotone_fix(knots, (0.0, 1.0))
-    np.testing.assert_array_equal(got, np.interp(grid, fixed, values))
+    np.testing.assert_array_equal(got, np.interp(grid, knots, values))
+    # left of the knot the graph rises to 1, right of it it falls from 3
+    left, right = recover_uniform(knots, values, np.array([0.6 - 1e-9, 0.6 + 1e-9]),
+                                  (0.0, 1.0))
+    assert abs(left - 1.0) < 1e-6 and abs(right - 3.0) < 1e-6
 
 
 def test_rel_l2_error_hand_value():
