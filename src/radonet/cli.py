@@ -429,24 +429,83 @@ def _report_dict(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# memory estimates: the peak bytes a stage's arrays take, each measured with
+# tracemalloc at two small sizes of the keys it grows with (both processes
+# where a stage forks), so that a config past this machine's memory is
+# refused before the stage allocates anything
+
+
+def _refuse_above_memory(need: int, what: str, lower: str) -> None:
+    """Refuse, naming what to lower, work that needs more than this machine's
+    physical memory (need bytes)."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        tenths = (need + 5 * 10**7) // 10**8  # integer GB / 10: need may be past float range
+        raise CliError(f"{what} needs about {tenths // 10}.{tenths % 10} GB, more than this "
+                       f"machine's {have / 1e9:.1f} GB of memory; lower {lower}")
+
+
+def _datagen_bytes(cfg: dict) -> int:
+    """datagen's peak: 3 floats a row and output point (a row in its half,
+    the child's half as sent and the joined split), 13 a row and Fourier
+    mode where the Burgers solver holds its stages, and 3 a row and input
+    value (6 inputs at most for advection and sod, one a sensor for
+    burgers)."""
+    p = dataset_params(cfg["problem"], cfg["data"])
+    if cfg["problem"] == "burgers":
+        row = 13 * p["n_modes"] + 3 * p["sensors"]
+    else:
+        row = 3 * (p["n_grid"] + 6)
+    return 8 * row * sum(cfg["counts"].values())
+
+
+def _preprocess_bytes(n_samples: int, n_xi: int) -> int:
+    """preprocess's peak: 10 floats a sample and xi point (a sample's four
+    row columns, stacked, in either process), and 128 an xi point for the
+    two processes' one-sample temporaries."""
+    return 8 * (n_xi + 1) * (10 * n_samples + 128)
+
+
+def _net_bytes(cfg: dict, n_inputs: int, n_rows: int, n_points: int, head: bool) -> int:
+    """The peak of training one net of the config's model on n_rows samples
+    at n_points query points: 7 floats a parameter (the weights, their
+    gradient, Adam's two moments and the best snapshot), 2 a sample and
+    branch unit, 3 a query point and trunk unit, and 8 a sample and query
+    point (the targets and the forward's and loss's arrays), 16 with the
+    weights and the monotone head of a coordinate net (head). That is 1.0-1.6
+    times the measured peak at widths 16 to 1024, 17 to 1025 query points
+    and 10 to 1000 samples, for either loss and either net."""
+    m = cfg["model"]
+    branch = [n_inputs, *m["branch_hidden"], m["n_basis"]]
+    trunk = [1, *m["trunk_hidden"], m["n_basis"]]
+    params = sum((a + 1) * b for sizes in (branch, trunk) for a, b in zip(sizes, sizes[1:]))
+    return 8 * (7 * params + 2 * n_rows * sum(branch[1:]) + 3 * n_points * sum(trunk[1:])
+                + (16 if head else 8) * n_rows * n_points)
+
+
+# ---------------------------------------------------------------------------
 # stages
 
 
 def cmd_datagen(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .pde_data.dataset import dataset_build, save_dataset
 
+    sizes = "data.n_modes or data.sensors" if cfg["problem"] == "burgers" else "data.n_grid"
+    _refuse_above_memory(_datagen_bytes(cfg), f"datagen of {sum(cfg['counts'].values())} "
+                         "samples", f"counts.* or {sizes}")
     datasets = dataset_build(cfg["problem"], cfg["seed"], cfg["counts"], cfg["data"])
     save_dataset(out, datasets)
     print(f"wrote {sum(d.n_samples for d in datasets.values())} samples "
           f"across {len(datasets)} splits to {args.out}")
 
 
-def _config_dataset(cfg: dict, path: Path, splits=None) -> dict:
-    """The named splits (None: all) of the dataset at path, refused unless it
-    holds the config's problem."""
+def _config_dataset(cfg: dict, path: Path, splits=None, outputs: bool = True) -> dict:
+    """The named splits (None: all) of the dataset at path, with their
+    outputs unless outputs is False, refused unless it holds the config's
+    problem."""
     from .pde_data.dataset import load_dataset
 
-    datasets = load_dataset(path, splits)
+    datasets = load_dataset(path, splits, outputs)
     for ds in datasets.values():
         if ds.problem != cfg["problem"]:
             raise CliError(f"dataset holds {ds.problem!r} but config says {cfg['problem']!r}")
@@ -459,7 +518,10 @@ def cmd_preprocess(args, cfg: dict, inputs: dict, out: Path) -> None:
 
     datasets = _config_dataset(cfg, inputs["dataset"])
     domain, periodic = next(iter(datasets.values())).geometry()
-    xi = np.linspace(domain[0], domain[1], cfg["preprocess"]["n_xi"] + 1)
+    n_xi = cfg["preprocess"]["n_xi"]
+    _refuse_above_memory(_preprocess_bytes(sum(ds.n_samples for ds in datasets.values()), n_xi),
+                         f"preprocess at preprocess.n_xi {n_xi}", "preprocess.n_xi")
+    xi = np.linspace(domain[0], domain[1], n_xi + 1)
 
     def prep(split, rows):
         return PreprocessedSet.from_samples(cfg["problem"], xi, [
@@ -485,13 +547,18 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     from .training import TrainConfig, train
 
     family, problem = cfg["model"]["family"], cfg["problem"]
-    datasets = _config_dataset(cfg, inputs["dataset"], ("train", "val"))
+    # both radaptive nets learn from the prep's mapped targets, so that
+    # family reads no dataset outputs
+    datasets = _config_dataset(cfg, inputs["dataset"], ("train", "val"),
+                               outputs=family != "radaptive")
     train_ds = _load_split(datasets, "train", "training")
     domain, periodic = train_ds.geometry()
     val_ds = datasets.get("val")
     tc = TrainConfig(**cfg["train"], seed=cfg["seed"])
+    n_rows, n_in = train_ds.inputs.shape
+    widths = "model.n_basis or the model.*_hidden widths"
     encoding = {"advection": "box-params(height,width,shift)",
-                "burgers": f"{train_ds.inputs.shape[1]}-point-sensors",
+                "burgers": f"{n_in}-point-sensors",
                 "sod": "riemann-z6"}[problem]
 
     if family == "radaptive":
@@ -505,7 +572,10 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         xi = pset.xi
         queries = xi.reshape(-1, 1)
         bounds = (float(xi[0]), float(xi[-1]))
-        n_in = train_ds.inputs.shape[1]
+        # run_pair may train the two nets at once, so their peaks add up
+        _refuse_above_memory(sum(_net_bytes(cfg, n_in, n_rows, xi.size, head)
+                                 for head in (True, False)),
+                             "training a radaptive model", widths)
         tr_in = train_ds.inputs
         va_in = None if vset is None else val_ds.inputs
 
@@ -525,12 +595,17 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         run_reports = {"coord": coord_rep, "sol": sol_rep}
     else:
         n_points = cfg["model"]["output_points"]
+        _refuse_above_memory(_net_bytes(cfg, n_in, n_rows, n_points, False),
+                             f"training a vanilla model at model.output_points {n_points}",
+                             f"model.output_points, {widths}")
         queries, targets = _uniform_targets(train_ds, n_points, domain, periodic)
         # validation scores what eval scores, rel-L2 on the dataset's own
         # grid: a narrow box can fall between all output_points, and its
         # all-zero resampled target has no relative error
         val = train_ds if val_ds is None else val_ds
-        model = _make_deeponet(cfg, train_ds.inputs.shape[1], domain, role="vanilla")
+        if val is not train_ds:  # training reads the targets, validation the val split
+            train_ds.outputs = None
+        model = _make_deeponet(cfg, n_in, domain, role="vanilla")
         model, report = train(model, train_ds.inputs, targets, queries, tc, loss="mse",
                               val_inputs=val.inputs, val_targets=val.outputs,
                               val_queries=val.x_grid.reshape(-1, 1))
@@ -618,16 +693,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not values:
         raise CliError(f"{what} is empty")
     return values
-
-
-def _refuse_above_memory(need: int, what: str, lower: str) -> None:
-    """Refuse, naming what to lower, work that needs more than this machine's
-    physical memory (need bytes)."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        tenths = (need + 5 * 10**7) // 10**8  # integer GB / 10: need may be past float range
-        raise CliError(f"{what} needs about {tenths // 10}.{tenths % 10} GB, more than this "
-                       f"machine's {have / 1e9:.1f} GB of memory; lower {lower}")
 
 
 def _args_config(args) -> dict:

@@ -5,7 +5,7 @@ bundles are stored this way. A reader asks for an array's name and number of
 dimensions and gets exactly that or a ValueError; it reads no array data
 before the .npy header's shape times itemsize has been found to equal the
 bytes left in the file. A split table may be read for some of its splits
-only; the headers of the others are checked all the same.
+and columns only; the headers of the others are checked all the same.
 """
 
 from __future__ import annotations
@@ -127,26 +127,29 @@ def write_splits(root: Path, manifest: dict, shared: dict, splits: dict) -> None
 
 
 def read_splits(root: Path, what: str, version: int, fields: dict, shared: dict,
-                columns: dict, splits=None) -> tuple[dict, dict, dict]:
+                columns: dict, splits=None, load=None) -> tuple[dict, dict, dict]:
     """(manifest, shared arrays, {split: {column: array}}) of a split table
     with at least one split, where shared and columns give each array's
     number of dimensions; a column must hold its split's n_samples rows.
 
-    splits names the splits whose columns are loaded (None: all of them); a
-    name the table lacks is left out. The columns of every other split are
-    checked as thoroughly, header, size and rows, but their data is not read.
+    splits names the splits whose columns are loaded (None: all of them), and
+    load the columns loaded in them (None: all of them); a name the table
+    lacks is left out. Every other column, of these splits or the others, is
+    checked as thoroughly, header, size and rows, but its data is not read.
     """
     manifest = read_manifest(root, what, version, dict(fields, splits=dict))
     if not manifest["splits"]:
         raise ValueError(f"{root / 'manifest.json'}: entry 'splits' is empty")
     check_fields(root, manifest["splits"], dict.fromkeys(manifest["splits"], {"n_samples": int}),
                  "splits.")
+    load = columns if load is None else load
     out = {}
     for split, entry in manifest["splits"].items():
-        load = splits is None or split in splits
-        cols = {name: _read(root, f"{name}_{split}", ndim, load) for name, ndim in columns.items()}
+        wanted = splits is None or split in splits
+        cols = {name: _read(root, f"{name}_{split}", ndim, wanted and name in load)
+                for name, ndim in columns.items()}
         if any(shape[0] != entry["n_samples"] for shape, _ in cols.values()):
             raise ValueError(f"{root}: split {split!r} columns disagree with its n_samples")
-        if load:
-            out[split] = {name: arr for name, (_, arr) in cols.items()}
+        if wanted:
+            out[split] = {name: arr for name, (_, arr) in cols.items() if name in load}
     return manifest, {name: read_array(root, name, ndim) for name, ndim in shared.items()}, out

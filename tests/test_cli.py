@@ -377,6 +377,89 @@ def test_eval_xi_points_beyond_memory_are_refused_before_prediction(micro, tmp_p
             "--model", str(micro["van"]), "--dataset", str(micro["data"]), "--out", str(out))
 
 
+def test_the_radaptive_train_reads_no_dataset_outputs(micro, tmp_path, monkeypatch):
+    # both nets learn the prep's x and u; the dataset gives only their inputs
+    read = []
+    real_read = store._read
+
+    def spy(root, name, ndim, data):
+        if data:
+            read.append(name)
+        return real_read(root, name, ndim, data)
+
+    monkeypatch.setattr(store, "_read", spy)
+    run_cli("train", "--config", str(micro["cfg"]), "--set", "model.family=radaptive",
+            "--dataset", str(micro["data"]), "--prep", str(micro["prep"]),
+            "--out", str(tmp_path / "rad"))
+    assert {"inputs_train", "inputs_val", "x_train", "u_val"} <= set(read)
+    assert not [name for name in read if name.startswith("outputs_")]
+    for name in ("manifest.json", "report.json"):
+        assert (tmp_path / "rad" / name).read_bytes() == (micro["rad"] / name).read_bytes()
+
+
+def test_the_vanilla_train_frees_its_native_grid_outputs_before_training(micro, tmp_path,
+                                                                        monkeypatch):
+    # with a val split, validation reads the val outputs, and training reads
+    # only the targets resampled from the train outputs
+    import weakref
+
+    from radonet.pde_data import dataset
+
+    real_load, real_train = dataset.load_dataset, training.train
+    train_outputs, held = [], []
+
+    def load(*args, **kwargs):
+        loaded = real_load(*args, **kwargs)
+        train_outputs.append(weakref.ref(loaded["train"].outputs))
+        return loaded
+
+    def train(*args, **kwargs):
+        held.append(train_outputs[0]() is not None)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "load_dataset", load)
+    monkeypatch.setattr(training, "train", train)
+    run_cli("train", "--config", str(micro["cfg"]), "--dataset", str(micro["data"]),
+            "--out", str(tmp_path / "van"))
+    assert held == [False]
+    assert ((tmp_path / "van" / "report.json").read_bytes()
+            == (micro["van"] / "report.json").read_bytes())
+
+
+HUGE = 10**11
+
+
+@pytest.mark.parametrize("argv, compute, key", [
+    pytest.param(("datagen", f"counts.train={HUGE}"), "radonet.pde_data.dataset.dataset_build",
+                 "counts.*", id="counts"),
+    pytest.param(("datagen", "problem=burgers", f"data.sensors={HUGE}"),
+                 "radonet.pde_data.dataset.dataset_build", "data.sensors", id="sensors"),
+    pytest.param(("preprocess", f"preprocess.n_xi={HUGE}"), "radonet.parallel.split_rows",
+                 "preprocess.n_xi", id="n_xi"),
+    pytest.param(("train", f"model.output_points={HUGE}"), "radonet.training.train",
+                 "model.output_points", id="output_points"),
+    pytest.param(("train", f"model.branch_hidden=[16,{HUGE}]"), "radonet.nn.mlp_init",
+                 "model.*_hidden", id="branch_hidden"),
+    pytest.param(("train", "model.family=radaptive", f"model.trunk_hidden=[{HUGE}]"),
+                 "radonet.nn.mlp_init", "model.*_hidden", id="radaptive-trunk_hidden")])
+def test_sizes_beyond_memory_are_refused_before_the_stage_allocates(micro, tmp_path, capsys,
+                                                                   monkeypatch, argv, compute, key):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran on a refused size")
+
+    monkeypatch.setattr(compute, refuse)
+    stage, *sets = argv
+    data = ("--config", str(micro["cfg"]), "--dataset", str(micro["data"]))
+    flags = {"datagen": (), "preprocess": data, "train": (*data, "--prep", str(micro["prep"]))}
+    out = tmp_path / "out"
+    run_cli(stage, *(a for s in sets for a in ("--set", s)), *flags[stage], "--out", str(out),
+            expect=2)
+    err = read_error(capsys)
+    assert err["kind"] == "config" and "GB of memory" in err["message"]
+    assert key in err["message"]
+    assert not out.exists()
+
+
 def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatch):
     from radonet.pde_data import dataset
 
@@ -630,32 +713,41 @@ def test_stale_artifact_refusal(micro, tmp_path, capsys):
         assert not (tmp_path / "e").exists()
 
 
-def _rerecord(data, model):
-    """Record data's current content hash in its provenance, and as model's
-    upstream dataset, so that only the loaders can refuse a tampered file."""
+def _rerecord(data, *built_from):
+    """Record data's current content hash in its provenance, and as the
+    upstream dataset of each artifact built from it, so that only the
+    loaders can refuse a tampered file."""
     prov = json.loads((data / "provenance.json").read_text())
     prov["content_hash"] = content_hash(data)
     (data / "provenance.json").write_text(json.dumps(prov))
-    model_prov = json.loads((model / "provenance.json").read_text())
-    model_prov["upstream"]["dataset"] = prov["content_hash"]
-    (model / "provenance.json").write_text(json.dumps(model_prov))
+    for artifact in built_from:
+        artifact_prov = json.loads((artifact / "provenance.json").read_text())
+        artifact_prov["upstream"]["dataset"] = prov["content_hash"]
+        (artifact / "provenance.json").write_text(json.dumps(artifact_prov))
 
 
-@pytest.mark.parametrize("stage, unread", [("eval", "train"), ("train", "test")])
+@pytest.mark.parametrize("stage, unread, family", [
+    pytest.param("eval", "train", "vanilla", id="eval-train"),
+    pytest.param("train", "test", "vanilla", id="train-test"),
+    # the radaptive train reads the train split's inputs but not its outputs
+    pytest.param("train", "train", "radaptive", id="radaptive-train-train")])
 def test_a_corrupt_header_in_a_split_the_stage_does_not_read_is_refused(
-        micro, tmp_path, capsys, stage, unread):
+        micro, tmp_path, capsys, stage, unread, family):
     # eval reads only its split and train only train and val, yet every
     # array header is checked
     import shutil
 
-    data, model = tmp_path / "data", tmp_path / "model"
+    data, model, prep = tmp_path / "data", tmp_path / "model", tmp_path / "prep"
     shutil.copytree(micro["data"], data)
     shutil.copytree(micro["van"], model)
+    shutil.copytree(micro["prep"], prep)
     blob = (data / f"outputs_{unread}.npy").read_bytes()
     assert blob.count(b"'<f8'") == 1
     (data / f"outputs_{unread}.npy").write_bytes(blob.replace(b"'<f8'", b"'<f4'"))
-    _rerecord(data, model)
+    _rerecord(data, model, prep)
     inputs = ("--model", str(model)) if stage == "eval" else ()
+    if family == "radaptive":
+        inputs = ("--set", "model.family=radaptive", "--prep", str(prep))
     run_cli(stage, "--config", str(micro["cfg"]), *inputs, "--dataset", str(data),
             "--out", str(tmp_path / "out"), expect=1)
     err = read_error(capsys)

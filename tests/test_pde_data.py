@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,3 +428,43 @@ def test_reading_some_splits_loads_those_and_checks_the_rest(dataset_dir, tmp_pa
         restore(tmp_path, files)
         with pytest.raises(ValueError, match=match):
             load_guarded(lambda path: load_dataset(path, ("val",)), tmp_path)
+
+
+def test_reading_some_columns_loads_those_and_checks_the_rest(dataset_dir, tmp_path,
+                                                              monkeypatch):
+    from radonet import store
+
+    root, good = dataset_dir
+    read = []
+    real_fromfile = np.fromfile
+
+    def fromfile(fh, *args, **kwargs):
+        read.append(Path(fh.name).name)
+        return real_fromfile(fh, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", fromfile)
+
+    def read_inputs(path, splits=("val",)):
+        return store.read_splits(path, "dataset", 1, {}, {"x_grid": 1},
+                                 {"inputs": 2, "outputs": 2}, splits, ("inputs",))[2]
+
+    loaded = read_inputs(root / "good")
+    assert set(loaded) == {"val"} and set(loaded["val"]) == {"inputs"}
+    assert sorted(read) == ["inputs_val.npy", "x_grid.npy"]
+    np.testing.assert_array_equal(loaded["val"]["inputs"],
+                                  load_dataset(root / "good")["val"].inputs)
+    assert load_dataset(root / "good", ("val",), outputs=False)["val"].outputs is None
+    # a bad outputs column is refused in the split that is read and in the one that is not
+    for split in ("val", "train"):
+        name = f"outputs_{split}.npy"
+        header, body = split_npy(good[name])
+        rows = header["shape"][0]
+        one_short = join_npy(dict(header, shape=(rows - 1, 64)), body[:(rows - 1) * 64 * 8])
+        for blob, match in ((join_npy(dict(header, shape=(10**6, 10**6)), body), "bytes of data"),
+                            (join_npy(dict(header, shape=(rows, 63)), body), "bytes of data"),
+                            (one_short, "n_samples"),
+                            (join_npy(dict(header, descr="<f4"), body), "expected <f8")):
+            restore(tmp_path, dict(good, **{name: blob}))
+            with pytest.raises(ValueError, match=match) as exc:
+                load_guarded(read_inputs, tmp_path)
+            assert name in str(exc.value) or match == "n_samples"

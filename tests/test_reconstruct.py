@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radonet.reconstruct import monotone_fix, recover_uniform, rel_l2_error
+from radonet.reconstruct import ERROR_ROWS, monotone_fix, recover_uniform, rel_l2_error
 
 finite_knots = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False),
@@ -146,3 +146,25 @@ def test_rel_l2_error_hand_value():
         rel_l2_error(np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         rel_l2_error(np.zeros(3), np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, ERROR_ROWS - 1, ERROR_ROWS, ERROR_ROWS + 1, 3 * ERROR_ROWS + 5]),
+       field=st.sampled_from([(1,), (7,), (2048,), (3, 5)]), seed=st.integers(0, 2**32 - 1))
+def test_rel_l2_error_in_row_blocks_is_the_whole_array_formula_to_the_bit(rows, field, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=(rows,) + (1,) * len(field))
+    ref = rng.normal(size=(rows, *field)) * scale
+    pred = ref + rng.normal(size=ref.shape) * rng.uniform(0.0, 2.0)
+    p, r = pred.reshape(rows, -1), ref.reshape(rows, -1)
+    whole = np.sqrt(np.mean((p - r) ** 2, axis=1)) / np.sqrt(np.mean(r * r, axis=1))
+    got = rel_l2_error(pred, ref)
+    assert got.shape == (rows,) and got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
+
+
+def test_rel_l2_error_refuses_a_zero_norm_reference_in_a_later_block():
+    ref = np.ones((2 * ERROR_ROWS + 3, 4))
+    ref[ERROR_ROWS + 2] = 0.0
+    with pytest.raises(ValueError, match="zero norm"):
+        rel_l2_error(np.ones_like(ref), ref)
