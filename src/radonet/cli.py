@@ -604,7 +604,7 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         # all-zero resampled target has no relative error
         val = train_ds if val_ds is None else val_ds
         if val is not train_ds:  # training reads the targets, validation the val split
-            train_ds.outputs = None
+            train_ds.outputs = np.empty((n_rows, 0))
         model = _make_deeponet(cfg, n_in, domain, role="vanilla")
         model, report = train(model, train_ds.inputs, targets, queries, tc, loss="mse",
                               val_inputs=val.inputs, val_targets=val.outputs,

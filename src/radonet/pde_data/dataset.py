@@ -49,19 +49,19 @@ _DEFAULTS: dict[str, dict] = {
 
 @dataclass
 class PdeDataset:
-    """One split of generated operator data; outputs is None where the
-    loader was asked for the inputs only."""
+    """One split of generated operator data. outputs has no columns where
+    the loader was asked for the inputs only, and where the vanilla train
+    has dropped the train split's fields once its targets are built."""
 
     problem: str
     inputs: np.ndarray
-    outputs: np.ndarray | None
+    outputs: np.ndarray
     x_grid: np.ndarray
     seed: int
     params: dict
 
     def __post_init__(self):
-        if self.outputs is not None and (self.outputs.ndim != 2
-                                         or len(self.inputs) != len(self.outputs)):
+        if self.outputs.ndim != 2 or len(self.inputs) != len(self.outputs):
             raise ValueError(f"inputs {self.inputs.shape} and outputs {self.outputs.shape} "
                              f"must hold one row and one (n_grid,) field per sample")
 
@@ -194,13 +194,15 @@ def save_dataset(path, datasets: dict[str, PdeDataset]) -> None:
 
 def load_dataset(path, splits=None, outputs: bool = True) -> dict[str, PdeDataset]:
     """Re-load the named splits (None: every split) of a dataset directory,
-    leaving out names it lacks, with their outputs unless outputs is False;
-    anything malformed in any split or column, including an array header
-    that claims more data than its file holds, raises ValueError."""
+    leaving out names it lacks, with their outputs unless outputs is False
+    (then each split's outputs is an (n_samples, 0) array); anything
+    malformed in any split or column, including an array header that claims
+    more data than its file holds, raises ValueError."""
     manifest, shared, loaded = store.read_splits(
         Path(path), "dataset", DATASET_VERSION, {"problem": str, "seed": int, "params": dict},
         {"x_grid": 1}, {"inputs": 2, "outputs": 2}, splits,
         None if outputs else ("inputs",))
-    return {split: PdeDataset(manifest["problem"], cols["inputs"], cols.get("outputs"),
+    return {split: PdeDataset(manifest["problem"], cols["inputs"],
+                              cols["outputs"] if outputs else np.empty((len(cols["inputs"]), 0)),
                               shared["x_grid"], manifest["seed"], manifest["params"])
             for split, cols in loaded.items()}

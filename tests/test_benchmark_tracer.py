@@ -49,6 +49,44 @@ def test_traced_stage_records_cli_spans_and_writes_the_same_bytes(tmp_path):
     assert files(tmp_path / "traced") == files(tmp_path / "plain")
 
 
+def test_traced_train_stages_measure_what_they_load_and_write_the_same_bytes(tmp_path):
+    # the tracer sizes load_dataset's result from every split's inputs and
+    # outputs, so a train that loads only the inputs must still hand it arrays
+    from radonet.cli import main
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "problem": "advection", "seed": 3, "counts": {"train": 4, "val": 2, "test": 1},
+        "data": {"n_grid": 256}, "preprocess": {"n_xi": 8},
+        "model": {"n_basis": 4, "branch_hidden": [8], "trunk_hidden": [8], "output_points": 16},
+        "train": {"epochs": 2, "validation_cadence": 1}}))
+    c, d, p = str(cfg), str(tmp_path / "data"), str(tmp_path / "prep")
+    assert main(["datagen", "--config", c, "--out", d]) == 0
+    assert main(["preprocess", "--config", c, "--dataset", d, "--out", p]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(radonet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+    def files(root):
+        return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+                if f.is_file() and f.name != "provenance.json"}
+
+    for family in ("radaptive", "vanilla"):
+        stage = ["train", "--config", c, "--set", f"model.family={family}",
+                 "--dataset", d, "--prep", p]
+        spans_json = tmp_path / f"{family}.json"
+        traced = subprocess.run([sys.executable, str(TRACER), str(spans_json), "--",
+                                 *stage, "--out", str(tmp_path / f"{family}-traced")],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert traced.returncode == 0, traced.stderr
+        assert main([*stage, "--out", str(tmp_path / f"{family}-plain")]) == 0
+        loads = [span[5]["bytes"] for span in json.loads(spans_json.read_text())["spans"]
+                 if span[0] == "pde_data.load_dataset"]
+        # x_grid (256 float64) and the inputs (6 rows of 3); vanilla adds the outputs
+        held = 256 * 8 + 6 * 3 * 8 + (6 * 256 * 8 if family == "vanilla" else 0)
+        assert loads == [held]
+        assert files(tmp_path / f"{family}-traced") == files(tmp_path / f"{family}-plain")
+
+
 def test_eval_calls_monotone_fix_through_its_name_once_per_sample(tmp_path, monkeypatch):
     # reconstruct.monotone_fix.calls counts the wrapper's calls, so eval must
     # reach the check through radonet.reconstruct.monotone_fix, once a sample
