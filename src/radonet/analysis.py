@@ -123,12 +123,6 @@ def mollified_box(delta: float, shift: float = 0.0) -> PiecewiseLinear:
         [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 
 
-def mollification_gap_squared(delta: float, shift: float = 0.0) -> float:
-    """Squared L2 distance between the ramped and the sharp box (= delta/6)."""
-    d = pl_l2_diff(mollified_box(delta, shift), sharp_box(shift))
-    return d * d
-
-
 def equidistributed_box_map(delta: float, shift: float = 0.0):
     """Closed-form arc-length-equidistributing map for the ramped box.
 
@@ -196,6 +190,18 @@ def fem_uniform_interp_error(u_fine: np.ndarray, n: int, domain=(0.0, 1.0)) -> f
     interp = np.interp(x_fine, knots, np.interp(knots, x_fine, u_fine))
     res = u_fine - interp
     return float(math.sqrt(np.trapezoid(res * res, x_fine)))
+
+
+def fem_rate_bytes(fine_points: int, n: int) -> int:
+    """The peak bytes of fem_uniform_interp_error at n intervals on
+    fine_points samples, with box_samples' target: 7 floats a fine point
+    and 2 a knot."""
+    return 8 * (7 * fine_points + 2 * (n + 1))
+
+
+def adaptive_rate_bytes(n: int) -> int:
+    """The peak bytes of adaptive_box_construct at n: 20 floats a knot."""
+    return 8 * 20 * (n + 1)
 
 
 # ---------------------------------------------------------------------------

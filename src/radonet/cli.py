@@ -380,34 +380,36 @@ def _derived_seed(root_seed: int, *names: str) -> int:
     return int(substream(root_seed, *names).integers(0, 2**63 - 1))
 
 
+def _layers(cfg: dict, n_inputs: int) -> tuple[list[int], list[int]]:
+    """The (branch, trunk) layer sizes of the config's nets."""
+    m = cfg["model"]
+    return ([n_inputs, *m["branch_hidden"], m["n_basis"]],
+            [1, *m["trunk_hidden"], m["n_basis"]])
+
+
 def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str):
     from .models import CoordinateNet, DeepOnetModel
     from .nn import mlp_init
 
     m = cfg["model"]
-    n_basis = m["n_basis"]
-    branch = mlp_init([n_inputs, *m["branch_hidden"], n_basis],
-                      activation=m["branch_activation"],
-                      seed=_derived_seed(cfg["seed"], "init", role, "branch"))
-    trunk = mlp_init([1, *m["trunk_hidden"], n_basis],
-                     activation=m["trunk_activation"],
-                     seed=_derived_seed(cfg["seed"], "init", role, "trunk"))
+    branch, trunk = (mlp_init(sizes, activation=m[f"{net}_activation"],
+                              seed=_derived_seed(cfg["seed"], "init", role, net))
+                     for net, sizes in zip(("branch", "trunk"), _layers(cfg, n_inputs)))
     cls = CoordinateNet if role == "coord" else DeepOnetModel
-    return cls(branch=branch, trunk=trunk, n_basis=n_basis,
+    return cls(branch=branch, trunk=trunk, n_basis=m["n_basis"],
                query_lo=[bounds[0]], query_hi=[bounds[1]])
 
 
-def _uniform_targets(ds, n_points: int, domain, periodic: bool):
+def _uniform_targets(ds, n_points: int):
     """Resample a split's output fields onto n uniform query points."""
+    from .pde_data.dataset import uniform_grid
     from .reconstruct import close_periodic
 
-    lo, hi = domain
+    domain, periodic = ds.geometry()
+    q = uniform_grid(domain, periodic, n_points)
     grid, outputs = ds.x_grid, ds.outputs
     if periodic:
-        q = lo + np.arange(n_points) / n_points * (hi - lo)
-        grid, outputs = close_periodic(grid, outputs, hi - lo)
-    else:
-        q = np.linspace(lo, hi, n_points)
+        grid, outputs = close_periodic(grid, outputs, domain[1] - domain[0])
     targets = np.stack([np.interp(q, grid, row) for row in outputs])
     return q.reshape(-1, 1), targets
 
@@ -428,16 +430,11 @@ def _report_dict(report) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# memory estimates: the peak bytes a stage's arrays take, each measured with
-# tracemalloc at two small sizes of the keys it grows with (both processes
-# where a stage forks), so that a config past this machine's memory is
-# refused before the stage allocates anything
-
-
 def _refuse_above_memory(need: int, what: str, lower: str) -> None:
     """Refuse, naming what to lower, work that needs more than this machine's
-    physical memory (need bytes)."""
+    physical memory (need bytes), before the stage allocates anything. Each
+    estimate of need lives beside the arrays it counts, and
+    tests/test_memory_estimates.py holds it to the peak tracemalloc measures."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         tenths = (need + 5 * 10**7) // 10**8  # integer GB / 10: need may be past float range
@@ -445,54 +442,17 @@ def _refuse_above_memory(need: int, what: str, lower: str) -> None:
                        f"machine's {have / 1e9:.1f} GB of memory; lower {lower}")
 
 
-def _datagen_bytes(cfg: dict) -> int:
-    """datagen's peak: 3 floats a row and output point (a row in its half,
-    the child's half as sent and the joined split), 13 a row and Fourier
-    mode where the Burgers solver holds its stages, and 3 a row and input
-    value (6 inputs at most for advection and sod, one a sensor for
-    burgers)."""
-    p = dataset_params(cfg["problem"], cfg["data"])
-    if cfg["problem"] == "burgers":
-        row = 13 * p["n_modes"] + 3 * p["sensors"]
-    else:
-        row = 3 * (p["n_grid"] + 6)
-    return 8 * row * sum(cfg["counts"].values())
-
-
-def _preprocess_bytes(n_samples: int, n_xi: int) -> int:
-    """preprocess's peak: 10 floats a sample and xi point (a sample's four
-    row columns, stacked, in either process), and 128 an xi point for the
-    two processes' one-sample temporaries."""
-    return 8 * (n_xi + 1) * (10 * n_samples + 128)
-
-
-def _net_bytes(cfg: dict, n_inputs: int, n_rows: int, n_points: int, head: bool) -> int:
-    """The peak of training one net of the config's model on n_rows samples
-    at n_points query points: 7 floats a parameter (the weights, their
-    gradient, Adam's two moments and the best snapshot), 2 a sample and
-    branch unit, 3 a query point and trunk unit, and 8 a sample and query
-    point (the targets and the forward's and loss's arrays), 16 with the
-    weights and the monotone head of a coordinate net (head). That is 1.0-1.6
-    times the measured peak at widths 16 to 1024, 17 to 1025 query points
-    and 10 to 1000 samples, for either loss and either net."""
-    m = cfg["model"]
-    branch = [n_inputs, *m["branch_hidden"], m["n_basis"]]
-    trunk = [1, *m["trunk_hidden"], m["n_basis"]]
-    params = sum((a + 1) * b for sizes in (branch, trunk) for a, b in zip(sizes, sizes[1:]))
-    return 8 * (7 * params + 2 * n_rows * sum(branch[1:]) + 3 * n_points * sum(trunk[1:])
-                + (16 if head else 8) * n_rows * n_points)
-
-
 # ---------------------------------------------------------------------------
 # stages
 
 
 def cmd_datagen(args, cfg: dict, inputs: dict, out: Path) -> None:
-    from .pde_data.dataset import dataset_build, save_dataset
+    from .pde_data.dataset import dataset_build, dataset_bytes, save_dataset
 
     sizes = "data.n_modes or data.sensors" if cfg["problem"] == "burgers" else "data.n_grid"
-    _refuse_above_memory(_datagen_bytes(cfg), f"datagen of {sum(cfg['counts'].values())} "
-                         "samples", f"counts.* or {sizes}")
+    _refuse_above_memory(dataset_bytes(cfg["problem"], cfg["counts"], cfg["data"]),
+                         f"datagen of {sum(cfg['counts'].values())} samples",
+                         f"counts.* or {sizes}")
     datasets = dataset_build(cfg["problem"], cfg["seed"], cfg["counts"], cfg["data"])
     save_dataset(out, datasets)
     print(f"wrote {sum(d.n_samples for d in datasets.values())} samples "
@@ -513,13 +473,14 @@ def _config_dataset(cfg: dict, path: Path, splits=None, outputs: bool = True) ->
 
 
 def cmd_preprocess(args, cfg: dict, inputs: dict, out: Path) -> None:
-    from .equidistribution import PreprocessedSet, preprocess_sample, save_preprocessed
+    from .equidistribution import (PreprocessedSet, preprocess_bytes, preprocess_sample,
+                                   save_preprocessed)
     from .parallel import split_rows
 
     datasets = _config_dataset(cfg, inputs["dataset"])
     domain, periodic = next(iter(datasets.values())).geometry()
     n_xi = cfg["preprocess"]["n_xi"]
-    _refuse_above_memory(_preprocess_bytes(sum(ds.n_samples for ds in datasets.values()), n_xi),
+    _refuse_above_memory(preprocess_bytes(sum(ds.n_samples for ds in datasets.values()), n_xi),
                          f"preprocess at preprocess.n_xi {n_xi}", "preprocess.n_xi")
     xi = np.linspace(domain[0], domain[1], n_xi + 1)
 
@@ -544,7 +505,7 @@ def _load_split(splits: dict, split: str, what: str):
 def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     from .models import RAdaptiveSystem, save_bundle
     from .parallel import run_pair
-    from .training import TrainConfig, train
+    from .training import TrainConfig, net_bytes, train
 
     family, problem = cfg["model"]["family"], cfg["problem"]
     # both radaptive nets learn from the prep's mapped targets, so that
@@ -552,7 +513,6 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     datasets = _config_dataset(cfg, inputs["dataset"], ("train", "val"),
                                outputs=family != "radaptive")
     train_ds = _load_split(datasets, "train", "training")
-    domain, periodic = train_ds.geometry()
     val_ds = datasets.get("val")
     tc = TrainConfig(**cfg["train"], seed=cfg["seed"])
     n_rows, n_in = train_ds.inputs.shape
@@ -573,8 +533,9 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         queries = xi.reshape(-1, 1)
         bounds = (float(xi[0]), float(xi[-1]))
         # run_pair may train the two nets at once, so their peaks add up
-        _refuse_above_memory(sum(_net_bytes(cfg, n_in, n_rows, xi.size, head)
-                                 for head in (True, False)),
+        n_val = n_rows if vset is None else len(vset.x)
+        _refuse_above_memory(sum(net_bytes(*_layers(cfg, n_in), n_rows, xi.size, n_val, xi.size,
+                                           head) for head in (True, False)),
                              "training a radaptive model", widths)
         tr_in = train_ds.inputs
         va_in = None if vset is None else val_ds.inputs
@@ -595,17 +556,18 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         run_reports = {"coord": coord_rep, "sol": sol_rep}
     else:
         n_points = cfg["model"]["output_points"]
-        _refuse_above_memory(_net_bytes(cfg, n_in, n_rows, n_points, False),
-                             f"training a vanilla model at model.output_points {n_points}",
-                             f"model.output_points, {widths}")
-        queries, targets = _uniform_targets(train_ds, n_points, domain, periodic)
         # validation scores what eval scores, rel-L2 on the dataset's own
         # grid: a narrow box can fall between all output_points, and its
         # all-zero resampled target has no relative error
         val = train_ds if val_ds is None else val_ds
+        _refuse_above_memory(net_bytes(*_layers(cfg, n_in), n_rows, n_points, val.n_samples,
+                                       val.x_grid.size),
+                             f"training a vanilla model at model.output_points {n_points}",
+                             f"model.output_points, {widths}")
+        queries, targets = _uniform_targets(train_ds, n_points)
         if val is not train_ds:  # training reads the targets, validation the val split
             train_ds.outputs = np.empty((n_rows, 0))
-        model = _make_deeponet(cfg, n_in, domain, role="vanilla")
+        model = _make_deeponet(cfg, n_in, train_ds.geometry()[0], role="vanilla")
         model, report = train(model, train_ds.inputs, targets, queries, tc, loss="mse",
                               val_inputs=val.inputs, val_targets=val.outputs,
                               val_queries=val.x_grid.reshape(-1, 1))
@@ -623,16 +585,17 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
 
 
 def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
-    from .models import load_bundle, model_predict, radaptive_predict_graph
+    from .models import eval_bytes, load_bundle, model_predict, radaptive_predict_graph
     from .reconstruct import fd_derivative, recover_uniform, rel_l2_error
 
     model = load_bundle(inputs["model"])
     split = cfg["eval"]["split"]
     ds = _load_split(_config_dataset(cfg, inputs["dataset"], (split,)), split, "evaluation")
     domain, _ = ds.geometry()
-    grid = ds.x_grid
-    refs = ds.outputs
-    summary = {"split": split, "n_samples": int(ds.n_samples), "problem": ds.problem,
+    grid, refs, n = ds.x_grid, ds.outputs, ds.n_samples
+    _refuse_above_memory(eval_bytes(n, grid.size), f"eval of {n} {split} samples",
+                         f"the dataset's counts.{split}")
+    summary = {"split": split, "n_samples": int(n), "problem": ds.problem,
                "family": model.family}
 
     if model.family == "radaptive":
@@ -646,14 +609,8 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
             xi_eval = None
         else:
             n_pts = max(n_pts, model.xi_grid.size)
-            # peak bytes an xi point holds, measured with tracemalloc: 8 per
-            # unit of the solution trunk's layers plus 9 per sample while the
-            # values are built, or 26 per sample once knots, values and their
-            # differences are all held
-            n = ds.n_samples
-            per_point = max(8 * sum(model.sol_net.trunk.layer_sizes) + 9 * n, 26 * n)
-            _refuse_above_memory(n_pts * per_point, f"eval at eval.xi_points {n_pts}",
-                                 "eval.xi_points")
+            _refuse_above_memory(eval_bytes(n, grid.size, n_pts, model.sol_net.trunk.layer_sizes),
+                                 f"eval at eval.xi_points {n_pts}", "eval.xi_points")
             xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
         # one call for the whole split: each trunk runs once, and each branch
         # runs on a stack of one-row batches, so the bytes match evaluating
@@ -662,13 +619,13 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
         # mesh usability is judged on the model's own computational grid,
         # where the coordinate net predicts its knots
         det = fd_derivative(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
-        for i in range(ds.n_samples):
+        for i in range(n):
             preds[i] = recover_uniform(pred.knots[i], pred.values[i], grid, domain)
         # a mesh with a repeated knot (a jump) is usable but not strictly monotone
         n_monotone = int(np.sum(np.all(np.diff(pred.knots, axis=1) > 0.0, axis=1)))
         summary["xi_points"] = int(pred.knots.shape[1])
         summary["prefix_jacobian_positive_fraction"] = int(np.sum(det > 0.0)) / det.size
-        summary["monotone_mesh_fraction"] = n_monotone / ds.n_samples
+        summary["monotone_mesh_fraction"] = n_monotone / n
     else:
         preds = model_predict(model, ds.inputs, grid.reshape(-1, 1))
 
@@ -718,16 +675,14 @@ def _args_config(args) -> dict:
             raise CliError("--fine-points must be at least 4097")
         if kind == "fem-rate" and args.target not in ("box", "sine"):
             raise CliError(f"--target must be 'box' or 'sine', got {args.target!r}")
-        # peak float64 arrays the analysis holds, measured with tracemalloc:
-        # fem-rate 7 of --fine-points plus 2 of the largest size's knots,
-        # adaptive-rate 20 of knots (153-157 bytes a knot)
-        top = ns[-1] + 1
+        from .analysis import adaptive_rate_bytes, fem_rate_bytes
+
         if kind == "fem-rate":
-            _refuse_above_memory(8 * (7 * args.fine_points + 2 * top),
+            _refuse_above_memory(fem_rate_bytes(args.fine_points, ns[-1]),
                                  f"fem-rate at --fine-points {args.fine_points} and size "
                                  f"{ns[-1]}", "--fine-points or the largest --ns")
         else:
-            _refuse_above_memory(8 * 20 * top, f"adaptive-rate at size {ns[-1]}",
+            _refuse_above_memory(adaptive_rate_bytes(ns[-1]), f"adaptive-rate at size {ns[-1]}",
                                  "the largest --ns")
     if kind == "adaptive-rate":
         try:  # the ramp width of each size, as the stage computes it
@@ -796,13 +751,10 @@ def cmd_analyze_adaptive_rate(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .analysis import adaptive_box_construct, rate_fit
 
     ns = _parse_int_list(args.ns, "--ns")
-    rows = []
-    for n in ns:
-        delta = float(n) ** (-args.delta_power)
-        fit = adaptive_box_construct(delta, n)
-        rows.append((n, delta, fit.error))
-    result = rate_fit([r[0] for r in rows], [r[2] for r in rows])
-    lines = ["n,delta,error"] + [f"{n},{d:.12e},{e:.12e}" for n, d, e in rows]
+    deltas = [float(n) ** (-args.delta_power) for n in ns]
+    errors = [adaptive_box_construct(d, n).error for n, d in zip(ns, deltas)]
+    result = rate_fit(ns, errors)
+    lines = ["n,delta,error"] + [f"{n},{d:.12e},{e:.12e}" for n, d, e in zip(ns, deltas, errors)]
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "delta_power": args.delta_power}
     _write_outputs(out, ("adaptive_rate.csv", lines), ("adaptive_rate.json", doc))
@@ -820,9 +772,9 @@ def cmd_analyze_fem_rate(args, cfg: dict, inputs: dict, out: Path) -> None:
     else:
         domain = (0.0, 1.0)
         u = np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, args.fine_points))
-    rows = [(n, fem_uniform_interp_error(u, n, domain)) for n in ns]
-    result = rate_fit([r[0] for r in rows], [r[1] for r in rows])
-    lines = ["n,error"] + [f"{n},{e:.12e}" for n, e in rows]
+    errors = [fem_uniform_interp_error(u, n, domain) for n in ns]
+    result = rate_fit(ns, errors)
+    lines = ["n,error"] + [f"{n},{e:.12e}" for n, e in zip(ns, errors)]
     doc = {"slope": result.slope, "intercept": result.intercept,
            "residual": result.residual, "target": args.target}
     _write_outputs(out, ("fem_rate.csv", lines), ("fem_rate.json", doc))
@@ -843,41 +795,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_config_args(p) -> None:
-    p.add_argument("--config", help="JSON experiment config (defaults filled in)")
-    p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
-                   help="override one config entry; repeatable")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="radonet",
                      description="Adaptive-grid operator learning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datagen", help="generate a PDE dataset")
-    _add_config_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_datagen)
-
-    p = sub.add_parser("preprocess", help="redistribute dataset outputs onto adaptive grids")
-    _add_config_args(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("train", help="train an operator model")
-    _add_config_args(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--prep", help="preprocessed artifact (required for radaptive)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a trained model")
-    _add_config_args(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    # the config stages, each with the artifact flags it takes; --prep is optional
+    for name, text, func, flags in (
+            ("datagen", "generate a PDE dataset", cmd_datagen, ()),
+            ("preprocess", "redistribute dataset outputs onto adaptive grids", cmd_preprocess,
+             ("--dataset",)),
+            ("train", "train an operator model", cmd_train, ("--dataset", "--prep")),
+            ("eval", "evaluate a trained model", cmd_eval, ("--model", "--dataset"))):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON experiment config (defaults filled in)")
+        p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
+                       help="override one config entry; repeatable")
+        for flag in flags:
+            p.add_argument(flag, required=flag != "--prep", help="preprocessed artifact "
+                           "(required for radaptive)" if flag == "--prep" else None)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("analyze", help="spectra, tail sums and rate fits")
     asub = p.add_subparsers(dest="analysis", required=True)

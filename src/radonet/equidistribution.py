@@ -280,6 +280,14 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     }
 
 
+def preprocess_bytes(n_samples: int, n_xi: int) -> int:
+    """The peak bytes of preprocessing n_samples rows at n_xi, summed over
+    the two processes of radonet.parallel.split_rows: 10 floats a sample
+    and xi point (a sample's four row columns, stacked, in either process),
+    and 128 an xi point for the two processes' one-sample temporaries."""
+    return 8 * (n_xi + 1) * (10 * n_samples + 128)
+
+
 def equidistribution_residual(x: np.ndarray, rho: DensityField) -> float:
     """Max relative deviation of rho(x_j) * x_xi from its mean over the mesh.
 

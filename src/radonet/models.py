@@ -391,6 +391,18 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
     return RAdaptivePrediction(native_knots=native, knots=knots, values=values)
 
 
+def eval_bytes(n_samples: int, n_grid: int, n_points: int = 0, trunk: tuple = ()) -> int:
+    """The peak bytes of evaluating n_samples samples on a dataset grid of
+    n_grid points: 24 a sample and grid point (the references, the
+    predictions and model_predict's chunks), plus, for the graphs of
+    radaptive_predict_graph at n_points xi points, per point 8 a unit of
+    the solution trunk's layer sizes (trunk) and 16 for xi and its
+    normalized copy, and 9 a sample while the values are built, or 26 a
+    sample once knots, values and their differences are all held."""
+    graph = n_points * max(8 * (sum(trunk) + 2) + 9 * n_samples, 26 * n_samples)
+    return 24 * n_samples * n_grid + graph
+
+
 # ---------------------------------------------------------------------------
 # on-disk bundles: manifest + one .npy file per weight and bias (radonet.store)
 

@@ -37,20 +37,12 @@ def encode_box_params(params: BoxWaveParams) -> np.ndarray:
     return np.array([params.height, params.width, params.shift], dtype=np.float64)
 
 
-def box_wave(x: np.ndarray, params: BoxWaveParams, period: float = 1.0) -> np.ndarray:
-    """Evaluate the periodic box wave centered at params.shift."""
-    return _box_at(x, params, params.shift, period)
-
-
 def advection_exact(params: BoxWaveParams, x: np.ndarray, speed: float = 1.0,
                     t: float = 0.25, period: float = 1.0) -> np.ndarray:
-    """Exact solution at time t: the initial box translated by speed * t."""
+    """Exact solution at time t: the initial box, centered at params.shift,
+    translated by speed * t on the periodic grid x."""
     if params.width >= period:
         raise ValueError(f"box width {params.width} does not fit in period {period}")
-    return _box_at(x, params, params.shift + speed * t, period)
-
-
-def _box_at(x: np.ndarray, params: BoxWaveParams, center: float, period: float) -> np.ndarray:
-    xv = np.asarray(x, dtype=np.float64)
-    d = np.mod(xv - center + 0.5 * period, period) - 0.5 * period
+    center = params.shift + speed * t
+    d = np.mod(np.asarray(x, dtype=np.float64) - center + 0.5 * period, period) - 0.5 * period
     return np.where(np.abs(d) <= 0.5 * params.width, params.height, 0.0)

@@ -70,13 +70,8 @@ class PdeDataset:
         return self.inputs.shape[0]
 
     def geometry(self) -> tuple[tuple[float, float], bool]:
-        """(lo, hi), the physical domain of the output fields, and whether
-        they are periodic on it, as the problem's parameters set them."""
-        if self.problem == "sod":
-            lo, hi = self.params["domain"]
-            return (float(lo), float(hi)), False
-        # advection grids cover one period from 0; burgers solves on the unit circle
-        return (0.0, float(self.params["period"]) if self.problem == "advection" else 1.0), True
+        """problem_geometry of this split's problem and parameters."""
+        return problem_geometry(self.problem, self.params)
 
 
 def dataset_params(problem: str, overrides: dict | None) -> dict:
@@ -92,14 +87,40 @@ def dataset_params(problem: str, overrides: dict | None) -> dict:
     return params
 
 
-def _x_grid(problem: str, p: dict) -> np.ndarray:
-    """The grid a problem's output fields are sampled on."""
+def problem_geometry(problem: str, p: dict) -> tuple[tuple[float, float], bool]:
+    """(lo, hi), the physical domain of a problem's output fields, and
+    whether they are periodic on it, as its parameters p set them."""
     if problem == "sod":
         lo, hi = p["domain"]
-        return np.linspace(lo, hi, p["n_grid"])
-    if problem == "burgers":  # the solver's grid on the unit circle
-        return np.arange(p["n_modes"]) / p["n_modes"]
-    return np.arange(p["n_grid"]) / p["n_grid"] * p["period"]
+        return (float(lo), float(hi)), False
+    # advection grids cover one period from 0; burgers solves on the unit circle
+    return (0.0, float(p["period"]) if problem == "advection" else 1.0), True
+
+
+def uniform_grid(domain: tuple[float, float], periodic: bool, n: int) -> np.ndarray:
+    """n uniform points over domain: its right end left out where periodic."""
+    lo, hi = domain
+    return lo + np.arange(n) / n * (hi - lo) if periodic else np.linspace(lo, hi, n)
+
+
+def _x_grid(problem: str, p: dict) -> np.ndarray:
+    """The grid of a problem's output fields; burgers' is the solver's grid."""
+    n = p["n_modes"] if problem == "burgers" else p["n_grid"]
+    return uniform_grid(*problem_geometry(problem, p), n)
+
+
+def dataset_bytes(problem: str, counts: dict[str, int], params: dict | None = None) -> int:
+    """dataset_build's peak bytes, summed over the two processes of
+    split_rows: 3 floats a row and output point (a row in its half, the
+    child's half as sent and the joined split), 13 a row and Fourier mode
+    where the Burgers solver holds its stages, and 3 a row and input value
+    (6 inputs at most for advection and sod, one a sensor for burgers)."""
+    p = dataset_params(problem, params)
+    if problem == "burgers":
+        row = 13 * p["n_modes"] + 3 * p["sensors"]
+    else:
+        row = 3 * (p["n_grid"] + 6)
+    return 8 * row * sum(counts.values())
 
 
 # Each builder makes the rows `rows` (a range) of one split, as

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import model_predict
+from .models import PREDICT_CHUNK, model_predict
 from .nn import adam_init, adam_step, lr_schedule, substream
 from .reconstruct import rel_l2_error
 
@@ -52,6 +52,24 @@ class TrainReport:
     wall_seconds: float = 0.0
     aborted: bool = False
     epochs_run: int = 0
+
+
+def net_bytes(branch: list[int], trunk: list[int], n_rows: int, n_points: int,
+              val_rows: int, val_points: int, head: bool = False) -> int:
+    """The peak bytes of training one net, of branch and trunk layer sizes,
+    on n_rows samples at n_points query points, validated on val_rows
+    samples at val_points points. In floats: 7 a parameter (weights,
+    gradient, Adam's two moments, best snapshot); in training and in
+    validation, 2 a sample and branch unit and 3 a query point and trunk
+    unit (validation runs PREDICT_CHUNK points at a time); a sample and
+    point, 8 in training (targets, forward and loss arrays) and 3 in
+    validation (targets, chunked predictions, their concatenation), or 16
+    and 10 with a coordinate net's monotone head (head)."""
+    params = sum((a + 1) * b for sizes in (branch, trunk) for a, b in zip(sizes, sizes[1:]))
+    return 8 * (7 * params + 2 * (n_rows + val_rows) * sum(branch[1:])
+                + 3 * (n_points + min(val_points, PREDICT_CHUNK)) * sum(trunk[1:])
+                + (16 if head else 8) * n_rows * n_points
+                + (10 if head else 3) * val_rows * val_points)
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray):

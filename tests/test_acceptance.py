@@ -20,9 +20,11 @@ from radonet.analysis import (
     covariance_spectrum,
     equidistributed_box_map,
     fem_uniform_interp_error,
-    mollification_gap_squared,
+    mollified_box,
     optimal_error_tail,
+    pl_l2_diff,
     rate_fit,
+    sharp_box,
 )
 from radonet.equidistribution import (
     density_arclength,
@@ -190,7 +192,7 @@ def _box_map_cell_masses(coord_map, delta, shift, n_cells):
 
 def test_03_ramped_box_closed_forms():
     for delta in (0.5, 0.1, 1e-3):
-        gap = mollification_gap_squared(delta)
+        gap = pl_l2_diff(mollified_box(delta), sharp_box()) ** 2
         assert gap == pytest.approx(delta / 6.0, rel=1e-6), \
             f"L2 gap {gap:.12e} vs delta/6 at delta={delta}"
 

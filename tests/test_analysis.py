@@ -10,7 +10,6 @@ from radonet.analysis import (
     covariance_spectrum,
     equidistributed_box_map,
     fem_uniform_interp_error,
-    mollification_gap_squared,
     mollified_box,
     optimal_error_tail,
     pl_l2_diff,
@@ -59,10 +58,13 @@ def test_pl_l2_diff_with_jumps_vs_bruteforce():
 
 
 def test_mollification_gap_is_delta_over_six():
+    # the squared L2 distance between the ramped and the sharp box
     for delta in (0.5, 0.1, 1e-3):
-        assert mollification_gap_squared(delta) == pytest.approx(delta / 6.0, rel=1e-12)
+        gap = pl_l2_diff(mollified_box(delta), sharp_box()) ** 2
+        assert gap == pytest.approx(delta / 6.0, rel=1e-12)
     # shift-invariant as long as the ramps stay inside the domain
-    assert mollification_gap_squared(0.2, shift=0.4) == pytest.approx(0.2 / 6.0, rel=1e-12)
+    gap = pl_l2_diff(mollified_box(0.2, 0.4), sharp_box(0.4)) ** 2
+    assert gap == pytest.approx(0.2 / 6.0, rel=1e-12)
 
 
 def test_box_samples_edges():

@@ -377,6 +377,27 @@ def test_eval_xi_points_beyond_memory_are_refused_before_prediction(micro, tmp_p
             "--model", str(micro["van"]), "--dataset", str(micro["data"]), "--out", str(out))
 
 
+def test_eval_of_a_split_beyond_memory_is_refused_before_prediction(micro, tmp_path, capsys,
+                                                                   monkeypatch):
+    from radonet import models
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused split was predicted on")
+
+    for name in ("model_predict", "radaptive_predict_graph"):
+        monkeypatch.setattr(models, name, refuse)
+    # a split this large cannot be made here, so its estimate is stood in for
+    monkeypatch.setattr(models, "eval_bytes", lambda *args: 10**15)
+    for model in ("van", "rad"):
+        out = tmp_path / model
+        run_cli("eval", "--config", str(micro["cfg"]), "--model", str(micro[model]),
+                "--dataset", str(micro["data"]), "--out", str(out), expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "config" and "GB of memory" in err["message"]
+        assert "counts.test" in err["message"]
+        assert not out.exists()
+
+
 def test_the_radaptive_train_reads_no_dataset_outputs(micro, tmp_path, monkeypatch):
     # both nets learn the prep's x and u; the dataset gives only their inputs
     read = []

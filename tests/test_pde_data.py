@@ -11,7 +11,6 @@ from radonet.pde_data import PdeDataset, dataset_build, load_dataset, save_datas
 from radonet.pde_data.advection import (
     BoxWaveParams,
     advection_exact,
-    box_wave,
     encode_box_params,
     sample_box_params,
 )
@@ -39,7 +38,7 @@ SOD = RiemannState(rho_l=1.0, u_l=0.0, p_l=1.0, rho_r=0.125, u_r=0.0, p_r=0.1)
 def test_box_wave_values_and_wrap():
     params = BoxWaveParams(height=0.7, width=0.2, shift=0.05)  # wraps around 0
     x = np.array([0.0, 0.1, 0.14, 0.16, 0.96, 0.5])
-    np.testing.assert_array_equal(box_wave(x, params),
+    np.testing.assert_array_equal(advection_exact(params, x, t=0.0),
                                   [0.7, 0.7, 0.7, 0.0, 0.7, 0.0])
 
 
@@ -48,10 +47,10 @@ def test_advection_translates_box():
     x = np.arange(512) / 512
     moved = advection_exact(params, x, speed=1.0, t=0.3)
     np.testing.assert_array_equal(
-        moved, box_wave(x, BoxWaveParams(0.5, 0.25, 0.4)))
+        moved, advection_exact(BoxWaveParams(0.5, 0.25, 0.4), x, t=0.0))
     # one full period returns the initial condition exactly
     np.testing.assert_array_equal(advection_exact(params, x, speed=1.0, t=1.0),
-                                  box_wave(x, params))
+                                  advection_exact(params, x, t=0.0))
 
 
 def test_box_param_sampling_ranges_and_encoding():
