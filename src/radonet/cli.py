@@ -681,6 +681,11 @@ def _args_config(args) -> dict:
             _refuse_above_memory(fem_rate_bytes(args.fine_points, ns[-1]),
                                  f"fem-rate at --fine-points {args.fine_points} and size "
                                  f"{ns[-1]}", "--fine-points or the largest --ns")
+            # such a mesh is no coarser than the fine grid that measures its error;
+            # on a multiple of that grid the error is 0, which the rate fit cannot log
+            if ns[-1] >= args.fine_points - 1:
+                raise CliError(f"--ns sizes must be below --fine-points - 1 = "
+                               f"{args.fine_points - 1}, got {args.ns!r}")
         else:
             _refuse_above_memory(adaptive_rate_bytes(ns[-1]), f"adaptive-rate at size {ns[-1]}",
                                  "the largest --ns")

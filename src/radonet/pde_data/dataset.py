@@ -11,6 +11,7 @@ dataset, or building one problem, loads no other problem's solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -129,16 +130,34 @@ def dataset_bytes(problem: str, counts: dict[str, int], params: dict | None = No
 # same bytes as those rows of the whole split.
 
 
-def _build_advection(seed: int, split: str, rows: range, p: dict, x: np.ndarray) -> dict:
+def _advection_row(rng: np.random.Generator, p: dict, x: np.ndarray):
     from .advection import advection_exact, encode_box_params, sample_box_params
 
-    inputs = np.empty((len(rows), 3))
+    params = sample_box_params(rng, p["height_range"], p["width_range"], p["shift_range"])
+    return encode_box_params(params), advection_exact(params, x, p["speed"], p["final_time"],
+                                                      p["period"])
+
+
+def _sod_row(rng: np.random.Generator, p: dict, x: np.ndarray):
+    from .riemann import euler_riemann_exact, sod_params_sample, total_energy
+
+    z, state = sod_params_sample(rng)
+    rho, u, pres = euler_riemann_exact(state, x, p["final_time"])
+    return z, total_energy(rho, u, pres, state.gamma)
+
+
+# the problems solved exactly row by row: the width of an input row, and the
+# function that draws a row's parameters and returns (input row, output row)
+_EXACT_ROWS = {"advection": (3, _advection_row), "sod": (6, _sod_row)}
+
+
+def _build_exact(problem: str, seed: int, split: str, rows: range, p: dict,
+                 x: np.ndarray) -> dict:
+    width, row = _EXACT_ROWS[problem]
+    inputs = np.empty((len(rows), width))
     outputs = np.empty((len(rows), x.size))
     for j, i in enumerate(rows):
-        rng = substream(seed, "advection", split, str(i))
-        params = sample_box_params(rng, p["height_range"], p["width_range"], p["shift_range"])
-        inputs[j] = encode_box_params(params)
-        outputs[j] = advection_exact(params, x, p["speed"], p["final_time"], p["period"])
+        inputs[j], outputs[j] = row(substream(seed, problem, split, str(i)), p, x)
     return {"inputs": inputs, "outputs": outputs}
 
 
@@ -159,23 +178,6 @@ def _build_burgers(seed: int, split: str, rows: range, p: dict, x: np.ndarray) -
     return {"inputs": inputs, "outputs": burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])}
 
 
-def _build_sod(seed: int, split: str, rows: range, p: dict, x: np.ndarray) -> dict:
-    from .riemann import euler_riemann_exact, sod_params_sample, total_energy
-
-    inputs = np.empty((len(rows), 6))
-    outputs = np.empty((len(rows), x.size))
-    for j, i in enumerate(rows):
-        rng = substream(seed, "sod", split, str(i))
-        z, state = sod_params_sample(rng)
-        inputs[j] = z
-        rho, u, pres = euler_riemann_exact(state, x, p["final_time"])
-        outputs[j] = total_energy(rho, u, pres, state.gamma)
-    return {"inputs": inputs, "outputs": outputs}
-
-
-_BUILDERS = {"advection": _build_advection, "burgers": _build_burgers, "sod": _build_sod}
-
-
 def dataset_build(problem: str, seed: int, counts: dict[str, int],
                   params: dict | None = None) -> dict[str, PdeDataset]:
     """Generate every requested split of a problem deterministically; the
@@ -187,7 +189,7 @@ def dataset_build(problem: str, seed: int, counts: dict[str, int],
     if not counts:
         raise ValueError("need at least one split count")
     x = _x_grid(problem, merged)
-    build = _BUILDERS[problem]
+    build = _build_burgers if problem == "burgers" else partial(_build_exact, problem)
     columns = split_rows({split: int(n) for split, n in counts.items()},
                          lambda split, rows: build(seed, split, rows, merged, x))
     return {split: PdeDataset(problem, cols["inputs"], cols["outputs"], x, seed, merged)

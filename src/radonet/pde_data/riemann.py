@@ -3,7 +3,13 @@
 Star-region pressure is found by Newton iteration on the standard pressure
 function (Toro, "Riemann Solvers and Numerical Methods for Fluid Dynamics",
 ch. 4); the self-similar solution is then sampled along rays x/t with full
-shock / rarefaction / contact branching.
+shock / rarefaction / contact branching. Only the left wave is written out:
+the right wave is the left wave of the mirrored problem (x, u -> -x, -u),
+so the right side is sampled as the left side of the state (rho_r, -u_r,
+p_r) at rays -s with star velocity -u*, and its velocities are negated
+back. This is exact: IEEE negation is exact and rounding is symmetric,
+fl(-a - b) = -fl(a + b), so the mirrored formulas give the bytes that
+right-side ones would, but for the sign of a sum that is exactly zero.
 """
 
 from __future__ import annotations
@@ -97,84 +103,47 @@ def solve_star(state: RiemannState, tol: float = 1e-12,
     return float(p), float(u)
 
 
+def _left_wave(rho_k: float, u_k: float, p_k: float, a_k: float, p_star: float,
+               u_star: float, g: float) -> tuple[str, float, object]:
+    """Kind, star density and speed of the wave between a left state and the
+    star region; a rarefaction's speed is its (head, tail) pair."""
+    if p_star > p_k:
+        g6 = (g - 1.0) / (g + 1.0)
+        rho_star = rho_k * ((p_star / p_k + g6) / (g6 * p_star / p_k + 1.0))
+        return "shock", rho_star, u_k - a_k * np.sqrt(
+            (g + 1.0) / (2.0 * g) * p_star / p_k + (g - 1.0) / (2.0 * g))
+    a_star = a_k * (p_star / p_k) ** ((g - 1.0) / (2.0 * g))
+    return "rarefaction", rho_k * (p_star / p_k) ** (1.0 / g), (u_k - a_k, u_star - a_star)
+
+
 def star_region(state: RiemannState) -> dict:
     """Star pressure/velocity, star densities, wave kinds and wave speeds."""
-    g = state.gamma
     a_l, a_r = state.sound_speeds()
     p, u = solve_star(state)
-    g6 = (g - 1.0) / (g + 1.0)
-    out: dict = {"p_star": p, "u_star": u}
-    if p > state.p_l:
-        out["left_wave"] = "shock"
-        out["rho_star_l"] = state.rho_l * ((p / state.p_l + g6) / (g6 * p / state.p_l + 1.0))
-        out["left_speed"] = state.u_l - a_l * np.sqrt(
-            (g + 1.0) / (2.0 * g) * p / state.p_l + (g - 1.0) / (2.0 * g))
-    else:
-        out["left_wave"] = "rarefaction"
-        out["rho_star_l"] = state.rho_l * (p / state.p_l) ** (1.0 / g)
-        a_star = a_l * (p / state.p_l) ** ((g - 1.0) / (2.0 * g))
-        out["left_speed"] = (state.u_l - a_l, u - a_star)  # (head, tail)
-    if p > state.p_r:
-        out["right_wave"] = "shock"
-        out["rho_star_r"] = state.rho_r * ((p / state.p_r + g6) / (g6 * p / state.p_r + 1.0))
-        out["right_speed"] = state.u_r + a_r * np.sqrt(
-            (g + 1.0) / (2.0 * g) * p / state.p_r + (g - 1.0) / (2.0 * g))
-    else:
-        out["right_wave"] = "rarefaction"
-        out["rho_star_r"] = state.rho_r * (p / state.p_r) ** (1.0 / g)
-        a_star = a_r * (p / state.p_r) ** ((g - 1.0) / (2.0 * g))
-        out["right_speed"] = (state.u_r + a_r, u + a_star)
-    return out
+    kind_l, rho_l, speed_l = _left_wave(state.rho_l, state.u_l, state.p_l, a_l, p, u, state.gamma)
+    kind_r, rho_r, speed_r = _left_wave(state.rho_r, -state.u_r, state.p_r, a_r, p, -u,
+                                        state.gamma)
+    return {"p_star": p, "u_star": u,
+            "left_wave": kind_l, "rho_star_l": rho_l, "left_speed": speed_l,
+            "right_wave": kind_r, "rho_star_r": rho_r,
+            "right_speed": (-speed_r[0], -speed_r[1]) if kind_r == "rarefaction" else -speed_r}
 
 
-def _sample_rays(state: RiemannState, s: np.ndarray, star: dict):
-    """Vectorized self-similar sampling at rays s = (x - x0) / t."""
-    g = state.gamma
-    a_l, a_r = state.sound_speeds()
-    p_star, u_star = star["p_star"], star["u_star"]
-    rho = np.empty_like(s)
-    u = np.empty_like(s)
-    p = np.empty_like(s)
-
-    left = s <= u_star
-    right = ~left
-
-    if star["left_wave"] == "shock":
-        s_l = star["left_speed"]
-        pre = left & (s < s_l)
-        post = left & ~pre
-        rho[pre], u[pre], p[pre] = state.rho_l, state.u_l, state.p_l
-        rho[post], u[post], p[post] = star["rho_star_l"], u_star, p_star
-    else:
-        head, tail = star["left_speed"]
-        pre = left & (s < head)
-        fan = left & (s >= head) & (s <= tail)
-        post = left & (s > tail)
-        rho[pre], u[pre], p[pre] = state.rho_l, state.u_l, state.p_l
-        rho[post], u[post], p[post] = star["rho_star_l"], u_star, p_star
-        bracket = 2.0 / (g + 1.0) + (g - 1.0) / ((g + 1.0) * a_l) * (state.u_l - s[fan])
-        rho[fan] = state.rho_l * bracket ** (2.0 / (g - 1.0))
-        u[fan] = 2.0 / (g + 1.0) * (a_l + 0.5 * (g - 1.0) * state.u_l + s[fan])
-        p[fan] = state.p_l * bracket ** (2.0 * g / (g - 1.0))
-
-    if star["right_wave"] == "shock":
-        s_r = star["right_speed"]
-        post = right & (s > s_r)
-        pre = right & ~post
-        rho[post], u[post], p[post] = state.rho_r, state.u_r, state.p_r
-        rho[pre], u[pre], p[pre] = star["rho_star_r"], u_star, p_star
-    else:
-        head, tail = star["right_speed"]
-        post = right & (s > head)
-        fan = right & (s >= tail) & (s <= head)
-        pre = right & (s < tail)
-        rho[post], u[post], p[post] = state.rho_r, state.u_r, state.p_r
-        rho[pre], u[pre], p[pre] = star["rho_star_r"], u_star, p_star
-        bracket = 2.0 / (g + 1.0) - (g - 1.0) / ((g + 1.0) * a_r) * (state.u_r - s[fan])
-        rho[fan] = state.rho_r * bracket ** (2.0 / (g - 1.0))
-        u[fan] = 2.0 / (g + 1.0) * (-a_r + 0.5 * (g - 1.0) * state.u_r + s[fan])
-        p[fan] = state.p_r * bracket ** (2.0 * g / (g - 1.0))
-
+def _sample_left(s: np.ndarray, rho_k: float, u_k: float, p_k: float, a_k: float,
+                 p_star: float, u_star: float, g: float):
+    """(rho, u, p) at rays s left of the contact, from the left state and the
+    star pressure and velocity."""
+    kind, rho_star, speed = _left_wave(rho_k, u_k, p_k, a_k, p_star, u_star, g)
+    head, tail = speed if kind == "rarefaction" else (speed, speed)
+    rho, u, p = (np.full_like(s, value) for value in (rho_star, u_star, p_star))
+    pre = s < head
+    rho[pre], u[pre], p[pre] = rho_k, u_k, p_k
+    if kind == "rarefaction":
+        fan = ~pre & (s <= tail)
+        bracket = 2.0 / (g + 1.0) + (g - 1.0) / ((g + 1.0) * a_k) * (u_k - s[fan])
+        rho[fan] = rho_k * bracket ** (2.0 / (g - 1.0))
+        u[fan] = 2.0 / (g + 1.0) * (a_k + 0.5 * (g - 1.0) * u_k + s[fan])
+        p[fan] = p_k * bracket ** (2.0 * g / (g - 1.0))
     return rho, u, p
 
 
@@ -183,7 +152,17 @@ def euler_riemann_exact(state: RiemannState, x: np.ndarray, t: float):
     if t <= 0.0:
         raise ValueError(f"need t > 0 to sample the self-similar solution, got {t}")
     s = (np.asarray(x, dtype=np.float64) - state.x0) / t
-    return _sample_rays(state, s, star_region(state))
+    a_l, a_r = state.sound_speeds()
+    p_star, u_star = solve_star(state)
+    rho, u, p = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    left = s <= u_star
+    right = ~left
+    rho[left], u[left], p[left] = _sample_left(
+        s[left], state.rho_l, state.u_l, state.p_l, a_l, p_star, u_star, state.gamma)
+    rho[right], u_mirrored, p[right] = _sample_left(
+        -s[right], state.rho_r, -state.u_r, state.p_r, a_r, p_star, -u_star, state.gamma)
+    u[right] = -u_mirrored
+    return rho, u, p
 
 
 def riemann_state_from_z(z: np.ndarray) -> RiemannState:

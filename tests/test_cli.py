@@ -959,6 +959,8 @@ def test_analyze_rates(tmp_path):
     ("adaptive-rate", "--ns", "16,16,32"),
     ("fem-rate", "--ns", "1,2,3", "--fine-points", "4097"),
     ("fem-rate", "--ns", "16,64,32", "--fine-points", "4097"),
+    ("fem-rate", "--ns", "16,32,4096", "--fine-points", "4097"),  # the error would be 0
+    ("fem-rate", "--ns", "16,32,8192", "--fine-points", "4097"),
     ("adaptive-rate", "--delta-power", "-1"),
     ("tail", "--dataset", "DATA", "--modes=-1,2"),
     ("spectrum", "--dataset", "DATA", "--field", "x"),

@@ -272,6 +272,47 @@ def test_state_from_latent_vector():
         euler_riemann_exact(SOD, np.zeros(3), 0.0)
 
 
+def test_mirrored_problem_gives_the_mirrored_solution():
+    # x, u -> -x, -u swaps the two waves, so the mirrored problem solved at -x
+    # gives (rho, -u, p) bit for bit, but at the contact ray, which both
+    # problems sample from their left side. General states sit at x0 = 0 and
+    # t is a power of 2, so that their rays on each wave speed are exact
+    def bits(*values):
+        return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+    rng = substream(36, "mirror")
+    checked = 0
+    for k in range(400):
+        if k % 2:
+            _, state = sod_params_sample(rng)
+        else:
+            rho_l, rho_r, p_l, p_r = rng.uniform(0.1, 3.0, 4)
+            u_l, u_r = rng.normal(0.0, 1.5, 2)
+            state = RiemannState(rho_l, u_l, p_l, rho_r, u_r, p_r)
+        mirrored = RiemannState(state.rho_r, -state.u_r, state.p_r,
+                                state.rho_l, -state.u_l, state.p_l, x0=-state.x0)
+        try:
+            star = star_region(state)
+        except ValueError:  # vacuum
+            continue
+        flip = star_region(mirrored)
+        assert (flip["left_wave"], flip["right_wave"]) == (star["right_wave"], star["left_wave"])
+        assert bits(flip["p_star"], flip["u_star"], flip["rho_star_l"], flip["rho_star_r"]) == \
+            bits(star["p_star"], -star["u_star"], star["rho_star_r"], star["rho_star_l"])
+        # a shock's speed or a rarefaction's (head, tail), negated
+        assert bits(flip["left_speed"], flip["right_speed"]) == \
+            bits(-np.asarray(star["right_speed"]), -np.asarray(star["left_speed"]))
+        speeds = np.hstack([star["left_speed"], star["right_speed"]])
+        t = 0.5
+        x = state.x0 + t * np.concatenate([rng.uniform(-4.0, 4.0, 64), speeds])
+        on_contact = (x - state.x0) / t == star["u_star"]
+        rho, u, p = (v[~on_contact] for v in euler_riemann_exact(state, x, t))
+        m_rho, m_u, m_p = (v[~on_contact] for v in euler_riemann_exact(mirrored, -x, t))
+        assert bits(m_rho, m_u, m_p) == bits(rho, -u, p)
+        checked += 1
+    assert checked >= 300
+
+
 def test_vacuum_detection():
     with pytest.raises(ValueError):
         solve_star(RiemannState(rho_l=1.0, u_l=-20.0, p_l=1.0,
