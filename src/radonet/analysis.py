@@ -151,7 +151,6 @@ class AdaptiveBoxFit:
     """n-knot adaptive interpolant of a ramped box and its exact error."""
 
     x_knots: np.ndarray
-    u_knots: np.ndarray
     error: float
 
 
@@ -169,7 +168,7 @@ def adaptive_box_construct(delta: float, n: int, shift: float = 0.0) -> Adaptive
     x_knots = coord_map.eval(xi)
     u_knots = profile.eval(xi)
     err = pl_l2_diff(PiecewiseLinear(x_knots, u_knots), sharp_box(shift))
-    return AdaptiveBoxFit(x_knots, u_knots, err)
+    return AdaptiveBoxFit(x_knots, err)
 
 
 def fem_uniform_interp_error(u_fine: np.ndarray, n: int, domain=(0.0, 1.0)) -> float:

@@ -26,7 +26,8 @@ returns, stage_output has renamed or deleted the .partial directory, every
 file has been written and closed, and run_pair has reaped its child, so
 teardown has nothing left to finish. resolve_config refuses,
 before any work and in one walk of the config, an unknown key, a value of
-the wrong JSON type and a value that fails its row of _RULES.
+the wrong JSON type and a value that fails its row of _RULES, then a split
+name that no file name can hold.
 
 At module level this file imports only what parsing, config resolution and
 the stage writer need. Each stage imports the modules it runs when it
@@ -252,6 +253,14 @@ def resolve_config(args) -> dict:
     except ValueError as exc:
         raise CliError(str(exc))
     _check({**DEFAULT_CONFIG, "counts": {"*": 1}, "data": data}, cfg, cfg["problem"])
+    for split in cfg["counts"]:
+        try:  # of the files <column>_<split>.npy, outputs_<split>.npy has the longest name
+            fits = len(f"outputs_{split}.npy".encode("utf-8")) <= 255  # Linux's NAME_MAX
+        except UnicodeEncodeError:  # a surrogate, which no UTF-8 name holds
+            fits = False
+        if not fits or "/" in split or "\0" in split:
+            raise CliError(f"config key {'counts.' + split!r} must name a split with no '/', "
+                           "NUL or surrogate, whose outputs_<name>.npy is at most 255 bytes")
     return cfg
 
 
@@ -485,9 +494,10 @@ def cmd_preprocess(args, cfg: dict, inputs: dict, out: Path) -> None:
     xi = np.linspace(domain[0], domain[1], n_xi + 1)
 
     def prep(split, rows):
-        return PreprocessedSet.from_samples(cfg["problem"], xi, [
-            preprocess_sample(row, domain, periodic=periodic, **cfg["preprocess"])
-            for row in datasets[split].outputs[rows.start:rows.stop]]).columns()
+        samples = [preprocess_sample(row, domain, periodic=periodic, **cfg["preprocess"])
+                   for row in datasets[split].outputs[rows.start:rows.stop]]
+        return {name: np.stack([s[name] for s in samples])
+                for name in PreprocessedSet.ROW_COLUMNS}
 
     # a row depends on nothing but its dataset row, so the rows may run in two halves
     columns = split_rows({split: ds.n_samples for split, ds in datasets.items()}, prep)
@@ -603,15 +613,12 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
         # the solution net is continuous along the computational axis, so
         # evaluation may sample it more densely than the training grid; the
         # mesh there is interpolated from the native knots. That removes the
-        # piecewise-linear knot budget from coarse-grid models
-        n_pts = cfg["eval"]["xi_points"]
-        if n_pts is None:
-            xi_eval = None
-        else:
-            n_pts = max(n_pts, model.xi_grid.size)
-            _refuse_above_memory(eval_bytes(n, grid.size, n_pts, model.sol_net.trunk.layer_sizes),
-                                 f"eval at eval.xi_points {n_pts}", "eval.xi_points")
-            xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
+        # piecewise-linear knot budget from coarse-grid models. A null, like any
+        # count up to n_xi + 1, evaluates on the native grid and knots
+        n_pts = max(cfg["eval"]["xi_points"] or 0, model.xi_grid.size)
+        _refuse_above_memory(eval_bytes(n, grid.size, n_pts, model.sol_net.trunk.layer_sizes),
+                             f"eval at eval.xi_points {n_pts}", "eval.xi_points")
+        xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
         # one call for the whole split: each trunk runs once, and each branch
         # runs on a stack of one-row batches, so the bytes match evaluating
         # each sample on its own (a many-row branch matmul rounds differently)
@@ -718,6 +725,9 @@ def _spectrum_source(args, inputs: dict) -> tuple[np.ndarray, float, str]:
         data = ds.outputs
         dx = float(ds.x_grid[1] - ds.x_grid[0])
         tag = f"{ds.problem}/{args.split}/u(x)"
+    if data.shape[0] < 2:
+        raise CliError(f"analyze {args.analysis} needs a split of at least 2 rows, but split "
+                       f"{args.split!r} has {data.shape[0]}")
     return data, dx, tag
 
 

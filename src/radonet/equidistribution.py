@@ -332,13 +332,6 @@ class PreprocessedSet:
             raise ValueError(f"xi and row columns must have shapes (K,) and (N, K), "
                              f"got {self.xi.shape} and {sorted(shapes)}")
 
-    @classmethod
-    def from_samples(cls, problem: str, xi: np.ndarray,
-                     samples: list[dict[str, np.ndarray]]) -> "PreprocessedSet":
-        """The set whose rows are preprocess_sample's results, in order."""
-        return cls(problem, xi, **{name: np.stack([s[name] for s in samples])
-                                   for name in cls.ROW_COLUMNS})
-
     def columns(self) -> dict[str, np.ndarray]:
         """{name: row column} for each of ROW_COLUMNS."""
         return {name: getattr(self, name) for name in self.ROW_COLUMNS}

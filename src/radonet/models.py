@@ -331,10 +331,10 @@ class RAdaptivePrediction:
     """Predicted solution graphs of N inputs over a computational grid xi.
 
     Row i of knots and values is sample i's graph {(knots[i, j], values[i, j])};
-    native_knots[i] is its mesh on the system's own xi_grid (the same array
-    as knots when no other xi was asked for). Where xi has xi_grid's ends,
-    every row of knots is a mesh that reconstruct.monotone_fix accepts: it
-    spans the domain exactly and never decreases, though knots may repeat.
+    native_knots[i] is its mesh on the system's own xi_grid. Where xi has
+    xi_grid's ends, every row of knots is a mesh that
+    reconstruct.monotone_fix accepts: it spans the domain exactly and never
+    decreases, though knots may repeat.
     """
 
     native_knots: np.ndarray
@@ -358,13 +358,13 @@ def _rowwise_forward(model: DeepOnetModel, a: np.ndarray, queries: np.ndarray) -
 
 
 def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
-                            xi: np.ndarray | None = None) -> RAdaptivePrediction:
+                            xi: np.ndarray) -> RAdaptivePrediction:
     """Predict the solution graphs {(y_j, u_j)} of (N, d_in) encoded inputs.
 
     The mesh knots come from the coordinate net on the system's own xi_grid;
-    on any other grid xi they are the linear interpolant of those native
-    knots (held at the ends outside xi_grid), which never decrease and, on a
-    grid with xi_grid's ends, keep the native mesh's exact ends. The
+    on the grid xi they are the linear interpolant of those native knots
+    (equal to them at xi_grid's points, held at the ends outside it): they
+    never decrease and, on a grid with xi_grid's ends, keep its exact ends. The
     solution net is continuous in the computational coordinate and is
     evaluated on xi itself: denser grids sharpen the recovered solution near
     steep features, where the mesh packs many query points.
@@ -377,16 +377,13 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
     a = _as_2d(inputs, system.coord_net.branch.layer_sizes[0], "inputs")
     g = _rowwise_forward(system.coord_net, a, system.xi_grid)
     native, _ = monotone_head(g, system.xi_grid)
-    if xi is None:
-        xi, knots = system.xi_grid, native
-    else:
-        xi = np.ravel(xi)
-        knots = np.stack([np.interp(xi, system.xi_grid, y) for y in native])
-        # np.interp can round a knot a few ulps past the next native knot, or
-        # past hi, at the end of a steep interval; this undoes it and changes
-        # nothing in any other row
-        np.minimum(knots, system.xi_grid[-1], out=knots)
-        np.maximum.accumulate(knots, axis=1, out=knots)
+    xi = np.ravel(xi)
+    knots = np.stack([np.interp(xi, system.xi_grid, y) for y in native])
+    # np.interp can round a knot a few ulps past the next native knot, or
+    # past hi, at the end of a steep interval; this undoes it and changes
+    # nothing in any other row
+    np.minimum(knots, system.xi_grid[-1], out=knots)
+    np.maximum.accumulate(knots, axis=1, out=knots)
     values = _rowwise_forward(system.sol_net, a, xi)
     return RAdaptivePrediction(native_knots=native, knots=knots, values=values)
 

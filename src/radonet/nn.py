@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ACTIVATIONS = ("relu", "tanh")
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's constants (Kingma & Ba, ICLR 2015)
 
 
 def substream(root_seed: int, *names: str) -> np.random.Generator:
@@ -189,14 +190,12 @@ def mlp_backward(params: MlpParams, cache: tuple, output_grad: np.ndarray) -> Ml
 
 @dataclass
 class AdamState:
-    """First/second moments, laid out like MlpParams.flat, and step counter."""
+    """First/second moments, laid out like MlpParams.flat, and step counter of
+    adam_step, whose constants are b1 = 0.9, b2 = 0.999 and eps = 1e-8."""
 
     t: int
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(params: MlpParams) -> AdamState:
@@ -210,10 +209,11 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpGrads,
 
     Every operation keeps the operands and order of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    p -= lr*(m/c1) / (sqrt(v/c2) + eps).
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps), c = 1 - b**t,
+    with the constants b1 = 0.9, b2 = 0.999 and eps = 1e-8.
     """
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = _BETA1, _BETA2, _EPS
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     g, m, v = grads.flat, state.m, state.v

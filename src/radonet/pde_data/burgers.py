@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 _CHECK_EVERY = 200  # steps between finiteness checks of the spectral solution
+_N_CONTOUR = 32  # points of the contour average of each phi-function
 
 
 def step_count(final_time: float, dt: float) -> int | None:
@@ -24,11 +25,11 @@ def step_count(final_time: float, dt: float) -> int | None:
     return n_steps if abs(n_steps * dt - final_time) <= 1e-9 * max(1.0, final_time) else None
 
 
-def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_contour: int = 32):
+def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     """E, E2 and the four phi-weights for step size dt on eigenvalues lin."""
     e_full = np.exp(dt * lin)
     e_half = np.exp(0.5 * dt * lin)
-    r = np.exp(1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    r = np.exp(1j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
     lr = dt * lin[:, None] + r[None, :]
     q = dt * np.real(np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1))
     f1 = dt * np.real(np.mean(

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TOL, _MAX_ITER = 1e-12, 100  # solve_star's relative pressure change and step limit
+
 
 @dataclass
 class RiemannState:
@@ -69,8 +71,7 @@ def _pressure_fn(p: float, rho_k: float, p_k: float, a_k: float,
     return f, df
 
 
-def solve_star(state: RiemannState, tol: float = 1e-12,
-               max_iter: int = 100) -> tuple[float, float]:
+def solve_star(state: RiemannState) -> tuple[float, float]:
     """Newton iteration for the star-region pressure and velocity."""
     g = state.gamma
     a_l, a_r = state.sound_speeds()
@@ -83,15 +84,15 @@ def solve_star(state: RiemannState, tol: float = 1e-12,
         (a_l + a_r - 0.5 * (g - 1.0) * du)
         / (a_l / state.p_l ** z + a_r / state.p_r ** z)
     ) ** (1.0 / z)
-    p = max(p, tol)
-    for _ in range(max_iter):
+    p = max(p, _TOL)
+    for _ in range(_MAX_ITER):
         f_l, df_l = _pressure_fn(p, state.rho_l, state.p_l, a_l, g)
         f_r, df_r = _pressure_fn(p, state.rho_r, state.p_r, a_r, g)
         step = (f_l + f_r + du) / (df_l + df_r)
         p_new = p - step
         if p_new <= 0.0:
-            p_new = tol
-        if 2.0 * abs(p_new - p) / (p_new + p) < tol:
+            p_new = _TOL
+        if 2.0 * abs(p_new - p) / (p_new + p) < _TOL:
             p = p_new
             break
         p = p_new

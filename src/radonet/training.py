@@ -78,24 +78,22 @@ def loss_mse(pred: np.ndarray, target: np.ndarray):
     return float(np.mean(r * r)), 2.0 * r / r.size
 
 
-def loss_weighted(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
-    """Per-entry weighted mean squared residual."""
+def _weighted_mse(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
     if weights.shape != pred.shape:
         raise ValueError(f"weights shape {weights.shape} != prediction shape {pred.shape}")
     r = pred - target
     return float(np.mean(weights * r * r)), 2.0 * weights * r / r.size
+
+
+def loss_weighted(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
+    """Per-entry weighted mean squared residual."""
+    return _weighted_mse(pred, target, weights)
 
 
 def loss_coordinate(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
-    """Weighted mean squared misfit of predicted mesh knots.
-
-    A separate function from loss_weighted, though the same formula, so
-    that the two nets' losses can be told apart when traced.
-    """
-    if weights.shape != pred.shape:
-        raise ValueError(f"weights shape {weights.shape} != prediction shape {pred.shape}")
-    r = pred - target
-    return float(np.mean(weights * r * r)), 2.0 * weights * r / r.size
+    """Weighted mean squared misfit of predicted mesh knots: loss_weighted's
+    formula, under its own name so that the two nets' losses trace apart."""
+    return _weighted_mse(pred, target, weights)
 
 
 def _loss_and_grad(pred, target, loss, weights):

@@ -306,6 +306,20 @@ def test_eval_outputs_and_rerun_bytes(micro, tmp_path):
         (micro["van_eval"] / "summary.json").read_bytes()
 
 
+def test_eval_at_null_xi_points_is_eval_on_the_native_grid(micro, tmp_path):
+    # a null xi_points and any count up to the native n_xi + 1 evaluate on
+    # the same grid, so they write the same bytes
+    outs = []
+    for xi_points in ("null", "2"):
+        outs.append(tmp_path / f"eval_{xi_points}")
+        run_cli("eval", "--config", str(micro["cfg"]), "--set", f"eval.xi_points={xi_points}",
+                "--model", str(micro["rad"]), "--dataset", str(micro["data"]),
+                "--out", str(outs[-1]))
+    for name in ("summary.json", "per_sample.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[0] / "summary.json").read_text())["xi_points"] == 17
+
+
 def test_eval_radaptive_summary_fields(micro):
     summary = json.loads((micro["rad_eval"] / "summary.json").read_text())
     assert summary["family"] == "radaptive"
@@ -340,7 +354,7 @@ def test_monotone_mesh_fraction_counts_the_predicted_knots(micro, tmp_path):
     system = RAdaptiveSystem(coord_net=coord, sol_net=load_bundle(micro["rad"]).sol_net,
                              xi_grid=np.linspace(0.0, 1.0, 17))
     test = load_dataset(micro["data"])["test"]
-    knots = radaptive_predict_graph(system, test.inputs).knots
+    knots = radaptive_predict_graph(system, test.inputs, system.xi_grid).knots
     assert np.all(np.any(np.diff(knots, axis=1) == 0.0, axis=1))
 
     model_dir = tmp_path / "flat_mesh"
@@ -518,7 +532,11 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  ("data.width_range=[0.1,1.0]",), ("data.width_range=[0.1,1.5]",),
                  ("data.period=0.3",), ("data.width_range=[0.5,0.9]", "data.period=0.8"),
                  ("data.width_range=[0,0.2]",), ("data.width_range=[-0.1,0.2]",),
-                 ("data.height_range=[0,0.5]",), ("data.height_range=[-0.5,0.5]",)):
+                 ("data.height_range=[0,0.5]",), ("data.height_range=[-0.5,0.5]",),
+                 # split names that no file name can carry
+                 ('counts={"a/b": 2, "test": 1}',), ('counts={"train": 2, "x\\u0000y": 1}',),
+                 ('counts={"train": 2, "x\\udc80y": 1}',),
+                 ('counts={"train": 2, "%s": 1}' % ("s" * 250),)):
         run_cli("datagen", *(arg for s in spec for arg in ("--set", s)), "--out", str(out),
                 expect=2)
         err = read_error(capsys)
@@ -584,6 +602,9 @@ def test_config_range_edges_are_accepted():
     assert resolve_config(Args())["data"] == {"dt": 0.25, "final_time": 0.75}
     Args.set = ["problem=burgers", "data.final_time=1e-4"]  # one step of the default dt
     assert resolve_config(Args())["data"] == {"final_time": 1e-4}
+    # outputs_<name>.npy of 255 bytes, and names that are harmless in a file name
+    Args.set = ['counts={"%s": 1, "..": 1, "": 1}' % ("s" * 243)]
+    assert set(resolve_config(Args())["counts"]) == {"s" * 243, "..", ""}
 
 
 def test_every_rule_names_a_config_key():
@@ -936,6 +957,28 @@ def test_analyze_spectrum_and_tail(micro, tmp_path, capsys):
     run_cli("analyze", "tail", "--prep", str(micro["prep"]), "--field", "w",
             "--out", str(tmp_path / "bad"), expect=2)
     assert read_error(capsys)["kind"] == "config"
+
+
+def test_analyze_spectrum_and_tail_of_a_one_row_split_are_config_errors(tmp_path, capsys,
+                                                                         monkeypatch):
+    from radonet import analysis
+
+    data = tmp_path / "data"
+    run_cli("datagen", "--set", "data.n_grid=64", "--set", 'counts={"train": 3, "val": 1}',
+            "--out", str(data))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum was computed for a one-row split")
+
+    monkeypatch.setattr(analysis, "covariance_spectrum", refuse)
+    for kind in ("spectrum", "tail"):
+        out = tmp_path / kind
+        run_cli("analyze", kind, "--dataset", str(data), "--split", "val", "--out", str(out),
+                expect=2)
+        err = read_error(capsys)
+        assert err["kind"] == "config"
+        assert "'val'" in err["message"] and "has 1" in err["message"]
+        assert not out.exists()
 
 
 def test_analyze_rates(tmp_path):

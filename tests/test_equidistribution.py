@@ -280,9 +280,11 @@ def test_preprocess_sample_validation():
 
 def _small_set(n_xi, offsets, m=2048, problem="unit-test"):
     _, u = box_signal(m=m)
-    return PreprocessedSet.from_samples(
-        problem, np.linspace(0.0, 1.0, n_xi + 1),
-        [preprocess_sample(np.roll(u, k), (0.0, 1.0), n_xi, periodic=True) for k in offsets])
+    samples = [preprocess_sample(np.roll(u, k), (0.0, 1.0), n_xi, periodic=True)
+               for k in offsets]
+    return PreprocessedSet(problem, np.linspace(0.0, 1.0, n_xi + 1),
+                           **{name: np.stack([s[name] for s in samples])
+                              for name in PreprocessedSet.ROW_COLUMNS})
 
 
 def test_preprocessed_container_roundtrip(tmp_path):

@@ -116,7 +116,7 @@ def test_system_wraps_plain_coordinate_net_and_interpolates_dense_grids():
     system = RAdaptiveSystem(coord_net=plain, sol_net=sol, xi_grid=xi)
     assert isinstance(system.coord_net, CoordinateNet)
     a = np.array([[0.2, -0.5, 0.9]])
-    native = radaptive_predict_graph(system, a).knots[0]
+    native = radaptive_predict_graph(system, a, xi).knots[0]
     assert native[0] == -1.0 and native[-1] == 2.0
     assert np.all(np.diff(native) > 0.0)
     xi_dense = np.linspace(-1.0, 2.0, 50)

@@ -102,7 +102,7 @@ def test_radaptive_graph_default_and_custom_grid():
                              sol_net=make_deeponet(seed=4),
                              xi_grid=np.linspace(0.0, 1.0, 9))
     a = np.array([[0.4, 0.1, 0.3]])
-    g_default = radaptive_predict_graph(system, a)
+    g_default = radaptive_predict_graph(system, a, system.xi_grid)
     assert g_default.knots.shape == (1, 9)
     xi_dense = np.linspace(0.0, 1.0, 33)
     g_dense = radaptive_predict_graph(system, a, xi=xi_dense)
@@ -120,7 +120,7 @@ def test_radaptive_batch_rows_match_single_input_forward():
                              sol_net=make_deeponet(seed=6), xi_grid=xi_grid)
     inputs = substream(9, "rad-batch").standard_normal((5, 3))
     xi_dense = np.linspace(0.0, 1.0, 41)
-    native = radaptive_predict_graph(system, inputs)
+    native = radaptive_predict_graph(system, inputs, xi_grid)
     dense = radaptive_predict_graph(system, inputs, xi=xi_dense)
     assert native.knots.shape == native.values.shape == (5, 9)
     assert dense.knots.shape == dense.values.shape == (5, 41)
@@ -152,8 +152,8 @@ def test_bundle_roundtrip(tmp_path, kind):
         np.testing.assert_array_equal(deeponet_forward_batch(model, a, q)[0][0],
                                       deeponet_forward_batch(loaded, a, q)[0][0])
     else:
-        g1 = radaptive_predict_graph(model, a)
-        g2 = radaptive_predict_graph(loaded, a)
+        g1 = radaptive_predict_graph(model, a, model.xi_grid)
+        g2 = radaptive_predict_graph(loaded, a, loaded.xi_grid)
         np.testing.assert_array_equal(g1.knots, g2.knots)
         np.testing.assert_array_equal(g1.values, g2.values)
 
