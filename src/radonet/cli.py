@@ -493,14 +493,16 @@ def cmd_preprocess(args, cfg: dict, inputs: dict, out: Path) -> None:
                          f"preprocess at preprocess.n_xi {n_xi}", "preprocess.n_xi")
     xi = np.linspace(domain[0], domain[1], n_xi + 1)
 
-    def prep(split, rows):
-        samples = [preprocess_sample(row, domain, periodic=periodic, **cfg["preprocess"])
-                   for row in datasets[split].outputs[rows.start:rows.stop]]
-        return {name: np.stack([s[name] for s in samples])
-                for name in PreprocessedSet.ROW_COLUMNS}
+    def prep(split, rows, out):
+        for i in rows:
+            sample = preprocess_sample(datasets[split].outputs[i], domain, periodic=periodic,
+                                       **cfg["preprocess"])
+            for name, column in out.items():
+                column[i] = sample[name]
 
     # a row depends on nothing but its dataset row, so the rows may run in two halves
-    columns = split_rows({split: ds.n_samples for split, ds in datasets.items()}, prep)
+    columns = split_rows({split: ds.n_samples for split, ds in datasets.items()},
+                         dict.fromkeys(PreprocessedSet.ROW_COLUMNS, n_xi + 1), prep)
     sets = {split: PreprocessedSet(cfg["problem"], xi, **cols) for split, cols in columns.items()}
     save_preprocessed(out, sets)
     print(f"preprocessed {len(datasets)} splits into {args.out}")

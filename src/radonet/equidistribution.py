@@ -282,10 +282,10 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
 
 def preprocess_bytes(n_samples: int, n_xi: int) -> int:
     """The peak bytes of preprocessing n_samples rows at n_xi, summed over
-    the two processes of radonet.parallel.split_rows: 10 floats a sample
-    and xi point (a sample's four row columns, stacked, in either process),
-    and 128 an xi point for the two processes' one-sample temporaries."""
-    return 8 * (n_xi + 1) * (10 * n_samples + 128)
+    the two processes of radonet.parallel.split_rows: 4 floats a sample
+    and xi point (the four row columns the samples are written into), and
+    192 an xi point for the two processes' one-sample temporaries."""
+    return 8 * (n_xi + 1) * (4 * n_samples + 192)
 
 
 def equidistribution_residual(x: np.ndarray, rho: DensityField) -> float:
@@ -332,10 +332,6 @@ class PreprocessedSet:
             raise ValueError(f"xi and row columns must have shapes (K,) and (N, K), "
                              f"got {self.xi.shape} and {sorted(shapes)}")
 
-    def columns(self) -> dict[str, np.ndarray]:
-        """{name: row column} for each of ROW_COLUMNS."""
-        return {name: getattr(self, name) for name in self.ROW_COLUMNS}
-
 
 def save_preprocessed(path, sets: dict[str, PreprocessedSet]) -> None:
     """Write preprocessed splits as a split table (radonet.store): xi.npy,
@@ -349,7 +345,8 @@ def save_preprocessed(path, sets: dict[str, PreprocessedSet]) -> None:
     store.write_splits(Path(path),
                        {"format_version": PREPROCESSED_VERSION, "problem": first.problem},
                        {"xi": first.xi},
-                       {split: p.columns() for split, p in sets.items()})
+                       {split: {name: getattr(p, name) for name in p.ROW_COLUMNS}
+                        for split, p in sets.items()})
 
 
 def load_preprocessed(path, splits=None) -> dict[str, PreprocessedSet]:

@@ -48,11 +48,15 @@ def _as_2d(arr: np.ndarray, d: int, what: str) -> np.ndarray:
 
 
 def _predict_chunks(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """deeponet_forward_batch's predictions with no caches kept,
-    PREDICT_CHUNK queries at a time, so memory does not grow with the grid."""
+    """deeponet_forward_batch's predictions with no caches kept: the branch
+    runs once, the trunk on PREDICT_CHUNK queries at a time, so memory stays flat in the grid."""
     q = np.asarray(queries, dtype=np.float64)
-    return np.concatenate([deeponet_forward_batch(model, inputs, q[start:start + PREDICT_CHUNK])[0]
-                           for start in range(0, len(q), PREDICT_CHUNK)], axis=1)
+    b_out = mlp_forward(model.branch, _as_2d(inputs, model.branch.layer_sizes[0], "inputs"))[0]
+    pred = np.empty((len(b_out), len(q)))
+    for lo in range(0, len(q), PREDICT_CHUNK):
+        t_out = mlp_forward(model.trunk, model.normalize_queries(q[lo:lo + PREDICT_CHUNK]))[0]
+        pred[:, lo:lo + PREDICT_CHUNK] = b_out @ t_out.T
+    return pred
 
 
 def model_predict(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:

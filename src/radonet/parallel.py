@@ -1,14 +1,13 @@
 """Two jobs on two cores.
 
 `run_pair` runs two independent jobs at the same time, the second in a
-forked child process, and `split_rows` cuts the rows of a stage's splits
-into two halves that run as such a pair. Both follow one rule: they fork
-only when this process may use two or more cores and the loaded OpenBLAS
-lets its thread count be set (and `split_rows` only for two or more rows);
-otherwise the jobs run here, one after the other. Both paths give the same
-bytes, since a job, or a row, is computed the same way whichever process
-runs it. `train` fits the two nets of the r-adaptive family with
-`run_pair`; `datagen` and `preprocess` split their rows with `split_rows`.
+forked child process; `split_rows` runs the two halves of a stage's rows
+as such a pair, each writing its rows into columns both share. They fork
+only where this process may use two or more cores and the loaded OpenBLAS
+lets its thread count be set (`split_rows` only for two or more rows);
+otherwise the jobs run here in turn, with the same bytes, since a row or a
+job is computed the same way in either process. `train` pairs the two
+r-adaptive nets; `datagen` and `preprocess` split their rows.
 
 This module imports nothing from radonet, so the stages that use it load
 no other stage's code through it.
@@ -17,6 +16,7 @@ no other stage's code through it.
 from __future__ import annotations
 
 import functools
+import mmap
 import os
 import pickle
 import signal
@@ -93,42 +93,39 @@ def run_pair(first, second):
         set_threads(threads)
 
 
-def split_rows(counts: dict[str, int], job) -> dict[str, dict[str, np.ndarray]]:
-    """Each split's columns, made by job(split, rows) for ranges of its rows.
-
-    job returns {column: array} for the rows `rows` (a range) of a split,
-    one array row per row. The rows of all splits, pooled split by split,
-    are cut into two halves of nearly equal size that run as a run_pair;
-    a half calls job once for each split it covers, and a split cut by the
-    middle is joined back in row order. With fewer than two rows, or where
-    run_pair would not fork, job runs once per split on all of its rows.
-    A split without rows raises ValueError.
-    """
+def split_rows(counts: dict[str, int], widths: dict[str, int], job) -> dict[str, dict]:
+    """Each split's columns {name: (rows, width) array}, zeros in anonymous
+    shared memory made once, which job(split, rows, out) fills in place: it
+    writes the rows `rows` (a range) of the split's columns out. The rows of
+    all splits, pooled split by split, are cut into two halves of nearly
+    equal size that run as a run_pair, each calling job once per split it
+    covers; with fewer than two rows, or where run_pair would not fork, job
+    runs here once per split. A split without rows raises ValueError."""
     if any(n < 1 for n in counts.values()):
         raise ValueError(f"every split needs at least one row, got {counts}")
+    out = {split: {name: _shared_zeros(n, width) for name, width in widths.items()}
+           for split, n in counts.items()}
     pooled = sum(counts.values())
+
+    def fill(lo, hi):  # job for the pooled rows lo..hi, split by split
+        offset = 0
+        for split, n in counts.items():
+            start, stop = max(lo - offset, 0), min(hi - offset, n)
+            if start < stop:
+                job(split, range(start, stop), out[split])
+            offset += n
+
     if pooled < 2 or not _can_fork():
-        return {split: job(split, range(n)) for split, n in counts.items()}
-    half = (pooled + 1) // 2
-    first, second = run_pair(lambda: _segments(counts, 0, half, job),
-                             lambda: _segments(counts, half, pooled, job))
-    parts: dict[str, list] = {}
-    for split, cols in first + second:
-        parts.setdefault(split, []).append(cols)
-    return {split: cols[0] if len(cols) == 1
-            else {name: np.concatenate([c[name] for c in cols]) for name in cols[0]}
-            for split, cols in parts.items()}
-
-
-def _segments(counts: dict[str, int], lo: int, hi: int, job) -> list:
-    """[(split, job(split, rows))] for the pooled rows lo..hi, in order."""
-    out, offset = [], 0
-    for split, n in counts.items():
-        start, stop = max(lo - offset, 0), min(hi - offset, n)
-        if start < stop:
-            out.append((split, job(split, range(start, stop))))
-        offset += n
+        fill(0, pooled)
+    else:
+        half = (pooled + 1) // 2
+        run_pair(lambda: fill(0, half), lambda: fill(half, pooled))
     return out
+
+
+def _shared_zeros(rows: int, width: int) -> np.ndarray:
+    """(rows, width) zeros that a child forked later writes into as well."""
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(rows, width)
 
 
 def _forked_pair(first, second):

@@ -112,22 +112,20 @@ def _x_grid(problem: str, p: dict) -> np.ndarray:
 
 def dataset_bytes(problem: str, counts: dict[str, int], params: dict | None = None) -> int:
     """dataset_build's peak bytes, summed over the two processes of
-    split_rows: 3 floats a row and output point (a row in its half, the
-    child's half as sent and the joined split), 13 a row and Fourier mode
-    where the Burgers solver holds its stages, and 3 a row and input value
-    (6 inputs at most for advection and sod, one a sensor for burgers)."""
+    split_rows: 1 float a row and output point or sensor (the columns the
+    rows are written into), 9 more a row and Fourier mode where the Burgers
+    solver holds its stages, 32 a row for an exact problem's inputs (6 at
+    most) and the garbage drawing rows leaves for the collector, and 32 a
+    point or sensor for the two processes' one-row temporaries."""
     p = dataset_params(problem, params)
-    if problem == "burgers":
-        row = 13 * p["n_modes"] + 3 * p["sensors"]
-    else:
-        row = 3 * (p["n_grid"] + 6)
-    return 8 * row * sum(counts.values())
+    points = p["n_modes"] + p["sensors"] if problem == "burgers" else p["n_grid"]
+    row = points + (9 * p["n_modes"] if problem == "burgers" else 32)
+    return 8 * (row * sum(counts.values()) + 32 * points)
 
 
-# Each builder makes the rows `rows` (a range) of one split, as
-# {"inputs": ..., "outputs": ...}. A row draws from its own substream of
-# (seed, problem, split, row index), so any range of rows comes out as the
-# same bytes as those rows of the whole split.
+# Each builder writes the rows `rows` (a range) of one split into its columns
+# out. A row draws from its own substream of (seed, problem, split, row index),
+# so any range of rows comes out as the same bytes as those rows of the split.
 
 
 def _advection_row(rng: np.random.Generator, p: dict, x: np.ndarray):
@@ -151,31 +149,27 @@ def _sod_row(rng: np.random.Generator, p: dict, x: np.ndarray):
 _EXACT_ROWS = {"advection": (3, _advection_row), "sod": (6, _sod_row)}
 
 
-def _build_exact(problem: str, seed: int, split: str, rows: range, p: dict,
-                 x: np.ndarray) -> dict:
-    width, row = _EXACT_ROWS[problem]
-    inputs = np.empty((len(rows), width))
-    outputs = np.empty((len(rows), x.size))
-    for j, i in enumerate(rows):
-        inputs[j], outputs[j] = row(substream(seed, problem, split, str(i)), p, x)
-    return {"inputs": inputs, "outputs": outputs}
+def _build_exact(problem: str, seed: int, split: str, rows: range, out: dict, p: dict,
+                 x: np.ndarray):
+    row = _EXACT_ROWS[problem][1]
+    for i in rows:
+        out["inputs"][i], out["outputs"][i] = row(substream(seed, problem, split, str(i)), p, x)
 
 
-def _build_burgers(seed: int, split: str, rows: range, p: dict, x: np.ndarray) -> dict:
+def _build_burgers(seed: int, split: str, rows: range, out: dict, p: dict, x: np.ndarray):
     from .burgers import burgers_solve
     from .grf import grf_draw, grf_eval
 
     sensor_grid = np.arange(p["sensors"]) / p["sensors"]
-    inputs = np.empty((len(rows), p["sensors"]))
-    u0 = np.empty((len(rows), x.size))
-    for j, i in enumerate(rows):
-        rng = substream(seed, "burgers", split, str(i))
-        coeffs = grf_draw(rng, p["grf_modes"], p["grf_convention"])
-        inputs[j] = grf_eval(coeffs, sensor_grid)
-        u0[j] = grf_eval(coeffs, x)
-    # one batch of FFTs; each row is transformed on its own, so a batch of
-    # some of the rows gives those rows' bytes
-    return {"inputs": inputs, "outputs": burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])}
+    for i in rows:
+        coeffs = grf_draw(substream(seed, "burgers", split, str(i)), p["grf_modes"],
+                          p["grf_convention"])
+        out["inputs"][i] = grf_eval(coeffs, sensor_grid)
+        out["outputs"][i] = grf_eval(coeffs, x)
+    # the initial fields, solved in place as one batch of FFTs; each row is
+    # transformed on its own, so a batch of some of the rows gives those rows' bytes
+    u0 = out["outputs"][rows.start:rows.stop]
+    u0[:] = burgers_solve(u0, p["nu"], p["final_time"], dt=p["dt"])
 
 
 def dataset_build(problem: str, seed: int, counts: dict[str, int],
@@ -190,8 +184,10 @@ def dataset_build(problem: str, seed: int, counts: dict[str, int],
         raise ValueError("need at least one split count")
     x = _x_grid(problem, merged)
     build = _build_burgers if problem == "burgers" else partial(_build_exact, problem)
+    width = merged["sensors"] if problem == "burgers" else _EXACT_ROWS[problem][0]
     columns = split_rows({split: int(n) for split, n in counts.items()},
-                         lambda split, rows: build(seed, split, rows, merged, x))
+                         {"inputs": width, "outputs": x.size},
+                         lambda split, rows, out: build(seed, split, rows, out, merged, x))
     return {split: PdeDataset(problem, cols["inputs"], cols["outputs"], x, seed, merged)
             for split, cols in columns.items()}
 

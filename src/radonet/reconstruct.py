@@ -60,7 +60,11 @@ def recover_uniform(knots: np.ndarray, values: np.ndarray, target_grid: np.ndarr
     repeated knot is a jump, and queries outside the domain take the end
     values.
     """
-    return np.interp(target_grid, monotone_fix(knots, domain), values)
+    x, q = monotone_fix(knots, domain), np.asarray(target_grid)
+    out = np.asarray(np.interp(q, x, values))
+    bad = ~np.isfinite(out)  # np.interp's slope overflowed: widen the cell by an exact 2^600
+    out[bad] = np.interp(q[bad] * 2.0 ** 600, x * 2.0 ** 600, values)
+    return out
 
 
 def rel_l2_error(predictions: np.ndarray, references: np.ndarray) -> np.ndarray:

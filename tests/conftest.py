@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from radonet import parallel
+
 
 @pytest.fixture(autouse=True)
 def no_child_left_unreaped():
@@ -13,6 +15,21 @@ def no_child_left_unreaped():
         return
     pytest.fail("the test left a child process " +
                 ("running" if pid == 0 else f"{pid} exited but unreaped"))
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_restored():
+    """Fail a test that leaves OpenBLAS's thread count changed: every later
+    fork would then run its two processes on more threads than cores."""
+    blas = parallel._openblas()
+    if blas is None:  # no thread setter, so nothing can change the count
+        yield
+        return
+    get_threads = blas[0]
+    threads = get_threads()
+    yield
+    if get_threads() != threads:
+        pytest.fail(f"the test left OpenBLAS at {get_threads()} threads, not {threads}")
 
 
 @pytest.fixture

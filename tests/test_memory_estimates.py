@@ -12,13 +12,16 @@ Where a stage runs two jobs (radonet.parallel.run_pair, and split_rows
 through it), both processes are measured: the second job runs here first,
 as a forked child would, with its result passed through a file as the
 child passes it through a pipe; its peak above what it started from adds
-to the peak of the rest of the stage.
+to the peak of the rest of the stage. tracemalloc does not see the shared
+memory split_rows fills, so its columns are made as plain numpy zeros
+here, which the one process this test runs in fills just the same.
 """
 
 import json
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from radonet import cli, parallel
@@ -108,6 +111,7 @@ def _measure(make, tmp_path, monkeypatch, stage, sets, name):
         m.setattr(cli, "_refuse_above_memory", record)
         m.setattr(parallel, "_can_fork", lambda: True)
         m.setattr(parallel, "run_pair", pair.run_pair)
+        m.setattr(parallel, "_shared_zeros", lambda rows, width: np.zeros((rows, width)))
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0

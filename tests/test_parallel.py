@@ -62,24 +62,29 @@ def test_run_pair_reaps_the_worker_when_the_parent_job_raises(forks):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def _rows_job(split, rows):
-    return {"rows": np.array([[ord(split), i] for i in rows]),
-            "pid": np.full(len(rows), os.getpid())}
+def _rows_job(split, rows, out):
+    for i in rows:
+        out["rows"][i] = [ord(split), i]
+        out["pid"][i] = os.getpid()
+
+
+_ROW_WIDTHS = {"rows": 2, "pid": 1}
 
 
 @pytest.mark.parametrize("concurrent", [True, False])
-def test_split_rows_joins_the_halves_in_row_order(monkeypatch, forks, concurrent):
+def test_split_rows_fills_the_halves_in_row_order(monkeypatch, forks, concurrent):
     if concurrent and not _can_fork():
         pytest.skip("needs two usable cores and an OpenBLAS thread setter")
     if not concurrent:
         monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
     # 8 rows in all: a and the first row of b in this process, the rest of b and c in the child
     counts = {"a": 3, "b": 4, "c": 1}
-    got = split_rows(counts, _rows_job)
+    got = split_rows(counts, _ROW_WIDTHS, _rows_job)
     assert list(got) == list(counts)
     for split, n in counts.items():
         assert got[split]["rows"].tolist() == [[ord(split), i] for i in range(n)]
-    pids = np.concatenate([got[split]["pid"] for split in counts])
+        assert got[split]["pid"].shape == (n, 1)
+    pids = np.concatenate([got[split]["pid"][:, 0] for split in counts])
     if concurrent:
         assert len(forks) == 1
         assert pids.tolist() == [os.getpid()] * 4 + [forks[0]] * 4
@@ -87,12 +92,47 @@ def test_split_rows_joins_the_halves_in_row_order(monkeypatch, forks, concurrent
         assert forks == [] and set(pids.tolist()) == {os.getpid()}
 
 
+@pytest.mark.parametrize("concurrent", [True, False])
+def test_split_rows_writes_every_row_once_by_the_half_that_owns_it(monkeypatch, forks,
+                                                                    concurrent):
+    if concurrent and not _can_fork():
+        pytest.skip("needs two usable cores and an OpenBLAS thread setter")
+    if not concurrent:
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+    calls = []
+
+    def job(split, rows, out):  # a row written twice reads 2, a row left out 0
+        calls.append((split, rows))
+        for column in out.values():
+            column[rows.start:rows.stop] += 1.0
+        out["pid"][rows.start:rows.stop] = os.getpid()
+
+    # 9 rows in all: a and the first two rows of b in the first half
+    counts = {"a": 3, "b": 5, "c": 1}
+    widths = {"x": 7, "y": 1, "z": 3, "pid": 1}
+    got = split_rows(counts, widths, job)
+    for split, n in counts.items():
+        for name, width in widths.items():
+            assert got[split][name].shape == (n, width)
+        for name in ("x", "y", "z"):
+            assert np.all(got[split][name] == 1.0), (split, name)
+    pids = np.concatenate([got[split]["pid"][:, 0] for split in counts]).tolist()
+    if concurrent:
+        assert pids == [os.getpid()] * 5 + [forks[0]] * 4
+        # the child's calls were made in the child, so only this half's are seen here
+        assert calls == [("a", range(0, 3)), ("b", range(0, 2))]
+    else:
+        assert pids == [os.getpid()] * 9
+        assert calls == [("a", range(0, 3)), ("b", range(0, 5)), ("c", range(0, 1))]
+
+
 def test_split_rows_runs_a_single_row_here(forks):
-    got = split_rows({"a": 1}, _rows_job)
+    got = split_rows({"a": 1}, _ROW_WIDTHS, _rows_job)
     assert got["a"]["rows"].tolist() == [[ord("a"), 0]]
+    assert got["a"]["pid"].tolist() == [[os.getpid()]]
     assert forks == []
     with pytest.raises(ValueError, match="at least one row"):
-        split_rows({"a": 3, "b": 0, "c": 3}, _rows_job)
+        split_rows({"a": 3, "b": 0, "c": 3}, _ROW_WIDTHS, _rows_job)
 
 
 # --- the data stages on two cores ------------------------------------------

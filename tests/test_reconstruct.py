@@ -59,6 +59,17 @@ def test_interp_bounded_by_values(mesh, data):
     assert np.all(values.min() - tol <= out) and np.all(out <= values.max() + tol)
 
 
+def test_interp_in_a_subnormal_cell_stays_bounded():
+    # the cell [0, 2e-305] is so narrow that the slope 3756 / 2e-305 overflows
+    mesh = np.array([0.0, 0.0, 2.0889942354722377e-305, 1.0])
+    values = np.array([0.0, 0.0, 3756.0, 0.0])
+    query = np.array([2.225073858507e-311, 1e-305, 0.5])
+    out = recover_uniform(mesh, values, query, (0.0, 1.0))
+    assert np.all((0.0 <= out) & (out <= 3756.0))
+    np.testing.assert_allclose(out, [3756.0 * query[0] / mesh[2], 3756.0 * 1e-305 / mesh[2],
+                                     np.interp(0.5, mesh, values)], rtol=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=30),
        finite_values, finite_values)
