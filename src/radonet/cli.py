@@ -598,27 +598,32 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
 
 def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .models import eval_bytes, load_bundle, model_predict, radaptive_predict_graph
-    from .reconstruct import fd_derivative, recover_uniform, rel_l2_error
+    from .reconstruct import ERROR_ROWS, fd_derivative, recover_uniform, rel_l2_error
 
     model = load_bundle(inputs["model"])
     split = cfg["eval"]["split"]
     ds = _load_split(_config_dataset(cfg, inputs["dataset"], (split,)), split, "evaluation")
     domain, _ = ds.geometry()
     grid, refs, n = ds.x_grid, ds.outputs, ds.n_samples
-    _refuse_above_memory(eval_bytes(n, grid.size), f"eval of {n} {split} samples",
-                         f"the dataset's counts.{split}")
+    radaptive = model.family == "radaptive"
+    # a radaptive model's graphs are counted here on its native grid, the
+    # fewest xi points it evaluates on
+    sol_layers = ((model.sol_net.branch.layer_sizes, model.sol_net.trunk.layer_sizes)
+                  if radaptive else ())
+    _refuse_above_memory(eval_bytes(n, grid.size, model.xi_grid.size if radaptive else 0,
+                                    *sol_layers),
+                         f"eval of {n} {split} samples", f"the dataset's counts.{split}")
     summary = {"split": split, "n_samples": int(n), "problem": ds.problem,
                "family": model.family}
 
-    if model.family == "radaptive":
-        preds = np.empty_like(refs)
+    if radaptive:
         # the solution net is continuous along the computational axis, so
         # evaluation may sample it more densely than the training grid; the
         # mesh there is interpolated from the native knots. That removes the
         # piecewise-linear knot budget from coarse-grid models. A null, like any
         # count up to n_xi + 1, evaluates on the native grid and knots
         n_pts = max(cfg["eval"]["xi_points"] or 0, model.xi_grid.size)
-        _refuse_above_memory(eval_bytes(n, grid.size, n_pts, model.sol_net.trunk.layer_sizes),
+        _refuse_above_memory(eval_bytes(n, grid.size, n_pts, *sol_layers),
                              f"eval at eval.xi_points {n_pts}", "eval.xi_points")
         xi_eval = np.linspace(float(model.xi_grid[0]), float(model.xi_grid[-1]), n_pts)
         # one call for the whole split: each trunk runs once, and each branch
@@ -628,17 +633,27 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
         # mesh usability is judged on the model's own computational grid,
         # where the coordinate net predicts its knots
         det = fd_derivative(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
-        for i in range(n):
-            preds[i] = recover_uniform(pred.knots[i], pred.values[i], grid, domain)
-        # a mesh with a repeated knot (a jump) is usable but not strictly monotone
-        n_monotone = int(np.sum(np.all(np.diff(pred.knots, axis=1) > 0.0, axis=1)))
+        # the graphs are rebuilt on the dataset grid and scored ERROR_ROWS
+        # samples at a time, as rel_l2_error takes them, so no whole-split
+        # prediction is held next to the references
+        per = np.empty(n)
+        block = np.empty((min(n, ERROR_ROWS), grid.size))
+        n_monotone = 0
+        for lo in range(0, n, ERROR_ROWS):
+            rows = slice(lo, lo + ERROR_ROWS)
+            knots = pred.knots[rows]
+            rebuilt = block[:len(knots)]
+            for row, k, v in zip(rebuilt, knots, pred.values[rows]):
+                row[:] = recover_uniform(k, v, grid, domain)
+            per[rows] = rel_l2_error(rebuilt, refs[rows])
+            # a mesh with a repeated knot (a jump) is usable but not strictly monotone
+            n_monotone += int(np.sum(np.all(np.diff(knots, axis=1) > 0.0, axis=1)))
         summary["xi_points"] = int(pred.knots.shape[1])
         summary["prefix_jacobian_positive_fraction"] = int(np.sum(det > 0.0)) / det.size
         summary["monotone_mesh_fraction"] = n_monotone / n
     else:
-        preds = model_predict(model, ds.inputs, grid.reshape(-1, 1))
+        per = rel_l2_error(model_predict(model, ds.inputs, grid.reshape(-1, 1)), refs)
 
-    per = rel_l2_error(preds, refs)
     summary["mean_rel_l2"] = float(np.mean(per))
     lines = ["sample,rel_l2"]
     lines += [f"{i},{e:.12e}" for i, e in enumerate(per)]

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import store
 from .nn import MlpParams, mlp_backward, mlp_forward, mlp_params
+from .reconstruct import ERROR_ROWS
 
 BUNDLE_VERSION = 3
 
@@ -178,8 +179,9 @@ def _softplus(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.negative(s, out=s)
     np.exp(s, out=s)
     np.log1p(s, out=s)
-    s += np.maximum(g, 0.0)
-    ds = np.subtract(g, s)  # <= 0, so its exp cannot overflow
+    ds = np.maximum(g, 0.0)
+    s += ds
+    np.subtract(g, s, out=ds)  # <= 0, so its exp cannot overflow
     np.exp(ds, out=ds)
     return s, ds
 
@@ -213,12 +215,13 @@ def monotone_head(g: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, tuple]:
         rows = tail[:, 0]
         s[rows] = ds[rows] = np.exp(g[rows] - top[rows])
     h = np.diff(xi)
-    trap = s[:, :-1] + s[:, 1:]
+    c = np.empty_like(s)
+    c[:, 0] = 0.0
+    trap = np.add(s[:, :-1], s[:, 1:], out=c[:, 1:])
     trap *= 0.5 * h
-    c = np.zeros_like(s)
-    np.cumsum(trap, axis=1, out=c[:, 1:])
+    np.cumsum(trap, axis=1, out=trap)
     lo, hi = float(xi[0]), float(xi[-1])
-    x = c * ((hi - lo) / c[:, -1:])
+    x = np.multiply(c, (hi - lo) / c[:, -1:], out=s)  # the knots take the dead integrand's place
     x += lo
     np.minimum(x, hi, out=x)
     x[:, -1] = hi
@@ -233,13 +236,17 @@ def monotone_head_backward(cache: tuple, x_grad: np.ndarray) -> np.ndarray:
     gc[:, -1] = 0.0
     cn = c[:, -1:]
     gc *= length / cn
-    gc[:, -1] = -np.sum(gc * c, axis=1) / cn[:, 0]
+    work = np.multiply(gc, c)
+    gc[:, -1] = -np.sum(work, axis=1) / cn[:, 0]
     # trapezoid i feeds every C_j with j > i
-    g_term = 0.5 * h * np.cumsum(gc[:, :0:-1], axis=1)[:, ::-1]
-    gs = np.zeros_like(ds)
+    g_term = np.cumsum(gc[:, :0:-1], axis=1, out=work[:, 1:])[:, ::-1]
+    g_term *= 0.5 * h
+    gs = gc  # dead past the cumsum: the gradient takes its place
+    gs.fill(0.0)
     gs[:, :-1] += g_term
     gs[:, 1:] += g_term
-    return gs * ds
+    gs *= ds
+    return gs
 
 
 @dataclass
@@ -379,10 +386,12 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
     to a call with that input alone.
     """
     a = _as_2d(inputs, system.coord_net.branch.layer_sizes[0], "inputs")
-    g = _rowwise_forward(system.coord_net, a, system.xi_grid)
-    native, _ = monotone_head(g, system.xi_grid)
+    native = monotone_head(_rowwise_forward(system.coord_net, a, system.xi_grid),
+                           system.xi_grid)[0]
     xi = np.ravel(xi)
-    knots = np.stack([np.interp(xi, system.xi_grid, y) for y in native])
+    knots = np.empty((len(native), xi.size))
+    for row, y in zip(knots, native):
+        row[:] = np.interp(xi, system.xi_grid, y)
     # np.interp can round a knot a few ulps past the next native knot, or
     # past hi, at the end of a steep interval; this undoes it and changes
     # nothing in any other row
@@ -392,16 +401,28 @@ def radaptive_predict_graph(system: RAdaptiveSystem, inputs: np.ndarray,
     return RAdaptivePrediction(native_knots=native, knots=knots, values=values)
 
 
-def eval_bytes(n_samples: int, n_grid: int, n_points: int = 0, trunk: tuple = ()) -> int:
+def eval_bytes(n_samples: int, n_grid: int, n_points: int = 0, branch: tuple = (),
+               trunk: tuple = ()) -> int:
     """The peak bytes of evaluating n_samples samples on a dataset grid of
-    n_grid points: 24 a sample and grid point (the references, the
-    predictions and model_predict's chunks), plus, for the graphs of
-    radaptive_predict_graph at n_points xi points, per point 8 a unit of
-    the solution trunk's layer sizes (trunk) and 16 for xi and its
-    normalized copy, and 9 a sample while the values are built, or 26 a
-    sample once knots, values and their differences are all held."""
-    graph = n_points * max(8 * (sum(trunk) + 2) + 9 * n_samples, 26 * n_samples)
-    return 24 * n_samples * n_grid + graph
+    n_grid points. A vanilla model (n_points 0) holds 24 a sample and grid
+    point: the references, the predictions and model_predict's chunks.
+
+    A radaptive model builds its graphs at n_points xi points with
+    radaptive_predict_graph, whose solution net has the layer sizes branch
+    and trunk, then rebuilds and scores them ERROR_ROWS samples at a time.
+    It holds 8 a sample and grid point for the references, 32 a grid point
+    for each sample of a block, 8 a sample and branch unit past the input,
+    and per xi point the larger of two phases: while the trunk runs, 8 a
+    unit of its layer sizes, 16 for xi and its normalized copy and 16 a
+    sample for the native knots and knots; after it, 40 a sample for
+    those, the values and the Jacobian check (or, earlier, the head's
+    temporaries) and 9 a sample of a block for the block's differences."""
+    if not n_points:
+        return 24 * n_samples * n_grid
+    block = min(n_samples, ERROR_ROWS)
+    per_point = max(8 * (sum(trunk) + 2) + 16 * n_samples, 40 * n_samples + 9 * block)
+    return ((8 * n_samples + 32 * block) * n_grid + 8 * n_samples * sum(branch[1:])
+            + n_points * per_point)
 
 
 # ---------------------------------------------------------------------------

@@ -58,31 +58,49 @@ def net_bytes(branch: list[int], trunk: list[int], n_rows: int, n_points: int,
               val_rows: int, val_points: int, head: bool = False) -> int:
     """The peak bytes of training one net, of branch and trunk layer sizes,
     on n_rows samples at n_points query points, validated on val_rows
-    samples at val_points points. In floats: 7 a parameter (weights,
-    gradient, Adam's two moments, best snapshot); in training and in
-    validation, 2 a sample and branch unit and 3 a query point and trunk
-    unit (validation runs PREDICT_CHUNK points at a time); a sample and
-    point, 8 in training (targets, forward and loss arrays) and 3 in
-    validation (targets, chunked predictions, their concatenation), or 16
-    and 10 with a coordinate net's monotone head (head)."""
+    samples at val_points points. train releases a step's arrays before the
+    next step or a validation allocates, so the peak is the larger of the
+    two working sets on top of what the whole run holds: in floats, 7 a
+    parameter (weights, gradient, Adam's two moments and two temporaries,
+    best snapshot), 2 a training sample and point (targets, loss weights)
+    and 1 a validation sample and point (targets). A step holds 2 a sample
+    and branch unit, 3 a query point and trunk unit, and 3 a sample and
+    point (the prediction and the loss's residual and gradient), or 5
+    through a coordinate net's monotone head (head), whose cache and
+    backward add to them. Validation holds 2 a sample and branch unit, 3 a
+    trunk unit for each of up to PREDICT_CHUNK points it runs at a time,
+    and 2 a sample and point (the prediction and its chunk), or 6 with the
+    head's temporaries."""
     params = sum((a + 1) * b for sizes in (branch, trunk) for a, b in zip(sizes, sizes[1:]))
-    return 8 * (7 * params + 2 * (n_rows + val_rows) * sum(branch[1:])
-                + 3 * (n_points + min(val_points, PREDICT_CHUNK)) * sum(trunk[1:])
-                + (16 if head else 8) * n_rows * n_points
-                + (10 if head else 3) * val_rows * val_points)
+    step = (2 * n_rows * sum(branch[1:]) + 3 * n_points * sum(trunk[1:])
+            + (5 if head else 3) * n_rows * n_points)
+    validation = (2 * val_rows * sum(branch[1:])
+                  + 3 * min(val_points, PREDICT_CHUNK) * sum(trunk[1:])
+                  + (6 if head else 2) * val_rows * val_points)
+    return 8 * (7 * params + 2 * n_rows * n_points + val_rows * val_points
+                + max(step, validation))
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray):
     """Mean squared residual over every entry, with gradient wrt pred."""
     r = pred - target
-    return float(np.mean(r * r)), 2.0 * r / r.size
+    value = float(np.mean(r * r))
+    r *= 2.0
+    r /= r.size
+    return value, r
 
 
 def _weighted_mse(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
     if weights.shape != pred.shape:
         raise ValueError(f"weights shape {weights.shape} != prediction shape {pred.shape}")
     r = pred - target
-    return float(np.mean(weights * r * r)), 2.0 * weights * r / r.size
+    wr = weights * r
+    wr *= r
+    value = float(np.mean(wr))
+    np.multiply(weights, 2.0, out=wr)
+    wr *= r
+    wr /= r.size
+    return value, wr
 
 
 def loss_weighted(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
@@ -152,6 +170,12 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
     validate(0)
     epoch_loss = np.nan
 
+    # A step holds one working set: each array goes as soon as it is dead,
+    # so no step or validation allocates on top of the last step's arrays.
+    # The nets' gradients alone stay until the next backward: freed with
+    # the rest at the step's end, they would leave the heap top all free,
+    # which glibc hands back to the OS, and every step would fault it in
+    # again.
     for epoch in range(1, config.epochs + 1):
         lr = lr_schedule(epoch - 1, config.base_lr, config.decay_fraction,
                          config.decay_interval)
@@ -162,18 +186,22 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
             pred, cache = model.forward(inputs[idx], queries)
             w = None if weights is None else weights[idx]
             value, pred_grad = _loss_and_grad(pred, targets[idx], loss, w)
+            del pred
             losses.append(value)
             if not np.isfinite(value):
                 break
+            grads = None
             grads = model.backward(cache, pred_grad)
-            for name, g in zip(model.nets, grads):
-                adam_step(adam[name], getattr(model, name), g, lr)
+            del cache, pred_grad
+            for i, name in enumerate(model.nets):
+                adam_step(adam[name], getattr(model, name), grads[i], lr)
         epoch_loss = float(np.mean(losses))
         report.epochs_run = epoch
         if not np.isfinite(epoch_loss):
             report.aborted = True
             break
         if epoch % config.validation_cadence == 0 or epoch == config.epochs:
+            grads = None
             if validate(epoch):
                 best_model = model.copy()
 

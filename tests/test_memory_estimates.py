@@ -17,6 +17,7 @@ memory split_rows fills, so its columns are made as plain numpy zeros
 here, which the one process this test runs in fills just the same.
 """
 
+import gc
 import json
 import pickle
 import tracemalloc
@@ -112,6 +113,9 @@ def _measure(make, tmp_path, monkeypatch, stage, sets, name):
         m.setattr(parallel, "_can_fork", lambda: True)
         m.setattr(parallel, "run_pair", pair.run_pair)
         m.setattr(parallel, "_shared_zeros", lambda rows, width: np.zeros((rows, width)))
+        # garbage an earlier run left for the collector would otherwise be
+        # freed, or not, inside this run's measurement
+        gc.collect()
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,3 +183,43 @@ def test_train_validates_after_the_final_epoch():
     from radonet.reconstruct import rel_l2_error
     err = np.mean(rel_l2_error(model_predict(model, inputs, queries), targets))
     assert err == pytest.approx(report.best_error, rel=1e-12)
+
+
+def _traced_growth(run) -> int:
+    """The peak bytes run() allocates above what was allocated before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_does_not_stack_on_the_last_step():
+    # a step and a validation of similar size: a run that validates while
+    # the last step's prediction, cache and gradients are still bound peaks
+    # near their sum (the larger plus 0.74 of the smaller, measured), one
+    # that releases them first at the larger alone
+    rng = substream(9, "working-set")
+    model = DeepOnetModel(branch=mlp_init([2, 8, 8], activation="tanh", seed=1),
+                          trunk=mlp_init([1, 8, 8], activation="tanh", seed=2),
+                          n_basis=8, query_lo=[0.0], query_hi=[1.0])
+    inputs, val_inputs = rng.standard_normal((64, 2)), rng.standard_normal((96, 2))
+    queries = np.linspace(0.0, 1.0, 512).reshape(-1, 1)
+    targets, val_targets = rng.standard_normal((64, 512)), rng.standard_normal((96, 512))
+
+    def step():
+        pred, cache = model.forward(inputs, queries)
+        model.backward(cache, loss_mse(pred, targets)[1])
+
+    from radonet.reconstruct import rel_l2_error
+    step_peak = _traced_growth(step)
+    val_peak = _traced_growth(lambda: rel_l2_error(model_predict(model, val_inputs, queries),
+                                                   val_targets))
+    train_peak = _traced_growth(lambda: train(
+        model, inputs, targets, queries, TrainConfig(epochs=1, validation_cadence=1),
+        val_inputs=val_inputs, val_targets=val_targets))
+    assert train_peak < max(step_peak, val_peak) + min(step_peak, val_peak) / 2, (
+        f"train peaked {train_peak} bytes above its start, a step alone {step_peak} "
+        f"and a validation alone {val_peak}")
