@@ -409,6 +409,15 @@ def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str):
                query_lo=[bounds[0]], query_hi=[bounds[1]])
 
 
+def _train_job(cfg: dict, n_in: int, bounds, role: str, *args, **kwargs):
+    """A run_pair job: build the net of role and train it with
+    train(net, *args, **kwargs). It holds the arrays it is handed and no
+    others, so a process that does not run it can let go of them."""
+    from .training import train
+
+    return lambda: train(_make_deeponet(cfg, n_in, bounds, role=role), *args, **kwargs)
+
+
 def _uniform_targets(ds, n_points: int):
     """Resample a split's output fields onto n uniform query points."""
     from .pde_data.dataset import uniform_grid
@@ -549,19 +558,19 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         _refuse_above_memory(sum(net_bytes(*_layers(cfg, n_in), n_rows, xi.size, n_val, xi.size,
                                            head) for head in (True, False)),
                              "training a radaptive model", widths)
-        tr_in = train_ds.inputs
         va_in = None if vset is None else val_ds.inputs
-
-        coord = _make_deeponet(cfg, n_in, bounds, role="coord")
-        sol = _make_deeponet(cfg, n_in, bounds, role="sol")
-        # the two nets share nothing, so they may train at the same time
-        (coord, coord_rep), (sol, sol_rep) = run_pair(
-            lambda: train(coord, tr_in, pset.x, queries, tc, loss="coordinate",
-                          weights=pset.w_coord, val_inputs=va_in,
-                          val_targets=None if vset is None else vset.x),
-            lambda: train(sol, tr_in, pset.u, queries, tc, loss="weighted",
-                          weights=pset.w_sol, val_inputs=va_in,
-                          val_targets=None if vset is None else vset.u))
+        # the two nets share nothing, so they may train at the same time;
+        # each job holds only its own prep columns, and so, once run_pair
+        # has forked, does each process: the jobs are popped into the call
+        # and the sets dropped, so that this frame holds neither
+        jobs = [_train_job(cfg, n_in, bounds, "coord", train_ds.inputs, pset.x, queries, tc,
+                           loss="coordinate", weights=pset.w_coord, val_inputs=va_in,
+                           val_targets=None if vset is None else vset.x),
+                _train_job(cfg, n_in, bounds, "sol", train_ds.inputs, pset.u, queries, tc,
+                           loss="weighted", weights=pset.w_sol, val_inputs=va_in,
+                           val_targets=None if vset is None else vset.u)]
+        del psets, pset, vset
+        (coord, coord_rep), (sol, sol_rep) = run_pair(jobs.pop(0), jobs.pop())
         system = RAdaptiveSystem(coord_net=coord, sol_net=sol, xi_grid=xi)
         save_bundle(out, system, input_encoding=encoding,
                     extra={"problem": problem, "family": family})

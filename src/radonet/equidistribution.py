@@ -135,26 +135,33 @@ def limit_density_ratio(rho: DensityField, n_xi: int,
     # density (the local cell-size profile). The reciprocal cone hull is
     # two running-min sweeps; mass decreases as c grows, so the
     # self-consistent c = max_log_ratio * n_xi / mass(c) iteration is a
-    # stable (negative-feedback) fixed point.
+    # stable (negative-feedback) fixed point. A periodic field runs the
+    # sweeps over three copies and keeps the middle one, [m, 2m): only
+    # that copy is computed, the forward sweep seeded with the plain
+    # minimum of [0, m) and the backward one run over [m, 3m). Minima are
+    # exact, so the values are those of the sweeps over all three copies.
     recip = 1.0 / (np.concatenate([vals, vals, vals]) if rho.periodic else vals)
     xs = rho.dx * np.arange(recip.size)
+    lo = m if rho.periodic else 0
+    mid = slice(lo, lo + m)
 
-    def cone_hull(c):
-        fwd = c * xs + np.minimum.accumulate(recip - c * xs)
-        bwd = -c * xs + np.minimum.accumulate((recip + c * xs)[::-1])[::-1]
-        return np.minimum(fwd, bwd)
-
-    def middle(extended):
-        out = extended[m:2 * m] if rho.periodic else extended
-        return np.minimum(np.maximum(1.0 / out, 1.0), max(2.0, np.max(vals)))
+    def density(c):
+        cx = c * xs
+        fwd = recip[mid] - cx[mid]
+        if lo:
+            fwd[0] = min(fwd[0], np.min(recip[:lo] - cx[:lo]))
+        fwd = cx[mid] + np.minimum.accumulate(fwd)
+        bwd = np.minimum.accumulate((recip[lo:] + cx[lo:])[::-1])[::-1][:m] - cx[mid]
+        hull = np.minimum(fwd, bwd)
+        return np.minimum(np.maximum(1.0 / hull, 1.0), max(2.0, np.max(vals)))
 
     target = max_log_ratio * n_xi
     mass_cap = _domain_mass(vals, rho.dx, rho.periodic)
     c = target / (2.0 * mass_cap)
-    dens = middle(cone_hull(c))
+    dens = density(c)
     for _ in range(4):
         c = target / _domain_mass(dens, rho.dx, rho.periodic)
-        dens = middle(cone_hull(c))
+        dens = density(c)
 
     # the cone hull is piecewise linear; its slope kinks contribute
     # first-order wiggle to the pointwise equidistribution product, so
@@ -176,9 +183,7 @@ def limit_density_ratio(rho: DensityField, n_xi: int,
     padded = np.concatenate([np.full(half, log_aux[0]), log_aux,
                              np.full(half, log_aux[-1])])
     log_smooth = np.convolve(padded, kernel, mode="valid")
-    smoothed = np.exp(np.interp(mu, mu_aux, log_smooth))
-    out = smoothed[m:2 * m] if rho.periodic else smoothed
-    dens = np.maximum(out, 1.0)
+    dens = np.maximum(np.exp(np.interp(mu[mid], mu_aux, log_smooth)), 1.0)
 
     return DensityField(values=dens, dx=rho.dx, x0=rho.x0, periodic=rho.periodic)
 

@@ -52,10 +52,12 @@ def _predict_chunks(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarra
     """deeponet_forward_batch's predictions with no caches kept: the branch
     runs once, the trunk on PREDICT_CHUNK queries at a time, so memory stays flat in the grid."""
     q = np.asarray(queries, dtype=np.float64)
-    b_out = mlp_forward(model.branch, _as_2d(inputs, model.branch.layer_sizes[0], "inputs"))[0]
+    b_out = mlp_forward(model.branch, _as_2d(inputs, model.branch.layer_sizes[0], "inputs"),
+                        keep=False)
     pred = np.empty((len(b_out), len(q)))
     for lo in range(0, len(q), PREDICT_CHUNK):
-        t_out = mlp_forward(model.trunk, model.normalize_queries(q[lo:lo + PREDICT_CHUNK]))[0]
+        t_out = mlp_forward(model.trunk, model.normalize_queries(q[lo:lo + PREDICT_CHUNK]),
+                            keep=False)
         pred[:, lo:lo + PREDICT_CHUNK] = b_out @ t_out.T
     return pred
 
@@ -354,7 +356,8 @@ class RAdaptivePrediction:
 
 
 def _rowwise_forward(model: DeepOnetModel, a: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """deeponet_forward_batch's predictions, with the trunk run once for all rows.
+    """deeponet_forward_batch's predictions, with the trunk run once for all
+    rows and no caches kept.
 
     The branch pass and the branch-trunk product run each input row exactly
     as a single-input call runs it: numpy hands a one-row matmul to BLAS gemv
@@ -363,8 +366,8 @@ def _rowwise_forward(model: DeepOnetModel, a: np.ndarray, queries: np.ndarray) -
     as an (N, 1, d) stack instead, so each matmul is one numpy call that
     issues one gemv per row, the same gemv as the one-row call.
     """
-    t_out, _ = mlp_forward(model.trunk, model.normalize_queries(queries))
-    b_out, _ = mlp_forward(model.branch, a[:, None, :])
+    t_out = mlp_forward(model.trunk, model.normalize_queries(queries), keep=False)
+    b_out = mlp_forward(model.branch, a[:, None, :], keep=False)
     return (b_out @ t_out.T)[:, 0, :]
 
 

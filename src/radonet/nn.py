@@ -119,12 +119,15 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
     return mlp_params(sizes, activation, weights, biases)
 
 
-def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Forward pass on a (..., B, d_in) array; returns (outputs, cache).
+def mlp_forward(params: MlpParams, batch: np.ndarray, keep: bool = True):
+    """Forward pass on a (..., B, d_in) array; returns (outputs, cache), or
+    the outputs alone when keep is False.
 
     Hidden layers use the configured activation, the output layer is linear.
     The cache holds the input, the hidden states and the output shape for
-    mlp_backward, which takes the cache of a (B, d_in) batch only.
+    mlp_backward, which takes the cache of a (B, d_in) batch only. With
+    keep False no layer outlives the next one, so at most two are held at
+    once; the outputs are the same bytes.
 
     Leading axes stack independent batches: each layer is one matmul call,
     and numpy runs it batch by batch with the same BLAS routine as a call on
@@ -151,8 +154,9 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, tuple
                 np.maximum(h, 0.0, out=h)
             else:
                 np.tanh(h, out=h)
-            hs.append(h)
-    return h, (hs, h.shape)
+            if keep:
+                hs.append(h)
+    return (h, (hs, h.shape)) if keep else h
 
 
 def mlp_backward(params: MlpParams, cache: tuple, output_grad: np.ndarray) -> MlpGrads:

@@ -78,17 +78,23 @@ def run_pair(first, second):
     Each job is a callable without arguments. When the module's rule allows
     a fork, `second` runs in a forked child while this process runs
     `first`, and each process gets half of the BLAS threads (one each on two
-    cores); the count is restored afterwards. Otherwise the jobs run one
-    after the other. A job that raises in the child, or a child that dies,
-    raises RuntimeError here once the child is reaped.
+    cores); the count is restored afterwards. Once forked, each process
+    keeps only the job it runs, so what the other job alone holds (its
+    inputs, and whatever it builds) is freed there, provided the caller
+    keeps no reference of its own: pass the jobs straight into the call.
+    Otherwise the jobs run one after the other. A job that raises in the
+    child, or a child that dies, raises RuntimeError here once the child is
+    reaped.
     """
     if not _can_fork():
         return first(), second()
     get_threads, set_threads = _openblas()
     threads = get_threads()
     set_threads(max(1, min(threads, usable_cores()) // 2))
+    jobs = [first, second]
+    del first, second  # _forked_pair empties jobs
     try:
-        return _forked_pair(first, second)
+        return _forked_pair(jobs)
     finally:
         set_threads(threads)
 
@@ -128,19 +134,24 @@ def _shared_zeros(rows: int, width: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(rows, width)
 
 
-def _forked_pair(first, second):
+def _forked_pair(jobs: list):
+    """(first(), second()) of jobs = [first, second], second run in a forked
+    child. Once forked, each process takes its own job and empties the
+    list, so it keeps no reference to the job the other one runs."""
     # a bare fork rather than a process pool: the child inherits the loaded
     # modules and the job's inputs instead of importing and unpickling them,
     # which keeps start-up time and peak memory down. OpenBLAS registers a
     # fork handler that stops its thread pool, so the child starts a fresh one
     read_fd, write_fd = os.pipe()
     pid = os.fork()
+    job = jobs[0 if pid else 1]
+    jobs.clear()
     if pid == 0:  # the child: never return into the caller, never flush its buffers
         status = 1
         try:
             os.close(read_fd)
             try:
-                payload = (True, second())
+                payload = (True, job())
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 payload = (False, f"{type(exc).__name__}: {exc}")
             with os.fdopen(write_fd, "wb") as fh:
@@ -152,7 +163,7 @@ def _forked_pair(first, second):
     reaped = False
     with os.fdopen(read_fd, "rb") as fh:
         try:
-            first_result = first()
+            first_result = job()
             data = fh.read()
             _, status = os.waitpid(pid, 0)
             reaped = True

@@ -112,6 +112,60 @@ def equidistribute_refined(values, dx, n_xi, x0=0.0, periodic=False, refine=400)
     return knots
 
 
+def limit_density_ratio_full_hull(values, dx, n_xi, periodic, max_log_ratio=0.3,
+                                  cap_scale=8.0, smooth_cells=2.0):
+    """limit_density_ratio's density values, its cone hull swept over all
+    three copies of a periodic field, of which the middle one is kept (the
+    package computes that copy alone). cap_scale and smooth_cells are the
+    package's _CAP_SCALE and _SMOOTH_CELLS."""
+    def domain_mass(v):
+        closed = np.append(v, v[0]) if periodic else v
+        return float(np.sum(dx * 0.5 * (closed[:-1] + closed[1:])))
+
+    vals = np.asarray(values, dtype=np.float64)
+    m = vals.size
+    wanted = cap_scale * domain_mass(vals) / (n_xi * dx)
+    if n_xi >= 64:
+        wanted = min(np.exp(0.6 * max_log_ratio * n_xi / 4.0), wanted)
+    vals = np.minimum(vals, max(2.0, wanted))
+
+    recip = 1.0 / (np.concatenate([vals, vals, vals]) if periodic else vals)
+    xs = dx * np.arange(recip.size)
+
+    def cone_hull(c):
+        fwd = c * xs + np.minimum.accumulate(recip - c * xs)
+        bwd = -c * xs + np.minimum.accumulate((recip + c * xs)[::-1])[::-1]
+        return np.minimum(fwd, bwd)
+
+    def middle(extended):
+        out = extended[m:2 * m] if periodic else extended
+        return np.minimum(np.maximum(1.0 / out, 1.0), max(2.0, np.max(vals)))
+
+    target = max_log_ratio * n_xi
+    c = target / (2.0 * domain_mass(vals))
+    dens = middle(cone_hull(c))
+    for _ in range(4):
+        c = target / domain_mass(dens)
+        dens = middle(cone_hull(c))
+
+    ext = np.concatenate([dens, dens, dens]) if periodic else dens
+    dmu = dx * 0.5 * (ext[:-1] + ext[1:])
+    mu = np.concatenate(([0.0], np.cumsum(dmu)))
+    cell_mass = domain_mass(dens) / n_xi
+    n_aux = max(16, int(round((mu[-1] / cell_mass) * 6)))
+    mu_aux = np.linspace(mu[0], mu[-1], n_aux)
+    log_aux = np.interp(mu_aux, mu, np.log(ext))
+    sigma_pts = smooth_cells * 6
+    half = int(np.ceil(4.0 * sigma_pts))
+    t = np.arange(-half, half + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (t / sigma_pts) ** 2)
+    kernel /= kernel.sum()
+    padded = np.concatenate([np.full(half, log_aux[0]), log_aux, np.full(half, log_aux[-1])])
+    log_smooth = np.convolve(padded, kernel, mode="valid")
+    smoothed = np.exp(np.interp(mu, mu_aux, log_smooth))
+    return np.maximum(smoothed[m:2 * m] if periodic else smoothed, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # gas dynamics references
 

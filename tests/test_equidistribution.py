@@ -19,10 +19,11 @@ from radonet.equidistribution import (
     weight_coordinate,
     weight_solution,
 )
+from radonet.nn import substream
 from radonet.reconstruct import fd_derivative
 
 from containers import corrupt, join_npy, load_guarded, restore, snapshot, split_npy
-from oracles import equidistribute_refined
+from oracles import equidistribute_refined, limit_density_ratio_full_hull
 
 
 def box_signal(m=2048, lo_edge=0.3, hi_edge=0.55, height=0.8):
@@ -198,6 +199,21 @@ def test_limiter_preserves_peak_resolution():
     raw = density_arclength(u, dx=1.0 / 2048, periodic=True)
     x = equidistribute_1d(limit_density_ratio(raw, 128), 128)
     assert np.min(np.diff(x)) < 4.0 / 2048
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_limiter_matches_the_full_hull_bit_for_bit(periodic):
+    # the package sweeps only the middle copy of a periodic field
+    rng = substream(5, "limiter", str(periodic))
+    for m, n_xi in ((3, 2), (64, 16), (256, 64), (1024, 128), (2048, 128)):
+        for spread in (0.1, 2.0, 6.0):  # gentle to spiky: log-normal densities
+            values = np.exp(spread * rng.standard_normal(m))
+            dx = 1.0 / m if periodic else 1.0 / (m - 1)
+            rho = DensityField(values=values, dx=dx, x0=-0.5, periodic=periodic)
+            for lam in (0.1, 0.3):
+                got = limit_density_ratio(rho, n_xi, lam)
+                want = limit_density_ratio_full_hull(values, dx, n_xi, periodic, lam)
+                assert got.values.tobytes() == want.tobytes(), (m, n_xi, spread, lam)
 
 
 def test_limiter_validation():

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from radonet.models import (
     deeponet_backward_batch,
     deeponet_forward_batch,
     load_bundle,
+    PREDICT_CHUNK,
     mesh_forward_batch,
+    model_predict,
     radaptive_predict_graph,
     save_bundle,
 )
@@ -85,6 +89,29 @@ def test_deeponet_backward_matches_finite_differences():
     assert flat_grad_rel_error(bg.weights, bg.biases, num_w, num_b) < 1e-7
     num_w, num_b = numerical_gradient(trunk_loss, model.trunk)
     assert flat_grad_rel_error(tg.weights, tg.biases, num_w, num_b) < 1e-7
+
+
+def test_predict_keeps_no_layer_caches():
+    widths, n_basis = 128, 64
+    branch = mlp_init([3, widths, widths, widths, n_basis], activation="tanh", seed=1)
+    trunk = mlp_init([1, widths, widths, widths, n_basis], activation="relu", seed=2)
+    model = DeepOnetModel(branch=branch, trunk=trunk, n_basis=n_basis,
+                          query_lo=[0.0], query_hi=[1.0])
+    inputs = substream(1, "predict").uniform(size=(50, 3))
+    queries = np.linspace(0.0, 1.0, 2048)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pred = model_predict(model, inputs, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the prediction, two hidden layers of one chunk (the one being computed
+    # and its input), the last chunk's trunk output, held until the next
+    # replaces it, and 128 KB for the small temporaries; a cached chunk
+    # holds three hidden layers besides the one being computed
+    layer = 8 * PREDICT_CHUNK * widths
+    assert peak < pred.nbytes + 2 * layer + 8 * PREDICT_CHUNK * n_basis + 2**17
 
 
 def test_radaptive_system_validation():

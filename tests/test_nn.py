@@ -90,6 +90,16 @@ def test_stacked_one_row_batches_match_one_call_per_row(activation):
     np.testing.assert_allclose(wide[1], wide[0][::-1], rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_forward_without_cache_returns_the_same_bytes(activation):
+    params = mlp_init([3, 32, 32, 8], activation=activation, seed=4)
+    rows = substream(4, "keep", activation).standard_normal((9, 3))
+    for batch in (rows, rows[:, None, :]):  # one gemm, or one gemv per row
+        got = mlp_forward(params, batch, keep=False)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == mlp_forward(params, batch)[0].tobytes()
+
+
 def test_forward_refuses_a_single_vector_and_backward_a_stack():
     params = mlp_init([4, 8, 2], seed=0)
     with pytest.raises(ValueError):

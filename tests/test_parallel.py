@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from radonet import parallel
+from radonet import cli, parallel
 from radonet.cli import main
 from radonet.models import DeepOnetModel
 from radonet.nn import mlp_init, substream
@@ -207,3 +207,45 @@ def test_data_stage_worker_failure_is_a_runtime_error(
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):  # already reaped
         os.waitpid(forks[0], os.WNOHANG)
+
+
+# --- the r-adaptive train on two cores --------------------------------------
+
+_MICRO_NETS = ["--set", "model.n_basis=8", "--set", "model.branch_hidden=[16]",
+               "--set", "model.trunk_hidden=[16]", "--set", "train.epochs=3"]
+
+
+@needs_two_cores
+def test_each_forked_radaptive_half_builds_only_its_own_net(tmp_path, monkeypatch, forks):
+    spec = _MICRO_DATA["advection"]
+    _data_stages(tmp_path, spec)
+    forks.clear()
+    log = tmp_path / "built"
+    real = cli._make_deeponet
+
+    def make(cfg, n_inputs, bounds, *, role):  # writes from the child too
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {role}\n")
+        return real(cfg, n_inputs, bounds, role=role)
+
+    def train(out):
+        assert main(["train", *spec, *_MICRO_NETS, "--set", "preprocess.n_xi=16",
+                     "--set", "model.family=radaptive", "--dataset", str(tmp_path / "data"),
+                     "--prep", str(tmp_path / "prep"), "--out", str(tmp_path / out)]) == 0
+        built = log.read_text().split()
+        log.unlink()
+        return list(zip(built[::2], built[1::2]))
+
+    monkeypatch.setattr(cli, "_make_deeponet", make)
+    built = train("forked")
+    assert len(forks) == 1
+    assert sorted(built) == sorted([(str(os.getpid()), "coord"), (str(forks[0]), "sol")])
+    monkeypatch.setattr(parallel, "_can_fork", lambda: False)
+    assert train("in_turn") == [(str(os.getpid()), "coord"), (str(os.getpid()), "sol")]
+    assert len(forks) == 1
+
+    def bundle(name):  # wall times go to provenance.json only
+        return {path: data for path, data in _files(tmp_path / name).items()
+                if not path.endswith("provenance.json")}
+
+    assert bundle("forked") == bundle("in_turn")
