@@ -121,12 +121,17 @@ _LAYERS = "a list of integers at least 1", lambda v, _: all(n >= 1 for n in v)
 # every split
 _RULES = {
     "seed": _at_least(0), "counts.*": _at_least(1),
-    "advection.n_grid": _at_least(3),
-    "advection.period": ("above the upper end of data.width_range",
-                         lambda v, s: v > s["width_range"][1]),
+    # a box narrower than the grid spacing, period / n_grid, can fall between
+    # two grid points and leave an all-zero sample, which has no relative error
+    "advection.n_grid": ("at least 3 and at least data.period / data.width_range[0]",
+                         lambda v, s: 3 <= v and s["period"] <= s["width_range"][0] * v),
+    "advection.period": ("above the upper end of data.width_range and at most "
+                         "data.n_grid * data.width_range[0]",
+                         lambda v, s: (s["width_range"][1] < v
+                                       <= s["width_range"][0] * s["n_grid"])),
     "advection.height_range": _POSITIVE,
-    "advection.width_range": ("[lo, hi] with 0 < lo <= hi < data.period",
-                              lambda v, s: 0 < v[0] <= v[1] < s["period"]),
+    "advection.width_range": ("[lo, hi] with 0 < lo <= hi < data.period <= lo * data.n_grid",
+                              lambda v, s: 0 < v[0] <= v[1] < s["period"] <= v[0] * s["n_grid"]),
     "advection.shift_range": _ORDERED,
     "burgers.nu": _ABOVE_0, "burgers.n_modes": _at_least(8),
     "burgers.dt": ("above 0 and dividing data.final_time into whole steps",
@@ -571,9 +576,7 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
                            val_targets=None if vset is None else vset.u)]
         del psets, pset, vset
         (coord, coord_rep), (sol, sol_rep) = run_pair(jobs.pop(0), jobs.pop())
-        system = RAdaptiveSystem(coord_net=coord, sol_net=sol, xi_grid=xi)
-        save_bundle(out, system, input_encoding=encoding,
-                    extra={"problem": problem, "family": family})
+        model = RAdaptiveSystem(coord_net=coord, sol_net=sol, xi_grid=xi)
         run_reports = {"coord": coord_rep, "sol": sol_rep}
     else:
         n_points = cfg["model"]["output_points"]
@@ -592,10 +595,9 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         model, report = train(model, train_ds.inputs, targets, queries, tc, loss="mse",
                               val_inputs=val.inputs, val_targets=val.outputs,
                               val_queries=val.x_grid.reshape(-1, 1))
-        save_bundle(out, model, input_encoding=encoding,
-                    extra={"problem": problem, "family": family})
         run_reports = {"model": report}
 
+    save_bundle(out, model, input_encoding=encoding, extra={"problem": problem, "family": family})
     reports = {k: _report_dict(r) for k, r in run_reports.items()}
     (out / "report.json").write_text(json.dumps(
         {"family": family, "problem": problem, "reports": reports},
@@ -607,7 +609,7 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
 
 def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .models import eval_bytes, load_bundle, model_predict, radaptive_predict_graph
-    from .reconstruct import ERROR_ROWS, fd_derivative, recover_uniform, rel_l2_error
+    from .reconstruct import fd_derivative, recover_uniform, rel_l2_error
 
     model = load_bundle(inputs["model"])
     split = cfg["eval"]["split"]
@@ -642,27 +644,17 @@ def cmd_eval(args, cfg: dict, inputs: dict, out: Path) -> None:
         # mesh usability is judged on the model's own computational grid,
         # where the coordinate net predicts its knots
         det = fd_derivative(pred.native_knots, float(model.xi_grid[1] - model.xi_grid[0]))
-        # the graphs are rebuilt on the dataset grid and scored ERROR_ROWS
-        # samples at a time, as rel_l2_error takes them, so no whole-split
-        # prediction is held next to the references
-        per = np.empty(n)
-        block = np.empty((min(n, ERROR_ROWS), grid.size))
-        n_monotone = 0
-        for lo in range(0, n, ERROR_ROWS):
-            rows = slice(lo, lo + ERROR_ROWS)
-            knots = pred.knots[rows]
-            rebuilt = block[:len(knots)]
-            for row, k, v in zip(rebuilt, knots, pred.values[rows]):
-                row[:] = recover_uniform(k, v, grid, domain)
-            per[rows] = rel_l2_error(rebuilt, refs[rows])
-            # a mesh with a repeated knot (a jump) is usable but not strictly monotone
-            n_monotone += int(np.sum(np.all(np.diff(knots, axis=1) > 0.0, axis=1)))
-        summary["xi_points"] = int(pred.knots.shape[1])
+        summary["xi_points"] = n_pts
         summary["prefix_jacobian_positive_fraction"] = int(np.sum(det > 0.0)) / det.size
-        summary["monotone_mesh_fraction"] = n_monotone / n
+        # a mesh with a repeated knot (a jump) is usable but not strictly monotone
+        summary["monotone_mesh_fraction"] = sum(
+            bool(np.all(np.diff(k) > 0.0)) for k in pred.knots) / n
+        # each graph is rebuilt on the dataset grid only as it is scored, so
+        # no whole-split prediction is held next to the references
+        rows = (recover_uniform(k, v, grid, domain) for k, v in zip(pred.knots, pred.values))
     else:
-        per = rel_l2_error(model_predict(model, ds.inputs, grid.reshape(-1, 1)), refs)
-
+        rows = model_predict(model, ds.inputs, grid.reshape(-1, 1))
+    per = np.array([rel_l2_error(row[None], ref[None])[0] for row, ref in zip(rows, refs)])
     summary["mean_rel_l2"] = float(np.mean(per))
     lines = ["sample,rel_l2"]
     lines += [f"{i},{e:.12e}" for i, e in enumerate(per)]

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import store
 from .nn import MlpParams, mlp_backward, mlp_forward, mlp_params
-from .reconstruct import ERROR_ROWS
 
 BUNDLE_VERSION = 3
 
@@ -56,9 +55,9 @@ def _predict_chunks(model, inputs: np.ndarray, queries: np.ndarray) -> np.ndarra
                         keep=False)
     pred = np.empty((len(b_out), len(q)))
     for lo in range(0, len(q), PREDICT_CHUNK):
-        t_out = mlp_forward(model.trunk, model.normalize_queries(q[lo:lo + PREDICT_CHUNK]),
-                            keep=False)
-        pred[:, lo:lo + PREDICT_CHUNK] = b_out @ t_out.T
+        # the chunk's trunk output dies with its product, before the next chunk runs
+        pred[:, lo:lo + PREDICT_CHUNK] = b_out @ mlp_forward(
+            model.trunk, model.normalize_queries(q[lo:lo + PREDICT_CHUNK]), keep=False).T
     return pred
 
 
@@ -412,19 +411,18 @@ def eval_bytes(n_samples: int, n_grid: int, n_points: int = 0, branch: tuple = (
 
     A radaptive model builds its graphs at n_points xi points with
     radaptive_predict_graph, whose solution net has the layer sizes branch
-    and trunk, then rebuilds and scores them ERROR_ROWS samples at a time.
-    It holds 8 a sample and grid point for the references, 32 a grid point
-    for each sample of a block, 8 a sample and branch unit past the input,
-    and per xi point the larger of two phases: while the trunk runs, 8 a
-    unit of its layer sizes, 16 for xi and its normalized copy and 16 a
-    sample for the native knots and knots; after it, 40 a sample for
-    those, the values and the Jacobian check (or, earlier, the head's
-    temporaries) and 9 a sample of a block for the block's differences."""
+    and trunk, then rebuilds and scores them one sample at a time. It holds
+    8 a sample and grid point for the references, 32 a grid point for the
+    one rebuilt sample and its error's temporaries, 8 a sample and branch
+    unit past the input, and per xi point the larger of two phases: while
+    the trunk runs, 8 a unit of its layer sizes, 16 for xi and its
+    normalized copy and 16 a sample for the native knots and knots; after
+    it, 40 a sample for those, the values and the Jacobian check (or,
+    earlier, the head's temporaries), and 9 for one mesh's differences."""
     if not n_points:
         return 24 * n_samples * n_grid
-    block = min(n_samples, ERROR_ROWS)
-    per_point = max(8 * (sum(trunk) + 2) + 16 * n_samples, 40 * n_samples + 9 * block)
-    return ((8 * n_samples + 32 * block) * n_grid + 8 * n_samples * sum(branch[1:])
+    per_point = max(8 * (sum(trunk) + 2) + 16 * n_samples, 40 * n_samples + 9)
+    return ((8 * n_samples + 32) * n_grid + 8 * n_samples * sum(branch[1:])
             + n_points * per_point)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import radonet
 from radonet import parallel, store, training
-from radonet.cli import DEFAULT_CONFIG, config_hash, content_hash, main, resolve_config
+from radonet.cli import DEFAULT_CONFIG, CliError, config_hash, content_hash, main, resolve_config
 
 
 def run_cli(*argv, expect=0, capsys=None):
@@ -370,6 +370,44 @@ def test_monotone_mesh_fraction_counts_the_predicted_knots(micro, tmp_path):
     assert np.isfinite(summary["mean_rel_l2"])
 
 
+def test_eval_scores_each_sample_as_the_metric_scores_the_whole_stacked_prediction(tmp_path):
+    # 70 test rows, more than two of rel_l2_error's ERROR_ROWS blocks: each
+    # sample scored alone gives the bits of the metric of the whole split
+    from radonet.models import load_bundle, model_predict, radaptive_predict_graph
+    from radonet.pde_data import load_dataset
+    from radonet.reconstruct import recover_uniform, rel_l2_error
+
+    c = ("--config", str(tmp_path / "config.json"))
+    (tmp_path / "config.json").write_text(json.dumps(
+        {**MICRO, "counts": {"train": 6, "val": 3, "test": 70}}))
+    data = ("--dataset", str(tmp_path / "data"))
+    run_cli("datagen", *c, "--out", str(tmp_path / "data"))
+    run_cli("preprocess", *c, *data, "--out", str(tmp_path / "prep"))
+    run_cli("train", *c, *data, "--out", str(tmp_path / "van"))
+    run_cli("train", *c, "--set", "model.family=radaptive", *data,
+            "--prep", str(tmp_path / "prep"), "--out", str(tmp_path / "rad"))
+    test = load_dataset(tmp_path / "data")["test"]
+    domain, _ = test.geometry()
+    for family in ("van", "rad"):
+        out = tmp_path / f"{family}_eval"
+        run_cli("eval", *c, "--model", str(tmp_path / family), *data, "--out", str(out))
+        model = load_bundle(tmp_path / family)
+        summary = json.loads((out / "summary.json").read_text())
+        if family == "van":
+            pred = model_predict(model, test.inputs, test.x_grid.reshape(-1, 1))
+        else:
+            xi = np.linspace(model.xi_grid[0], model.xi_grid[-1], summary["xi_points"])
+            graph = radaptive_predict_graph(model, test.inputs, xi)
+            pred = np.stack([recover_uniform(k, v, test.x_grid, domain)
+                             for k, v in zip(graph.knots, graph.values)])
+            monotone = np.all(np.diff(graph.knots, axis=1) > 0.0, axis=1)
+            assert summary["monotone_mesh_fraction"] == int(np.sum(monotone)) / 70
+        want = rel_l2_error(pred, test.outputs)
+        csv = (out / "per_sample.csv").read_text().splitlines()
+        assert csv == ["sample,rel_l2", *(f"{i},{e:.12e}" for i, e in enumerate(want))]
+        assert summary["mean_rel_l2"] == float(np.mean(want))
+
+
 def test_eval_xi_points_beyond_memory_are_refused_before_prediction(micro, tmp_path, capsys,
                                                                    monkeypatch):
     from radonet import models
@@ -533,6 +571,8 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  ("data.period=0.3",), ("data.width_range=[0.5,0.9]", "data.period=0.8"),
                  ("data.width_range=[0,0.2]",), ("data.width_range=[-0.1,0.2]",),
                  ("data.height_range=[0,0.5]",), ("data.height_range=[-0.5,0.5]",),
+                 # a box narrower than the grid spacing can miss every grid point
+                 ("data.n_grid=8",), ("data.period=1000",), ("data.width_range=[1e-4,0.3]",),
                  # split names that no file name can carry
                  ('counts={"a/b": 2, "test": 1}',), ('counts={"train": 2, "x\\u0000y": 1}',),
                  ('counts={"train": 2, "x\\udc80y": 1}',),
@@ -579,23 +619,26 @@ def test_config_types_take_ints_for_floats_and_null_where_allowed(tmp_path):
 def test_config_range_edges_are_accepted():
     class Args:
         config = None
-        set = ["data.width_range=[0.1,0.1]", "preprocess.n_xi=2", "train.epochs=1",
-               "train.validation_cadence=1", "train.decay_interval=1", "train.batch_size=1",
-               "train.base_lr=1e-300", "train.decay_fraction=0", "eval.xi_points=2",
+        # the narrowest box is one grid spacing wide: 0.3333333333333333 * 3 == 1.0
+        set = ["data.width_range=[0.3333333333333333,0.3333333333333333]", "preprocess.n_xi=2",
+               "train.epochs=1", "train.validation_cadence=1", "train.decay_interval=1",
+               "train.batch_size=1", "train.base_lr=1e-300", "train.decay_fraction=0",
+               "eval.xi_points=2",
                "data.n_grid=3", "preprocess.m_cap=1", "preprocess.mbar_cap=1", "preprocess.beta=0",
                "preprocess.smoothing_passes=0", "model.output_points=1", "model.branch_hidden=[]"]
 
     cfg = resolve_config(Args())
-    assert cfg["data"]["width_range"] == [0.1, 0.1] and cfg["preprocess"]["n_xi"] == 2
+    assert cfg["data"]["width_range"] == [1 / 3, 1 / 3] and cfg["preprocess"]["n_xi"] == 2
     assert cfg["train"]["decay_fraction"] == 0 and cfg["eval"]["xi_points"] == 2
     assert cfg["data"]["n_grid"] == 3 and cfg["preprocess"]["m_cap"] == 1
     assert cfg["preprocess"]["beta"] == 0 and cfg["preprocess"]["smoothing_passes"] == 0
     assert cfg["model"]["output_points"] == 1 and cfg["model"]["branch_hidden"] == []
     Args.set = ["problem=burgers", "data.n_modes=8", "data.final_time=0"]
     assert resolve_config(Args())["data"] == {"n_modes": 8, "final_time": 0}
-    Args.set = ["data.height_range=[1e-300,1e-300]", "data.width_range=[1e-300,0.999]",
+    # 2^-11 * 2048 == 1.0, the period: the default grid's spacing
+    Args.set = ["data.height_range=[1e-300,1e-300]", "data.width_range=[0.00048828125,0.999]",
                 "data.period=1"]
-    assert resolve_config(Args())["data"]["width_range"] == [1e-300, 0.999]
+    assert resolve_config(Args())["data"]["width_range"] == [2.0**-11, 0.999]
     Args.set = ["data.period=0.30000000000000004"]  # just above width_range's upper end 0.3
     assert resolve_config(Args())["data"]["period"] > 0.3
     Args.set = ["problem=burgers", "data.dt=0.25", "data.final_time=0.75"]
@@ -605,6 +648,43 @@ def test_config_range_edges_are_accepted():
     # outputs_<name>.npy of 255 bytes, and names that are harmless in a file name
     Args.set = ['counts={"%s": 1, "..": 1, "": 1}' % ("s" * 243)]
     assert set(resolve_config(Args())["counts"]) == {"s" * 243, "..", ""}
+
+
+def test_boxes_at_the_narrowest_accepted_width_always_cover_a_grid_point():
+    # for each grid, the narrowest width the config rules accept (the one
+    # below it is refused) gives a sample that is not all zero at 20000
+    # random shifts. Only a box centred within a few ulps of a midpoint
+    # between grid points, where its ends meet both, can round to a miss,
+    # and no uniform draw of the shift comes that close in practice
+    from radonet.pde_data.advection import BoxWaveParams, advection_exact
+    from radonet.pde_data.dataset import dataset_params, uniform_grid
+
+    class Args:
+        config = None
+
+    p = dataset_params("advection", {})
+    rng = np.random.default_rng(0)
+    for n_grid in (3, 7, 10, 64, 100, 1000):
+        for period in (0.3, 1.0, 2.5):
+            width = period / n_grid
+            while width * n_grid < period:
+                width = float(np.nextafter(width, np.inf))
+            while np.nextafter(width, 0.0) * n_grid >= period:
+                width = float(np.nextafter(width, 0.0))
+            for w in (width, float(np.nextafter(width, 0.0))):
+                Args.set = [f"data.n_grid={n_grid}", f"data.period={period!r}",
+                            f"data.width_range=[{w!r},{w!r}]"]
+                if w == width:
+                    assert resolve_config(Args())["data"]["width_range"] == [w, w]
+                else:  # refused by the row of the first key set
+                    with pytest.raises(CliError, match=r"n_grid' must be .* / data\.width_range"):
+                        resolve_config(Args())
+            x = uniform_grid((0.0, period), True, n_grid)
+            shifts = rng.uniform(-period, period, 20000)
+            for chunk in np.array_split(shifts, max(1, len(shifts) * n_grid // 200_000)):
+                box = BoxWaveParams(height=1.0, width=width, shift=chunk[:, None])
+                u = advection_exact(box, x, p["speed"], p["final_time"], period)
+                assert np.all(np.any(u > 0.0, axis=1)), (n_grid, period)
 
 
 def test_every_rule_names_a_config_key():
@@ -619,6 +699,24 @@ def test_every_rule_names_a_config_key():
     keys = {*paths(DEFAULT_CONFIG, ""), "counts.*"}
     keys |= {f"{problem}.{key}" for problem, params in _DEFAULTS.items() for key in params}
     assert set(_RULES) <= keys
+
+
+def test_every_rule_has_a_row_in_the_documented_rule_table():
+    # FORMATS.md's "Config files" table names each rule's keys, a data
+    # key as <problem> `data.<key>`; an undocumented rule fails here
+    import re
+
+    from radonet.cli import _RULES
+
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text()
+    section = text.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| key | must be |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        for item in row.split(" | ")[0].lstrip("| ").split(", "):
+            problem, key = re.fullmatch(r"(?:(\w+) )?`([^`]+)`", item).groups()
+            documented.add(f"{problem}.{key.removeprefix('data.')}" if problem else key)
+    assert documented == set(_RULES)
 
 
 def test_range_errors_are_config_errors_in_every_stage(micro, tmp_path, capsys):

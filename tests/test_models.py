@@ -107,11 +107,11 @@ def test_predict_keeps_no_layer_caches():
     finally:
         tracemalloc.stop()
     # the prediction, two hidden layers of one chunk (the one being computed
-    # and its input), the last chunk's trunk output, held until the next
-    # replaces it, and 128 KB for the small temporaries; a cached chunk
-    # holds three hidden layers besides the one being computed
+    # and its input) and 128 KB for the small temporaries: no chunk's trunk
+    # output outlives its product, and a cached chunk would hold three
+    # hidden layers besides the one being computed
     layer = 8 * PREDICT_CHUNK * widths
-    assert peak < pred.nbytes + 2 * layer + 8 * PREDICT_CHUNK * n_basis + 2**17
+    assert peak < pred.nbytes + 2 * layer + 2**17
 
 
 def test_radaptive_system_validation():
