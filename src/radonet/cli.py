@@ -108,6 +108,21 @@ def _whole_steps(final_time, dt) -> bool:
     return step_count(final_time, dt) is not None
 
 
+def _box_meets_grid(s: dict) -> bool:
+    """Whether advection_exact's narrowest box covers a grid point wherever
+    it is centred, for the data section s.
+
+    With u = 2^-53 and P the period: grid point fl(fl(j / n) * P) is within
+    2uP of jP/n, and the box centre c is reduced into [0, P], so one point is
+    within P / 2n + 2uP of c. Four roundings, of at most P, 1.5P, P (np.mod's
+    correction) and P/2, put its |d| within P / 2n + 6uP, so |d| <= width / 2
+    holds where width * n >= P (1 + 12nu). This rule asks for P (1 + 16nu),
+    1 + n * 2^-49 being exact, and 4nu covers its own two roundings."""
+    n = s["n_grid"]
+    return s["period"] * (1.0 + n * 2.0**-49) <= s["width_range"][0] * n
+
+
+_COVERS = "data.period * (1 + data.n_grid * 2^-49) <= data.width_range[0] * data.n_grid"
 _ABOVE_0 = "above 0", lambda v, _: v > 0
 _ORDERED = "[lo, hi] with lo <= hi", lambda v, _: v[0] <= v[1]
 _POSITIVE = "[lo, hi] with 0 < lo <= hi", lambda v, _: 0 < v[0] <= v[1]
@@ -121,17 +136,15 @@ _LAYERS = "a list of integers at least 1", lambda v, _: all(n >= 1 for n in v)
 # every split
 _RULES = {
     "seed": _at_least(0), "counts.*": _at_least(1),
-    # a box narrower than the grid spacing, period / n_grid, can fall between
+    # a box no wider than the grid spacing, period / n_grid, can fall between
     # two grid points and leave an all-zero sample, which has no relative error
-    "advection.n_grid": ("at least 3 and at least data.period / data.width_range[0]",
-                         lambda v, s: 3 <= v and s["period"] <= s["width_range"][0] * v),
-    "advection.period": ("above the upper end of data.width_range and at most "
-                         "data.n_grid * data.width_range[0]",
-                         lambda v, s: (s["width_range"][1] < v
-                                       <= s["width_range"][0] * s["n_grid"])),
+    "advection.n_grid": (f"at least 3, with {_COVERS}",
+                         lambda v, s: 3 <= v and _box_meets_grid(s)),
+    "advection.period": (f"above the upper end of data.width_range, with {_COVERS}",
+                         lambda v, s: s["width_range"][1] < v and _box_meets_grid(s)),
     "advection.height_range": _POSITIVE,
-    "advection.width_range": ("[lo, hi] with 0 < lo <= hi < data.period <= lo * data.n_grid",
-                              lambda v, s: 0 < v[0] <= v[1] < s["period"] <= v[0] * s["n_grid"]),
+    "advection.width_range": (f"[lo, hi] with 0 < lo <= hi < data.period, with {_COVERS}",
+                              lambda v, s: 0 < v[0] <= v[1] < s["period"] and _box_meets_grid(s)),
     "advection.shift_range": _ORDERED,
     "burgers.nu": _ABOVE_0, "burgers.n_modes": _at_least(8),
     "burgers.dt": ("above 0 and dividing data.final_time into whole steps",
@@ -415,9 +428,10 @@ def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str):
 
 
 def _train_job(cfg: dict, n_in: int, bounds, role: str, *args, **kwargs):
-    """A run_pair job: build the net of role and train it with
+    """A job that builds the net of role and trains it with
     train(net, *args, **kwargs). It holds the arrays it is handed and no
-    others, so a process that does not run it can let go of them."""
+    others, so a process of run_pair that does not run it can let go of
+    them."""
     from .training import train
 
     return lambda: train(_make_deeponet(cfg, n_in, bounds, role=role), *args, **kwargs)
@@ -531,7 +545,7 @@ def _load_split(splits: dict, split: str, what: str):
 def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     from .models import RAdaptiveSystem, save_bundle
     from .parallel import run_pair
-    from .training import TrainConfig, net_bytes, train
+    from .training import TrainConfig, net_bytes
 
     family, problem = cfg["model"]["family"], cfg["problem"]
     # both radaptive nets learn from the prep's mapped targets, so that
@@ -539,7 +553,8 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     datasets = _config_dataset(cfg, inputs["dataset"], ("train", "val"),
                                outputs=family != "radaptive")
     train_ds = _load_split(datasets, "train", "training")
-    val_ds = datasets.get("val")
+    # without a val split, both families validate on the training rows
+    val_ds = datasets.get("val", train_ds)
     tc = TrainConfig(**cfg["train"], seed=cfg["seed"])
     n_rows, n_in = train_ds.inputs.shape
     widths = "model.n_basis or the model.*_hidden widths"
@@ -554,26 +569,24 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
             raise CliError("family 'radaptive' requires --prep", kind="missing-input")
         psets = load_preprocessed(inputs["prep"], ("train", "val"))
         pset = _load_split(psets, "train", "training")
-        vset = None if val_ds is None else psets.get("val")
+        vset = psets.get("val", pset)
         xi = pset.xi
         queries = xi.reshape(-1, 1)
         bounds = (float(xi[0]), float(xi[-1]))
         # run_pair may train the two nets at once, so their peaks add up
-        n_val = n_rows if vset is None else len(vset.x)
-        _refuse_above_memory(sum(net_bytes(*_layers(cfg, n_in), n_rows, xi.size, n_val, xi.size,
-                                           head) for head in (True, False)),
+        _refuse_above_memory(sum(net_bytes(*_layers(cfg, n_in), n_rows, xi.size, len(vset.x),
+                                           xi.size, head) for head in (True, False)),
                              "training a radaptive model", widths)
-        va_in = None if vset is None else val_ds.inputs
         # the two nets share nothing, so they may train at the same time;
         # each job holds only its own prep columns, and so, once run_pair
         # has forked, does each process: the jobs are popped into the call
         # and the sets dropped, so that this frame holds neither
         jobs = [_train_job(cfg, n_in, bounds, "coord", train_ds.inputs, pset.x, queries, tc,
-                           loss="coordinate", weights=pset.w_coord, val_inputs=va_in,
-                           val_targets=None if vset is None else vset.x),
+                           loss="coordinate", weights=pset.w_coord,
+                           val_inputs=val_ds.inputs, val_targets=vset.x),
                 _train_job(cfg, n_in, bounds, "sol", train_ds.inputs, pset.u, queries, tc,
-                           loss="weighted", weights=pset.w_sol, val_inputs=va_in,
-                           val_targets=None if vset is None else vset.u)]
+                           loss="weighted", weights=pset.w_sol,
+                           val_inputs=val_ds.inputs, val_targets=vset.u)]
         del psets, pset, vset
         (coord, coord_rep), (sol, sol_rep) = run_pair(jobs.pop(0), jobs.pop())
         model = RAdaptiveSystem(coord_net=coord, sol_net=sol, xi_grid=xi)
@@ -583,18 +596,17 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
         # validation scores what eval scores, rel-L2 on the dataset's own
         # grid: a narrow box can fall between all output_points, and its
         # all-zero resampled target has no relative error
-        val = train_ds if val_ds is None else val_ds
-        _refuse_above_memory(net_bytes(*_layers(cfg, n_in), n_rows, n_points, val.n_samples,
-                                       val.x_grid.size),
+        _refuse_above_memory(net_bytes(*_layers(cfg, n_in), n_rows, n_points, val_ds.n_samples,
+                                       val_ds.x_grid.size),
                              f"training a vanilla model at model.output_points {n_points}",
                              f"model.output_points, {widths}")
         queries, targets = _uniform_targets(train_ds, n_points)
-        if val is not train_ds:  # training reads the targets, validation the val split
+        if val_ds is not train_ds:  # training reads the targets, validation the val split
             train_ds.outputs = np.empty((n_rows, 0))
-        model = _make_deeponet(cfg, n_in, train_ds.geometry()[0], role="vanilla")
-        model, report = train(model, train_ds.inputs, targets, queries, tc, loss="mse",
-                              val_inputs=val.inputs, val_targets=val.outputs,
-                              val_queries=val.x_grid.reshape(-1, 1))
+        model, report = _train_job(cfg, n_in, train_ds.geometry()[0], "vanilla", train_ds.inputs,
+                                   targets, queries, tc, loss="mse", val_inputs=val_ds.inputs,
+                                   val_targets=val_ds.outputs,
+                                   val_queries=val_ds.x_grid.reshape(-1, 1))()
         run_reports = {"model": report}
 
     save_bundle(out, model, input_encoding=encoding, extra={"problem": problem, "family": family})

@@ -4,8 +4,9 @@ A DeepONet predicts u(y) = sum_k branch_k(a) * trunk_k(y); it is the
 vanilla family on its own. The adaptive system, the radaptive family, pairs
 a coordinate net (predicting mesh locations) with a solution net (predicting
 values on that mesh), both DeepONets, over a shared uniform computational
-grid. The coordinate net reads its output through a monotone head, so the
-mesh it predicts cannot fold.
+grid. The coordinate net, a CoordinateNet, reads its output through a
+monotone head, so the mesh it predicts cannot fold; its `forward` and
+`backward` methods run the DeepONet and the head in turn.
 
 Both operator nets, DeepOnetModel and its subclass CoordinateNet, offer one
 protocol to training, evaluation and bundles: `nets` (its MLP fields, in
@@ -261,38 +262,23 @@ class CoordinateNet(DeepOnetModel):
     """
 
     def forward(self, inputs, queries):
-        return mesh_forward_batch(self, inputs, queries)
+        """Mesh knots (N1, len(queries)) of many inputs on the reference grid
+        queries, with the caches backward needs."""
+        xi = np.asarray(queries, dtype=np.float64).reshape(-1)
+        g, net_cache = deeponet_forward_batch(self, inputs, xi)
+        x, head_cache = monotone_head(g, xi)
+        return x, (net_cache, head_cache)
 
     def backward(self, cache, pred_grad):
-        return mesh_backward_batch(self, cache, pred_grad)
+        """Backprop dLoss/dKnots through the head into branch and trunk."""
+        net_cache, head_cache = cache
+        return deeponet_backward_batch(self, net_cache,
+                                       monotone_head_backward(head_cache, pred_grad))
 
     def predict(self, inputs, queries):
         """Knots on the grid queries; the head runs over the whole row."""
         q = np.asarray(queries, dtype=np.float64)
         return monotone_head(_predict_chunks(self, inputs, q), q)[0]
-
-    @classmethod
-    def wrap(cls, net: DeepOnetModel) -> "CoordinateNet":
-        if isinstance(net, cls):
-            return net
-        return cls(branch=net.branch, trunk=net.trunk, n_basis=net.n_basis,
-                   query_lo=net.query_lo, query_hi=net.query_hi)
-
-
-def mesh_forward_batch(model: CoordinateNet, inputs: np.ndarray,
-                       xi: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Mesh knots (N1, len(xi)) of many inputs on the reference grid xi."""
-    xi = np.asarray(xi, dtype=np.float64).reshape(-1)
-    g, net_cache = deeponet_forward_batch(model, inputs, xi)
-    x, head_cache = monotone_head(g, xi)
-    return x, (net_cache, head_cache)
-
-
-def mesh_backward_batch(model: CoordinateNet, cache: tuple, x_grad: np.ndarray):
-    """Backprop dLoss/dKnots through the head into branch and trunk."""
-    net_cache, head_cache = cache
-    return deeponet_backward_batch(model, net_cache,
-                                   monotone_head_backward(head_cache, x_grad))
 
 
 @dataclass
@@ -300,8 +286,8 @@ class RAdaptiveSystem:
     """Coordinate net + solution net sharing one uniform computational grid.
 
     The coordinate net is read through the monotone head on xi_grid, whose
-    ends are the physical domain; a plain DeepOnetModel is wrapped as a
-    CoordinateNet.
+    ends are the physical domain; whatever DeepONet is passed in as
+    coord_net is rebuilt as a CoordinateNet on the same nets.
     """
 
     coord_net: CoordinateNet
@@ -319,7 +305,7 @@ class RAdaptiveSystem:
             raise ValueError("xi_grid must be strictly increasing")
         if self.coord_net.d_query != 1 or self.sol_net.d_query != 1:
             raise ValueError("adaptive system nets take scalar computational coordinates")
-        self.coord_net = CoordinateNet.wrap(self.coord_net)
+        self.coord_net = CoordinateNet(**vars(self.coord_net))
 
     def _save_parts(self, out: Path, input_encoding: str) -> dict:
         save_bundle(out / "coord", self.coord_net, input_encoding)

@@ -1,10 +1,11 @@
 """Two jobs on two cores.
 
 `run_pair` runs two independent jobs at the same time, the second in a
-forked child process; `split_rows` runs the two halves of a stage's rows
-as such a pair, each writing its rows into columns both share. They fork
-only where this process may use two or more cores and the loaded OpenBLAS
-lets its thread count be set (`split_rows` only for two or more rows);
+child it forks itself, after which each process deletes the job it does
+not run; `split_rows` runs the two halves of a stage's rows as such a
+pair, each writing its rows into columns both share. They fork only where
+this process may use two or more cores and the loaded OpenBLAS lets its
+thread count be set (`split_rows` only for two or more rows);
 otherwise the jobs run here in turn, with the same bytes, since a row or a
 job is computed the same way in either process. `train` pairs the two
 r-adaptive nets; `datagen` and `preprocess` split their rows.
@@ -79,7 +80,7 @@ def run_pair(first, second):
     a fork, `second` runs in a forked child while this process runs
     `first`, and each process gets half of the BLAS threads (one each on two
     cores); the count is restored afterwards. Once forked, each process
-    keeps only the job it runs, so what the other job alone holds (its
+    deletes the job it does not run, so what that job alone holds (its
     inputs, and whatever it builds) is freed there, provided the caller
     keeps no reference of its own: pass the jobs straight into the call.
     Otherwise the jobs run one after the other. A job that raises in the
@@ -91,12 +92,50 @@ def run_pair(first, second):
     get_threads, set_threads = _openblas()
     threads = get_threads()
     set_threads(max(1, min(threads, usable_cores()) // 2))
-    jobs = [first, second]
-    del first, second  # _forked_pair empties jobs
     try:
-        return _forked_pair(jobs)
+        # a bare fork rather than a process pool: the child inherits the
+        # loaded modules and the job's inputs instead of importing and
+        # unpickling them, which keeps start-up time and peak memory down.
+        # OpenBLAS registers a fork handler that stops its thread pool, so
+        # the child starts a fresh one
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: never return into the caller, never flush its buffers
+            status = 1
+            try:
+                del first
+                os.close(read_fd)
+                try:
+                    payload = (True, second())
+                except Exception as exc:  # noqa: BLE001 - reported to the parent
+                    payload = (False, f"{type(exc).__name__}: {exc}")
+                with os.fdopen(write_fd, "wb") as fh:
+                    pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        del second
+        os.close(write_fd)
+        reaped = False
+        with os.fdopen(read_fd, "rb") as fh:
+            try:
+                first_result = first()
+                data = fh.read()
+                _, status = os.waitpid(pid, 0)
+                reaped = True
+            finally:
+                if not reaped:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     finally:
         set_threads(threads)
+    if not data:
+        raise RuntimeError("worker process died without a result "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise RuntimeError(f"worker process failed: {value}")
+    return first_result, value
 
 
 def split_rows(counts: dict[str, int], widths: dict[str, int], job) -> dict[str, dict]:
@@ -132,49 +171,3 @@ def split_rows(counts: dict[str, int], widths: dict[str, int], job) -> dict[str,
 def _shared_zeros(rows: int, width: int) -> np.ndarray:
     """(rows, width) zeros that a child forked later writes into as well."""
     return np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(rows, width)
-
-
-def _forked_pair(jobs: list):
-    """(first(), second()) of jobs = [first, second], second run in a forked
-    child. Once forked, each process takes its own job and empties the
-    list, so it keeps no reference to the job the other one runs."""
-    # a bare fork rather than a process pool: the child inherits the loaded
-    # modules and the job's inputs instead of importing and unpickling them,
-    # which keeps start-up time and peak memory down. OpenBLAS registers a
-    # fork handler that stops its thread pool, so the child starts a fresh one
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    job = jobs[0 if pid else 1]
-    jobs.clear()
-    if pid == 0:  # the child: never return into the caller, never flush its buffers
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, job())
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                payload = (False, f"{type(exc).__name__}: {exc}")
-            with os.fdopen(write_fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    reaped = False
-    with os.fdopen(read_fd, "rb") as fh:
-        try:
-            first_result = job()
-            data = fh.read()
-            _, status = os.waitpid(pid, 0)
-            reaped = True
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError("worker process died without a result "
-                           f"(exit code {os.waitstatus_to_exitcode(status)})")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise RuntimeError(f"worker process failed: {value}")
-    return first_result, value

@@ -43,6 +43,8 @@ def advection_exact(params: BoxWaveParams, x: np.ndarray, speed: float = 1.0,
     translated by speed * t on the periodic grid x."""
     if params.width >= period:
         raise ValueError(f"box width {params.width} does not fit in period {period}")
-    center = params.shift + speed * t
+    # reduced into [0, period], so that the rounding of d does not grow
+    # with the shift (see cli._box_meets_grid)
+    center = np.mod(params.shift + speed * t, period)
     d = np.mod(np.asarray(x, dtype=np.float64) - center + 0.5 * period, period) - 0.5 * period
     return np.where(np.abs(d) <= 0.5 * params.width, params.height, 0.0)

@@ -51,8 +51,10 @@ def test_traced_stage_records_cli_spans_and_writes_the_same_bytes(tmp_path):
 
 def test_traced_train_stages_measure_what_they_load_and_write_the_same_bytes(tmp_path):
     # the tracer sizes load_dataset's result from every split's inputs and
-    # outputs, so a train that loads only the inputs must still hand it arrays
+    # outputs, so a train that loads only the inputs must still hand it arrays;
+    # it keys training.epoch_ms.<kind> by each train call's loss= keyword
     from radonet.cli import main
+    from radonet.parallel import _can_fork
 
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
@@ -79,8 +81,14 @@ def test_traced_train_stages_measure_what_they_load_and_write_the_same_bytes(tmp
                                 env=env, capture_output=True, text=True, timeout=120)
         assert traced.returncode == 0, traced.stderr
         assert main([*stage, "--out", str(tmp_path / f"{family}-plain")]) == 0
-        loads = [span[5]["bytes"] for span in json.loads(spans_json.read_text())["spans"]
-                 if span[0] == "pde_data.load_dataset"]
+        spans = json.loads(spans_json.read_text())["spans"]
+        loads = [span[5]["bytes"] for span in spans if span[0] == "pde_data.load_dataset"]
+        # a forked child's spans stay in the child, so the solution net's
+        # weighted loss is seen only where run_pair trains it here
+        losses = {"vanilla": ["mse"],
+                  "radaptive": ["coordinate"] + ([] if _can_fork() else ["weighted"])}[family]
+        trains = [span[5] for span in spans if span[0] == "training.train"]
+        assert trains == [{"loss": loss, "epochs": 2} for loss in losses]
         # x_grid (256 float64) and the inputs (6 rows of 3); vanilla adds the outputs
         held = 256 * 8 + 6 * 3 * 8 + (6 * 256 * 8 if family == "vanilla" else 0)
         assert loads == [held]

@@ -573,6 +573,11 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  ("data.height_range=[0,0.5]",), ("data.height_range=[-0.5,0.5]",),
                  # a box narrower than the grid spacing can miss every grid point
                  ("data.n_grid=8",), ("data.period=1000",), ("data.width_range=[1e-4,0.3]",),
+                 # one exactly as wide can too: centred a few ulps off a
+                 # midpoint, this box met no grid point and train exited 1
+                 ('counts={"train": 4, "val": 2, "test": 2}',
+                  "data.shift_range=[0.005000000000000001,0.005000000000000001]",
+                  "data.n_grid=10", "data.period=0.3", "data.width_range=[0.03,0.03]"),
                  # split names that no file name can carry
                  ('counts={"a/b": 2, "test": 1}',), ('counts={"train": 2, "x\\u0000y": 1}',),
                  ('counts={"train": 2, "x\\udc80y": 1}',),
@@ -619,8 +624,9 @@ def test_config_types_take_ints_for_floats_and_null_where_allowed(tmp_path):
 def test_config_range_edges_are_accepted():
     class Args:
         config = None
-        # the narrowest box is one grid spacing wide: 0.3333333333333333 * 3 == 1.0
-        set = ["data.width_range=[0.3333333333333333,0.3333333333333333]", "preprocess.n_xi=2",
+        # the narrowest box is one grid spacing wide plus the rounding margin:
+        # 1.0 * (1 + 3 * 2^-49) <= 0.3333333333333351 * 3
+        set = ["data.width_range=[0.3333333333333351,0.3333333333333351]", "preprocess.n_xi=2",
                "train.epochs=1", "train.validation_cadence=1", "train.decay_interval=1",
                "train.batch_size=1", "train.base_lr=1e-300", "train.decay_fraction=0",
                "eval.xi_points=2",
@@ -628,17 +634,18 @@ def test_config_range_edges_are_accepted():
                "preprocess.smoothing_passes=0", "model.output_points=1", "model.branch_hidden=[]"]
 
     cfg = resolve_config(Args())
-    assert cfg["data"]["width_range"] == [1 / 3, 1 / 3] and cfg["preprocess"]["n_xi"] == 2
+    assert cfg["data"]["width_range"] == [0.3333333333333351] * 2
+    assert cfg["preprocess"]["n_xi"] == 2
     assert cfg["train"]["decay_fraction"] == 0 and cfg["eval"]["xi_points"] == 2
     assert cfg["data"]["n_grid"] == 3 and cfg["preprocess"]["m_cap"] == 1
     assert cfg["preprocess"]["beta"] == 0 and cfg["preprocess"]["smoothing_passes"] == 0
     assert cfg["model"]["output_points"] == 1 and cfg["model"]["branch_hidden"] == []
     Args.set = ["problem=burgers", "data.n_modes=8", "data.final_time=0"]
     assert resolve_config(Args())["data"] == {"n_modes": 8, "final_time": 0}
-    # 2^-11 * 2048 == 1.0, the period: the default grid's spacing
-    Args.set = ["data.height_range=[1e-300,1e-300]", "data.width_range=[0.00048828125,0.999]",
-                "data.period=1"]
-    assert resolve_config(Args())["data"]["width_range"] == [2.0**-11, 0.999]
+    # 2^-11 + 2^-49: the default grid's spacing, 1.0 / 2048, plus the margin
+    Args.set = ["data.height_range=[1e-300,1e-300]",
+                "data.width_range=[0.0004882812500017764,0.999]", "data.period=1"]
+    assert resolve_config(Args())["data"]["width_range"] == [2.0**-11 + 2.0**-49, 0.999]
     Args.set = ["data.period=0.30000000000000004"]  # just above width_range's upper end 0.3
     assert resolve_config(Args())["data"]["period"] > 0.3
     Args.set = ["problem=burgers", "data.dt=0.25", "data.final_time=0.75"]
@@ -653,9 +660,10 @@ def test_config_range_edges_are_accepted():
 def test_boxes_at_the_narrowest_accepted_width_always_cover_a_grid_point():
     # for each grid, the narrowest width the config rules accept (the one
     # below it is refused) gives a sample that is not all zero at 20000
-    # random shifts. Only a box centred within a few ulps of a midpoint
-    # between grid points, where its ends meet both, can round to a miss,
-    # and no uniform draw of the shift comes that close in practice
+    # random shifts, and at the shifts that come closest to a miss: a box
+    # centred on a midpoint between grid points, give or take 4 ulps of the
+    # shift, whose ends meet both points at once at a width of one spacing;
+    # and so again with the shift 64 periods away, so the centre rounds coarser
     from radonet.pde_data.advection import BoxWaveParams, advection_exact
     from radonet.pde_data.dataset import dataset_params, uniform_grid
 
@@ -667,9 +675,9 @@ def test_boxes_at_the_narrowest_accepted_width_always_cover_a_grid_point():
     for n_grid in (3, 7, 10, 64, 100, 1000):
         for period in (0.3, 1.0, 2.5):
             width = period / n_grid
-            while width * n_grid < period:
+            while width * n_grid < period * (1 + n_grid * 2.0**-49):
                 width = float(np.nextafter(width, np.inf))
-            while np.nextafter(width, 0.0) * n_grid >= period:
+            while np.nextafter(width, 0.0) * n_grid >= period * (1 + n_grid * 2.0**-49):
                 width = float(np.nextafter(width, 0.0))
             for w in (width, float(np.nextafter(width, 0.0))):
                 Args.set = [f"data.n_grid={n_grid}", f"data.period={period!r}",
@@ -677,10 +685,17 @@ def test_boxes_at_the_narrowest_accepted_width_always_cover_a_grid_point():
                 if w == width:
                     assert resolve_config(Args())["data"]["width_range"] == [w, w]
                 else:  # refused by the row of the first key set
-                    with pytest.raises(CliError, match=r"n_grid' must be .* / data\.width_range"):
+                    with pytest.raises(CliError, match=r"n_grid' must be .*data\.width_range"):
                         resolve_config(Args())
             x = uniform_grid((0.0, period), True, n_grid)
-            shifts = rng.uniform(-period, period, 20000)
+            mid = (np.arange(n_grid) + 0.5) * period / n_grid - p["speed"] * p["final_time"]
+            below, above, near = mid, mid, [mid]
+            for _ in range(4):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                near += [below, above]
+            near = np.concatenate(near)
+            shifts = np.concatenate([rng.uniform(-period, period, 20000), near,
+                                     near + 64 * period])
             for chunk in np.array_split(shifts, max(1, len(shifts) * n_grid // 200_000)):
                 box = BoxWaveParams(height=1.0, width=width, shift=chunk[:, None])
                 u = advection_exact(box, x, p["speed"], p["final_time"], period)
@@ -782,6 +797,43 @@ def test_vanilla_validates_on_the_dataset_grid(micro, tmp_path):
     on_grid = np.mean(rel_l2_error(model_predict(model, val.inputs, val.x_grid.reshape(-1, 1)),
                                    val.outputs))
     assert report["best_error"] == pytest.approx(on_grid, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["vanilla", "radaptive"])
+def test_training_without_a_val_split_validates_on_the_training_rows(tmp_path, family):
+    # with no val split, each net's best_error is its saved state's mean
+    # rel-L2 on the train split: on the dataset grid for vanilla, and on the
+    # prep's mesh x and solution u at xi for the two radaptive nets
+    from radonet.equidistribution import load_preprocessed
+    from radonet.models import load_bundle
+    from radonet.pde_data import load_dataset
+    from radonet.reconstruct import rel_l2_error
+    from radonet.training import model_predict
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(MICRO))
+    # a --set replaces the config file's counts, where the file's would merge
+    c = ("--config", str(cfg), "--set", 'counts={"train": 6, "test": 4}')
+    d, p, m = (str(tmp_path / name) for name in ("data", "prep", "model"))
+    run_cli("datagen", *c, "--out", d)
+    run_cli("preprocess", *c, "--dataset", d, "--out", p)
+    run_cli("train", *c, "--set", f"model.family={family}", "--dataset", d, "--prep", p,
+            "--out", m)
+    datasets = load_dataset(d)
+    assert sorted(datasets) == ["test", "train"]
+    reports = json.loads((Path(m) / "report.json").read_text())["reports"]
+    train, model = datasets["train"], load_bundle(m)
+    if family == "vanilla":
+        scored = {"model": (model, train.x_grid, train.outputs)}
+    else:
+        prep = load_preprocessed(p)["train"]
+        scored = {"coord": (model.coord_net, prep.xi, prep.x),
+                  "sol": (model.sol_net, prep.xi, prep.u)}
+    assert set(reports) == set(scored)
+    for name, (net, queries, targets) in scored.items():
+        err = np.mean(rel_l2_error(model_predict(net, train.inputs, queries.reshape(-1, 1)),
+                                   targets))
+        assert reports[name]["best_error"] == pytest.approx(err, rel=1e-12)
 
 
 def test_untrained_model_scores_near_one(micro, tmp_path, capsys):

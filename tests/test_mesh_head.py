@@ -9,8 +9,6 @@ from radonet.models import (
     CoordinateNet,
     DeepOnetModel,
     RAdaptiveSystem,
-    mesh_backward_batch,
-    mesh_forward_batch,
     monotone_head,
     monotone_head_backward,
     radaptive_predict_graph,
@@ -61,16 +59,16 @@ def test_end_to_end_mesh_head_gradient():
     target = np.sort(rng.uniform(0.0, 1.0, size=(3, 7)), axis=1)
     w = 1.0 + rng.uniform(0.0, 1.0, size=(3, 7))
 
-    pred, cache = mesh_forward_batch(model, inputs, xi)
+    pred, cache = model.forward(inputs, xi)
     _, pred_grad = loss_coordinate(pred, target, w)
-    bg, tg = mesh_backward_batch(model, cache, pred_grad)
+    bg, tg = model.backward(cache, pred_grad)
 
     def loss_of(which, p):
         probe = CoordinateNet(
             branch=p if which == "branch" else model.branch,
             trunk=p if which == "trunk" else model.trunk,
             n_basis=model.n_basis, query_lo=model.query_lo, query_hi=model.query_hi)
-        out, _ = mesh_forward_batch(probe, inputs, xi)
+        out, _ = probe.forward(inputs, xi)
         return loss_coordinate(out, target, w)[0]
 
     num_w, num_b = numerical_gradient(lambda p: loss_of("branch", p), model.branch)
@@ -101,7 +99,7 @@ def test_model_predict_applies_the_head():
     inputs = substream(13, "predict").standard_normal((4, 2))
     xi = np.linspace(0.0, 1.0, PREDICT_CHUNK + 45)  # two prediction chunks
     pred = model_predict(model, inputs, xi.reshape(-1, 1))
-    cached, _ = mesh_forward_batch(model, inputs, xi)
+    cached, _ = model.forward(inputs, xi)
     np.testing.assert_allclose(pred, cached, rtol=1e-12, atol=1e-15)
 
 

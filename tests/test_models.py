@@ -17,7 +17,6 @@ from radonet.models import (
     deeponet_forward_batch,
     load_bundle,
     PREDICT_CHUNK,
-    mesh_forward_batch,
     model_predict,
     radaptive_predict_graph,
     save_bundle,
@@ -152,7 +151,7 @@ def test_radaptive_batch_rows_match_single_input_forward():
     assert native.knots.shape == native.values.shape == (5, 9)
     assert dense.knots.shape == dense.values.shape == (5, 41)
     for i, a in enumerate(inputs):
-        knots = mesh_forward_batch(system.coord_net, a[None, :], xi_grid)[0][0]
+        knots = system.coord_net.forward(a[None, :], xi_grid)[0][0]
         for pred, xi, on_xi in ((native, xi_grid, knots),
                                 (dense, xi_dense, np.interp(xi_dense, xi_grid, knots))):
             np.testing.assert_array_equal(pred.native_knots[i], knots)

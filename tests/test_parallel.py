@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -60,6 +61,25 @@ def test_run_pair_reaps_the_worker_when_the_parent_job_raises(forks):
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):  # killed and reaped
         os.waitpid(pids[0], os.WNOHANG)
+
+
+@needs_two_cores
+def test_run_pair_drops_the_job_each_process_does_not_run(forks):
+    # each job reports whether what only the other job holds is gone in the
+    # process that runs it; the jobs are popped into the call, as train does
+    class Held:
+        pass
+
+    def jobs():
+        mine, theirs = Held(), Held()
+        gone = weakref.ref(mine), weakref.ref(theirs)
+        return [lambda: (mine is not None, gone[1]() is None),
+                lambda: (theirs is not None, gone[0]() is None)]
+
+    pair = jobs()
+    # outside the assert, whose rewriting would keep the popped jobs
+    got = run_pair(pair.pop(0), pair.pop())
+    assert got == ((True, True), (True, True)) and len(forks) == 1
 
 
 def _rows_job(split, rows, out):
