@@ -12,8 +12,8 @@ stage_output hands the stage a fresh sibling directory, which is renamed
 onto --out when the stage returns and deleted when it raises, so an --out
 holds exactly one stage's complete output or does not exist. Inside it, main
 resolves the config, checks every artifact flag given (check_inputs), calls
-the stage with the checked paths and writes provenance.json; the stages only
-compute.
+the stage with the checked paths and writes provenance.json, all with
+OpenBLAS on one thread; the stages only compute.
 
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
@@ -42,6 +42,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -88,7 +89,7 @@ DEFAULT_CONFIG = {
 # keys that may also be null, with the type of their other values
 _NULLABLE = {"train.batch_size": int, "preprocess.ratio_limit": float, "eval.xi_points": int}
 
-_TYPE_NAMES = {dict: "an object", int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {dict: "an object", int: "an integer", float: "a finite number", str: "a string"}
 
 # bytes content_hash reads from a file at a time
 _HASH_CHUNK = 1 << 18
@@ -122,14 +123,22 @@ def _box_meets_grid(s: dict) -> bool:
     return s["period"] * (1.0 + n * 2.0**-49) <= s["width_range"][0] * n
 
 
+def _centres_finite(s: dict) -> bool:
+    """Whether every box centre advection_exact can compute, shift + speed *
+    final_time with shift in data.shift_range, is finite for the data
+    section s; it is where both ends of the range give a finite one."""
+    drift = float(s["speed"]) * float(s["final_time"])
+    return all(math.isfinite(float(end) + drift) for end in s["shift_range"])
+
+
+_CENTRES = "data.shift_range + data.speed * data.final_time finite at both ends"
 _COVERS = "data.period * (1 + data.n_grid * 2^-49) <= data.width_range[0] * data.n_grid"
 _ABOVE_0 = "above 0", lambda v, _: v > 0
-_ORDERED = "[lo, hi] with lo <= hi", lambda v, _: v[0] <= v[1]
 _POSITIVE = "[lo, hi] with 0 < lo <= hi", lambda v, _: 0 < v[0] <= v[1]
 _LAYERS = "a list of integers at least 1", lambda v, _: all(n >= 1 for n in v)
 
 # (what a value must be, the test of it) for each key whose values of the
-# right type not every stage can run; NaN fails every test, and a null passes.
+# right type not every stage can run; a null passes.
 # A test takes the value and its section, the defaults with the config's
 # values over them, so a row may read the value's neighbours. A data key's
 # row is named by its problem, not by "data", and counts.* is the row of
@@ -145,7 +154,14 @@ _RULES = {
     "advection.height_range": _POSITIVE,
     "advection.width_range": (f"[lo, hi] with 0 < lo <= hi < data.period, with {_COVERS}",
                               lambda v, s: 0 < v[0] <= v[1] < s["period"] and _box_meets_grid(s)),
-    "advection.shift_range": _ORDERED,
+    # rng.uniform needs a finite hi - lo, and a box centre that is not
+    # finite places the box nowhere and leaves an all-zero sample
+    "advection.shift_range": ("[lo, hi] with lo <= hi, and with hi - lo, lo + data.speed * "
+                              "data.final_time and hi + data.speed * data.final_time finite",
+                              lambda v, s: v[0] <= v[1] and _centres_finite(s)
+                              and math.isfinite(float(v[1]) - float(v[0]))),
+    "advection.speed": (f"a number with {_CENTRES}", lambda v, s: _centres_finite(s)),
+    "advection.final_time": (f"a number with {_CENTRES}", lambda v, s: _centres_finite(s)),
     "burgers.nu": _ABOVE_0, "burgers.n_modes": _at_least(8),
     "burgers.dt": ("above 0 and dividing data.final_time into whole steps",
                    lambda v, s: _whole_steps(s["final_time"], v)),
@@ -153,8 +169,9 @@ _RULES = {
     "burgers.final_time": ("at least 0 and a whole number of data.dt steps",
                            lambda v, s: _whole_steps(v, s["dt"])),
     "burgers.grf_convention": _one_of("angular", "integer"), "burgers.grf_modes": _at_least(1),
-    "sod.n_grid": _at_least(3), "sod.domain": ("[lo, hi] with lo < hi", lambda v, _: v[0] < v[1]),
-    "sod.final_time": _ABOVE_0,
+    "sod.n_grid": _at_least(3), "sod.final_time": _ABOVE_0,
+    "sod.domain": ("[lo, hi] with lo < hi and a finite hi - lo",
+                   lambda v, _: v[0] < v[1] and math.isfinite(float(v[1]) - float(v[0]))),
     "preprocess.n_xi": _at_least(2), "preprocess.m_cap": _at_least(1),
     "preprocess.mbar_cap": _at_least(1), "preprocess.beta": _at_least(0),
     "preprocess.smoothing_passes": _at_least(0), "preprocess.ratio_limit": _ABOVE_0,
@@ -210,18 +227,23 @@ def _apply_override(cfg: dict, spec: str) -> None:
 
 
 def _is_a(kind: type, value) -> bool:
-    # JSON types: true is not an integer, and a number may be written as one
-    return type(value) in ((int, float) if kind is float else (kind,))
+    # JSON types: true is not an integer, and a number may be written as one;
+    # a number is finite, not NaN, Infinity or 1e400 (read as floats), nor an
+    # integer beyond the range of a float
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
 
 
 def _check(schema: dict, cfg: dict, problem: str, path: str = "") -> None:
     """Refuse a key of cfg that schema lacks (a schema key "*" stands for
     any), a value whose JSON type is not its schema value's and a value that
     fails its _RULES row. Integer keys take integers only (not true, not
-    2.5), float keys integers or floats, and null only where _NULLABLE allows
-    it. A list schema value takes a list of its elements' type, a tuple (a
-    range or a domain) a list of as many numbers. Every value of a section
-    has its type checked before any rule of the section reads it."""
+    2.5), float keys finite integers or floats, and null only where
+    _NULLABLE allows it. A list schema value takes a list of its elements'
+    type, a tuple (a range or a domain) a list of as many numbers. Every
+    value of a section has its type checked before any rule of the section
+    reads it."""
     for key, value in cfg.items():
         where = path + key
         if key not in schema and "*" not in schema:
@@ -232,7 +254,8 @@ def _check(schema: dict, cfg: dict, problem: str, path: str = "") -> None:
         if kind in (list, tuple):
             ok = (type(value) is list and all(_is_a(type(default[0]), v) for v in value)
                   and (kind is list or len(value) == len(default)))
-            want = "a list of integers" if kind is list else f"a list of {len(default)} numbers"
+            want = ("a list of integers" if kind is list
+                    else f"a list of {len(default)} finite numbers")
         else:
             ok = _is_a(kind, value) or (value is None and where in _NULLABLE)
             want = _TYPE_NAMES[kind] + (" or null" if where in _NULLABLE else "")
@@ -342,6 +365,23 @@ def stage_output(path: str):
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, where its thread count can
+    be set (radonet.parallel), and restore the count when the block returns
+    or raises. No stage's matmuls gain from a second thread, which costs
+    buffers, and run_pair's two processes then get one thread each."""
+    from .parallel import _openblas
+
+    get_threads, set_threads = _openblas() or (lambda: 1, lambda threads: None)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _write_outputs(out: Path, table: tuple[str, list[str]], report: tuple[str, dict]) -> None:
@@ -510,11 +550,16 @@ def _config_dataset(cfg: dict, path: Path, splits=None, outputs: bool = True) ->
 
 
 def cmd_preprocess(args, cfg: dict, inputs: dict, out: Path) -> None:
+    """Map every dataset row onto its equidistributed mesh. The dataset is
+    loaded without its outputs, all of its files checked all the same: each
+    row job reads the rows it maps from the split's outputs one at a time,
+    so no split's fields are held."""
     from .equidistribution import (PreprocessedSet, preprocess_bytes, preprocess_sample,
                                    save_preprocessed)
     from .parallel import split_rows
+    from .store import read_rows
 
-    datasets = _config_dataset(cfg, inputs["dataset"])
+    datasets = _config_dataset(cfg, inputs["dataset"], outputs=False)
     domain, periodic = next(iter(datasets.values())).geometry()
     n_xi = cfg["preprocess"]["n_xi"]
     _refuse_above_memory(preprocess_bytes(sum(ds.n_samples for ds in datasets.values()), n_xi),
@@ -522,9 +567,8 @@ def cmd_preprocess(args, cfg: dict, inputs: dict, out: Path) -> None:
     xi = np.linspace(domain[0], domain[1], n_xi + 1)
 
     def prep(split, rows, out):
-        for i in rows:
-            sample = preprocess_sample(datasets[split].outputs[i], domain, periodic=periodic,
-                                       **cfg["preprocess"])
+        for i, u in zip(rows, read_rows(inputs["dataset"], "outputs", split, rows)):
+            sample = preprocess_sample(u, domain, periodic=periodic, **cfg["preprocess"])
             for name, column in out.items():
                 column[i] = sample[name]
 
@@ -904,7 +948,7 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) is None:
             args.func(args)
         else:
-            with stage_output(args.out) as out:
+            with stage_output(args.out) as out, _one_blas_thread():
                 analyze = args.command == "analyze"
                 cfg = _args_config(args) if analyze else resolve_config(args)
                 inputs, upstream = check_inputs(args)

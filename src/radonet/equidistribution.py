@@ -289,7 +289,10 @@ def preprocess_bytes(n_samples: int, n_xi: int) -> int:
     """The peak bytes of preprocessing n_samples rows at n_xi, summed over
     the two processes of radonet.parallel.split_rows: 4 floats a sample
     and xi point (the four row columns the samples are written into), and
-    192 an xi point for the two processes' one-sample temporaries."""
+    192 an xi point for the two processes' one-sample temporaries. The
+    dataset's fields are not counted, since preprocess reads them one row
+    at a time: a row and its temporaries, on the dataset's grid, are far
+    below the dataset that datagen held."""
     return 8 * (n_xi + 1) * (4 * n_samples + 192)
 
 

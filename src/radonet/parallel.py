@@ -8,7 +8,9 @@ this process may use two or more cores and the loaded OpenBLAS lets its
 thread count be set (`split_rows` only for two or more rows);
 otherwise the jobs run here in turn, with the same bytes, since a row or a
 job is computed the same way in either process. `train` pairs the two
-r-adaptive nets; `datagen` and `preprocess` split their rows.
+r-adaptive nets; `datagen` and `preprocess` split their rows. Every stage
+runs its BLAS calls on one thread (radonet.cli.main sets it through
+_openblas), so a pair's two processes run on one thread each.
 
 This module imports nothing from radonet, so the stages that use it load
 no other stage's code through it.
@@ -78,8 +80,9 @@ def run_pair(first, second):
 
     Each job is a callable without arguments. When the module's rule allows
     a fork, `second` runs in a forked child while this process runs
-    `first`, and each process gets half of the BLAS threads (one each on two
-    cores); the count is restored afterwards. Once forked, each process
+    `first`, and each process gets half of the caller's BLAS threads, at
+    least one; the count is restored afterwards. Inside a stage, which runs
+    on one BLAS thread already, the count stays one. Once forked, each process
     deletes the job it does not run, so what that job alone holds (its
     inputs, and whatever it builds) is freed there, provided the caller
     keeps no reference of its own: pass the jobs straight into the call.

@@ -5,7 +5,8 @@ bundles are stored this way. A reader asks for an array's name and number of
 dimensions and gets exactly that or a ValueError; it reads no array data
 before the .npy header's shape times itemsize has been found to equal the
 bytes left in the file. A split table may be read for some of its splits
-and columns only; the headers of the others are checked all the same.
+and columns only; the headers of the others are checked all the same. A
+column may also be read one row at a time (read_rows).
 """
 
 from __future__ import annotations
@@ -72,38 +73,47 @@ def check_fields(root: Path, doc: dict, fields: dict, prefix: str = "") -> dict:
     return doc
 
 
-def _read(root: Path, name: str, ndim: int, data: bool) -> tuple[tuple, np.ndarray | None]:
-    """(shape, array) of root/<name>.npy, with no array read when data is
-    False, refused unless its header gives <f8, C order and ndim dimensions,
-    and its data fills the rest of the file exactly."""
-    path = root / f"{name}.npy"
+def _open(path: Path):
     try:
-        fh = open(path, "rb")
+        return open(path, "rb")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read ({exc.strerror})") from exc
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = io.BytesIO(fh.read(min(size, _HEADER_BYTES)))
-        try:
-            if np.lib.format.read_magic(head) != (1, 0):
-                raise ValueError("not a version 1.0 .npy file")
-            shape, fortran_order, found = np.lib.format.read_array_header_1_0(head)
-        except _HEADER_ERRORS as exc:
-            raise ValueError(f"{path}: not a valid .npy header ({exc})") from exc
-        if (found != _DTYPE or fortran_order or len(shape) != ndim
-                or any(n < 0 for n in shape)):
-            raise ValueError(f"{path}: holds a {found} array of shape {shape} "
-                             f"(fortran_order={fortran_order}), expected {_DTYPE.str} "
-                             f"with {ndim} dimensions in C order")
-        count = math.prod(shape)
-        left = size - head.tell()
-        if count * found.itemsize != left:
-            raise ValueError(f"{path}: header describes {count * found.itemsize} bytes of "
-                             f"data but {left} bytes follow it")
+
+
+def _header(fh, path: Path, ndim: int) -> tuple[tuple, int]:
+    """(shape, offset of the data) of the .npy file fh, open at its start,
+    refused unless its header gives <f8, C order and ndim dimensions, and
+    its data fills the rest of the file exactly."""
+    size = os.fstat(fh.fileno()).st_size
+    head = io.BytesIO(fh.read(min(size, _HEADER_BYTES)))
+    try:
+        if np.lib.format.read_magic(head) != (1, 0):
+            raise ValueError("not a version 1.0 .npy file")
+        shape, fortran_order, found = np.lib.format.read_array_header_1_0(head)
+    except _HEADER_ERRORS as exc:
+        raise ValueError(f"{path}: not a valid .npy header ({exc})") from exc
+    if (found != _DTYPE or fortran_order or len(shape) != ndim
+            or any(n < 0 for n in shape)):
+        raise ValueError(f"{path}: holds a {found} array of shape {shape} "
+                         f"(fortran_order={fortran_order}), expected {_DTYPE.str} "
+                         f"with {ndim} dimensions in C order")
+    described, left = math.prod(shape) * _DTYPE.itemsize, size - head.tell()
+    if described != left:
+        raise ValueError(f"{path}: header describes {described} bytes of data but {left} "
+                         "bytes follow it")
+    return shape, head.tell()
+
+
+def _read(root: Path, name: str, ndim: int, data: bool) -> tuple[tuple, np.ndarray | None]:
+    """(shape, array) of root/<name>.npy, with no array read when data is
+    False, refused as _header refuses it."""
+    path = root / f"{name}.npy"
+    with _open(path) as fh:
+        shape, offset = _header(fh, path, ndim)
         if not data:
             return shape, None
-        fh.seek(head.tell())
-        return shape, np.fromfile(fh, dtype=found, count=count).reshape(shape)
+        fh.seek(offset)
+        return shape, np.fromfile(fh, dtype=_DTYPE, count=math.prod(shape)).reshape(shape)
 
 
 def read_array(root: Path, name: str, ndim: int) -> np.ndarray:
@@ -153,3 +163,23 @@ def read_splits(root: Path, what: str, version: int, fields: dict, shared: dict,
         if wanted:
             out[split] = {name: arr for name, (_, arr) in cols.items() if name in load}
     return manifest, {name: read_array(root, name, ndim) for name, ndim in shared.items()}, out
+
+
+def read_rows(root: Path, column: str, split: str, rows):
+    """The rows `rows` (indices, in their order) of a split table's column,
+    each as a fresh 1-d array read from <column>_<split>.npy on its own, so
+    that no more than a row is held. The file is checked as read_array
+    checks it and opened when the first row is asked for, so a process
+    forked before then reads through a file of its own; a row the checked
+    data does not hold, or one the file no longer holds, raises ValueError.
+    """
+    path = root / f"{column}_{split}.npy"
+    with _open(path) as fh:
+        (n, width), offset = _header(fh, path, 2)
+        for i in rows:
+            if not 0 <= i < n:
+                raise ValueError(f"{path}: has no row {i}, only {n} rows")
+            row = np.empty(width, dtype=_DTYPE)
+            if os.preadv(fh.fileno(), [row], offset + row.nbytes * i) != row.nbytes:
+                raise ValueError(f"{path}: row {i} ends before its {width} values")
+            yield row

@@ -284,6 +284,139 @@ def test_worker_failure_is_a_runtime_error(micro, tmp_path, monkeypatch, capsys,
         os.waitpid(pids[0], os.WNOHANG)
 
 
+@pytest.mark.parametrize("outcome, code", [("success", 0), ("refused", 2), ("failure", 1)])
+@pytest.mark.parametrize("stage", ["train", "eval"])
+def test_stages_run_blas_on_one_thread_and_restore_the_count(micro, tmp_path, monkeypatch, capsys,
+                                                             stage, outcome, code):
+    # with OpenBLAS at 2 threads, a vanilla train and a radaptive eval run
+    # their nets on 1, and main leaves it at 2 again whether the stage
+    # succeeds, refuses its config (a dataset of another problem) or fails
+    from radonet import models
+
+    blas = parallel._openblas()
+    if blas is None:
+        pytest.skip("needs an OpenBLAS thread setter")
+    get_threads, set_threads = blas
+    module, name = (training, "train") if stage == "train" else (models, "radaptive_predict_graph")
+    real, seen = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(get_threads())
+        if outcome == "failure":
+            raise FloatingPointError("went bad")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    inputs = (("--dataset", str(micro["data"])) if stage == "train" else
+              ("--model", str(micro["rad"]), "--dataset", str(micro["data"])))
+    refused = ("--set", "problem=sod") if outcome == "refused" else ()
+    threads = get_threads()
+    set_threads(2)
+    try:
+        run_cli(stage, "--config", str(micro["cfg"]), *inputs, *refused,
+                "--out", str(tmp_path / "out"), expect=code)
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+    assert seen == ([] if outcome == "refused" else [1])
+    if outcome != "success":
+        assert read_error(capsys)["kind"] == ("config" if outcome == "refused" else "runtime")
+        assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_holds_no_dataset_fields(tmp_path, monkeypatch):
+    # the same rows at 8 times the grid: the peak grows by less than a
+    # tenth of the outputs' growth, since each row is read as it is mapped
+    # (one row's temporaries at the larger grid are a few hundred kB)
+    import gc
+    import tracemalloc
+
+    monkeypatch.setattr(parallel, "_can_fork", lambda: False)  # every row in this process
+    counts = "counts=" + json.dumps({"train": 300, "val": 50, "test": 50})
+
+    def peak(n_grid, name):
+        data = tmp_path / f"data{n_grid}"
+        sets = ("--set", counts, "--set", f"data.n_grid={n_grid}")
+        if not data.exists():
+            run_cli("datagen", *sets, "--out", str(data))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_cli("preprocess", *sets, "--dataset", str(data), "--out", str(tmp_path / name))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(512, "warm")  # what the stage imports and caches once counts toward neither size
+    grown = peak(4096, "large") - peak(512, "small")
+    outputs = 8 * 400 * (4096 - 512)
+    assert grown < outputs / 10, f"the peak grew by {grown / 1e6:.3f} MB, the outputs by " \
+                                 f"{outputs / 1e6:.3f} MB"
+
+
+def test_preprocess_rows_are_preprocess_sample_of_the_dataset_rows(micro):
+    # each streamed row is mapped as the whole loaded row would be, bit for bit
+    from radonet.equidistribution import load_preprocessed, preprocess_sample
+    from radonet.pde_data.dataset import load_dataset
+
+    datasets, psets = load_dataset(micro["data"]), load_preprocessed(micro["prep"])
+    params = dict(DEFAULT_CONFIG["preprocess"], **MICRO["preprocess"])
+    assert set(psets) == set(datasets)
+    for split, ds in datasets.items():
+        for i, u in enumerate(ds.outputs):
+            sample = preprocess_sample(u, (0.0, 1.0), periodic=True, **params)
+            for name in psets[split].ROW_COLUMNS:
+                assert getattr(psets[split], name)[i].tobytes() == sample[name].tobytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "more-rows"])
+def test_preprocess_refuses_damaged_outputs_before_any_row(micro, tmp_path, capsys, damage):
+    # the dataset is loaded without its outputs, yet each outputs file is
+    # checked before any row is read
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(micro["data"], data)
+    path = data / "outputs_val.npy"
+    blob = path.read_bytes()
+    if damage == "truncated":
+        blob = blob[:-8]
+    else:  # a header that claims a fourth row the file does not hold
+        assert blob.count(b"(3, 256)") == 1
+        blob = blob.replace(b"(3, 256)", b"(4, 256)")
+    path.write_bytes(blob)
+    _rerecord(data)
+    run_cli("preprocess", "--config", str(micro["cfg"]), "--dataset", str(data),
+            "--out", str(tmp_path / "prep"), expect=1)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])["error"]
+    assert doc["kind"] == "runtime" and "outputs_val.npy" in doc["message"]
+    assert not (tmp_path / "prep").exists()
+
+
+def test_read_rows_reads_only_inside_the_checked_data(micro, tmp_path):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(micro["data"], data)
+    whole = store.read_array(data, "outputs_test", 2)
+    rows = list(store.read_rows(data, "outputs", "test", [3, 0, 2]))
+    assert [row.tobytes() for row in rows] == [whole[i].tobytes() for i in (3, 0, 2)]
+    with pytest.raises(ValueError, match="has no row 4"):
+        list(store.read_rows(data, "outputs", "test", [0, 4]))
+    with pytest.raises(ValueError, match="has no row -1"):
+        list(store.read_rows(data, "outputs", "test", [-1]))
+    # a file cut short after it was checked
+    rows = store.read_rows(data, "outputs", "test", [0, 3])
+    assert next(rows).tobytes() == whole[0].tobytes()
+    os.truncate(data / "outputs_test.npy", (data / "outputs_test.npy").stat().st_size - 8)
+    with pytest.raises(ValueError, match="row 3 ends before its 256 values"):
+        next(rows)
+    with pytest.raises(ValueError, match="header describes"):
+        next(store.read_rows(data, "outputs", "test", [0]))
+
+
 def test_eval_outputs_and_rerun_bytes(micro, tmp_path):
     summary = json.loads((micro["van_eval"] / "summary.json").read_text())
     assert summary["family"] == "vanilla"
@@ -533,6 +666,9 @@ def test_sizes_beyond_memory_are_refused_before_the_stage_allocates(micro, tmp_p
     assert not out.exists()
 
 
+MICRO_COUNTS = 'counts={"train": 2, "val": 1, "test": 1}'
+
+
 def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatch):
     from radonet.pde_data import dataset
 
@@ -578,6 +714,19 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  ('counts={"train": 4, "val": 2, "test": 2}',
                   "data.shift_range=[0.005000000000000001,0.005000000000000001]",
                   "data.n_grid=10", "data.period=0.3", "data.width_range=[0.03,0.03]"),
+                 # numbers that are not finite, a shift range rng.uniform cannot
+                 # draw from, and box centres that are not finite: each of
+                 # these advection configs made datagen write only all-zero
+                 # rows or exit 1
+                 *((MICRO_COUNTS, "data.n_grid=64", *bad) for bad in (
+                     ("data.speed=NaN",), ("data.speed=Infinity",),
+                     ("data.speed=1e300", "data.final_time=1e300"),
+                     ("data.shift_range=[1e400,1e400]",), ("data.shift_range=[-1e308,1e308]",))),
+                 ("data.final_time=-1e308", "data.speed=2"), ("preprocess.beta=Infinity",),
+                 # a sod domain this wide made datagen write a grid of NaN and
+                 # infinities, which preprocess failed on with exit 1
+                 ("problem=sod", "data.domain=[-1e308,1e308]"),
+                 ("train.base_lr=1" + "0" * 400,),
                  # split names that no file name can carry
                  ('counts={"a/b": 2, "test": 1}',), ('counts={"train": 2, "x\\u0000y": 1}',),
                  ('counts={"train": 2, "x\\udc80y": 1}',),
