@@ -13,7 +13,7 @@ onto --out when the stage returns and deleted when it raises, so an --out
 holds exactly one stage's complete output or does not exist. Inside it, main
 resolves the config, checks every artifact flag given (check_inputs), calls
 the stage with the checked paths and writes provenance.json, all with
-OpenBLAS on one thread; the stages only compute.
+OpenBLAS on one thread (parallel.one_blas_thread); the stages only compute.
 
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
@@ -294,6 +294,8 @@ def resolve_config(args) -> dict:
     except ValueError as exc:
         raise CliError(str(exc))
     _check({**DEFAULT_CONFIG, "counts": {"*": 1}, "data": data}, cfg, cfg["problem"])
+    if not cfg["counts"]:  # --set 'counts={}'; a file's counts merges over the default splits
+        raise CliError("config key 'counts' must name at least one split, got {}")
     for split in cfg["counts"]:
         try:  # of the files <column>_<split>.npy, outputs_<split>.npy has the longest name
             fits = len(f"outputs_{split}.npy".encode("utf-8")) <= 255  # Linux's NAME_MAX
@@ -365,23 +367,6 @@ def stage_output(path: str):
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, where its thread count can
-    be set (radonet.parallel), and restore the count when the block returns
-    or raises. No stage's matmuls gain from a second thread, which costs
-    buffers, and run_pair's two processes then get one thread each."""
-    from .parallel import _openblas
-
-    get_threads, set_threads = _openblas() or (lambda: 1, lambda threads: None)
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
 
 
 def _write_outputs(out: Path, table: tuple[str, list[str]], report: tuple[str, dict]) -> None:
@@ -526,7 +511,8 @@ def _refuse_above_memory(need: int, what: str, lower: str) -> None:
 def cmd_datagen(args, cfg: dict, inputs: dict, out: Path) -> None:
     from .pde_data.dataset import dataset_build, dataset_bytes, save_dataset
 
-    sizes = "data.n_modes or data.sensors" if cfg["problem"] == "burgers" else "data.n_grid"
+    sizes = ("data.n_modes, data.sensors or data.grf_modes" if cfg["problem"] == "burgers"
+             else "data.n_grid")
     _refuse_above_memory(dataset_bytes(cfg["problem"], cfg["counts"], cfg["data"]),
                          f"datagen of {sum(cfg['counts'].values())} samples",
                          f"counts.* or {sizes}")
@@ -948,7 +934,9 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) is None:
             args.func(args)
         else:
-            with stage_output(args.out) as out, _one_blas_thread():
+            from .parallel import one_blas_thread
+
+            with stage_output(args.out) as out, one_blas_thread():
                 analyze = args.command == "analyze"
                 cfg = _args_config(args) if analyze else resolve_config(args)
                 inputs, upstream = check_inputs(args)

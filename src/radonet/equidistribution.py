@@ -124,7 +124,8 @@ def limit_density_ratio(rho: DensityField, n_xi: int,
     # high so jump cells keep several knots per fine-grid cell
     wanted = _CAP_SCALE * mass0 / (n_xi * rho.dx)
     if n_xi >= 64:
-        feasible = np.exp(0.6 * max_log_ratio * n_xi / 4.0)
+        with np.errstate(over="ignore"):  # past float range, the cap is just wanted
+            feasible = np.exp(0.6 * max_log_ratio * n_xi / 4.0)
         wanted = min(feasible, wanted)
     cap = max(2.0, wanted)
     vals = np.minimum(vals, cap)

@@ -8,9 +8,10 @@ this process may use two or more cores and the loaded OpenBLAS lets its
 thread count be set (`split_rows` only for two or more rows);
 otherwise the jobs run here in turn, with the same bytes, since a row or a
 job is computed the same way in either process. `train` pairs the two
-r-adaptive nets; `datagen` and `preprocess` split their rows. Every stage
-runs its BLAS calls on one thread (radonet.cli.main sets it through
-_openblas), so a pair's two processes run on one thread each.
+r-adaptive nets; `datagen` and `preprocess` split their rows. OpenBLAS's
+thread count is set here only, by one rule, one_blas_thread: radonet.cli.main
+runs every stage inside it and run_pair forks inside it, so each process of
+a pair runs on one thread, whoever calls it.
 
 This module imports nothing from radonet, so the stages that use it load
 no other stage's code through it.
@@ -18,6 +19,7 @@ no other stage's code through it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import mmap
 import os
@@ -75,14 +77,27 @@ def _can_fork() -> bool:
     return usable_cores() >= 2 and _openblas() is not None
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, where its thread count can
+    be set, and restore the count when the block returns or raises: no
+    stage's matmuls gain from a second thread, which costs buffers."""
+    get_threads, set_threads = _openblas() or (lambda: 1, lambda threads: None)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def run_pair(first, second):
     """Run two independent jobs and return (first(), second()).
 
     Each job is a callable without arguments. When the module's rule allows
     a fork, `second` runs in a forked child while this process runs
-    `first`, and each process gets half of the caller's BLAS threads, at
-    least one; the count is restored afterwards. Inside a stage, which runs
-    on one BLAS thread already, the count stays one. Once forked, each process
+    `first`, both inside one_blas_thread, so each on one BLAS thread; the
+    caller's count is restored afterwards. Once forked, each process
     deletes the job it does not run, so what that job alone holds (its
     inputs, and whatever it builds) is freed there, provided the caller
     keeps no reference of its own: pass the jobs straight into the call.
@@ -92,10 +107,7 @@ def run_pair(first, second):
     """
     if not _can_fork():
         return first(), second()
-    get_threads, set_threads = _openblas()
-    threads = get_threads()
-    set_threads(max(1, min(threads, usable_cores()) // 2))
-    try:
+    with one_blas_thread():
         # a bare fork rather than a process pool: the child inherits the
         # loaded modules and the job's inputs instead of importing and
         # unpickling them, which keeps start-up time and peak memory down.
@@ -130,8 +142,6 @@ def run_pair(first, second):
                 if not reaped:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-    finally:
-        set_threads(threads)
     if not data:
         raise RuntimeError("worker process died without a result "
                            f"(exit code {os.waitstatus_to_exitcode(status)})")

@@ -116,11 +116,17 @@ def dataset_bytes(problem: str, counts: dict[str, int], params: dict | None = No
     rows are written into), 9 more a row and Fourier mode where the Burgers
     solver holds its stages, 32 a row for an exact problem's inputs (6 at
     most) and the garbage drawing rows leaves for the collector, and 32 a
-    point or sensor for the two processes' one-row temporaries."""
+    point or sensor for the two processes' one-row temporaries. A Burgers
+    process also draws each row's field in grf_modes modes and evaluates it
+    on the sensors and on the grid: 2 floats a mode and point of the larger
+    of the two (grf_eval's phases and their cosine or sine), and 7 a mode
+    for the coefficients, the mode numbers and grf_draw's temporaries."""
     p = dataset_params(problem, params)
-    points = p["n_modes"] + p["sensors"] if problem == "burgers" else p["n_grid"]
-    row = points + (9 * p["n_modes"] if problem == "burgers" else 32)
-    return 8 * (row * sum(counts.values()) + 32 * points)
+    if problem != "burgers":
+        return 8 * ((p["n_grid"] + 32) * sum(counts.values()) + 32 * p["n_grid"])
+    points = p["n_modes"] + p["sensors"]
+    grf = 2 * (2 * max(p["n_modes"], p["sensors"]) + 7) * p["grf_modes"]
+    return 8 * ((points + 9 * p["n_modes"]) * sum(counts.values()) + 32 * points + grf)
 
 
 # Each builder writes the rows `rows` (a range) of one split into its columns

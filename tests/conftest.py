@@ -19,8 +19,10 @@ def no_child_left_unreaped():
 
 @pytest.fixture(autouse=True)
 def blas_threads_restored():
-    """Fail a test that leaves OpenBLAS's thread count changed: every later
-    fork would then run its two processes on more threads than cores."""
+    """Fail a test that leaves OpenBLAS's thread count changed: the count
+    belongs to the whole process, and radonet.parallel.one_blas_thread
+    restores whatever count it finds, so a changed count would carry into
+    every later test."""
     blas = parallel._openblas()
     if blas is None:  # no thread setter, so nothing can change the count
         yield

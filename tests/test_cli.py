@@ -187,10 +187,6 @@ def test_train_content_hash_is_reproducible(micro, tmp_path):
         assert not any("wall_seconds" in r for r in reports.values())
 
 
-def _can_train_concurrently() -> bool:
-    return parallel.usable_cores() >= 2 and parallel._openblas() is not None
-
-
 def _train_radaptive(micro, out, expect=0):
     run_cli("train", "--config", str(micro["cfg"]), "--set", "model.family=radaptive",
             "--dataset", str(micro["data"]), "--prep", str(micro["prep"]), "--out", str(out),
@@ -215,7 +211,7 @@ def test_shift_family_is_a_config_error_in_train_and_eval(micro, tmp_path, capsy
 
 def test_radaptive_pair_trains_the_same_bytes_concurrently_and_in_turn(
         micro, tmp_path, monkeypatch, forks):
-    if not _can_train_concurrently():
+    if not parallel._can_fork():
         pytest.skip("needs two usable cores and an OpenBLAS thread setter")
     pids = forks
     _train_radaptive(micro, tmp_path / "together")
@@ -255,7 +251,7 @@ def test_every_artifact_file_is_a_store_array_or_a_known_json_or_csv(micro):
 
 @pytest.mark.parametrize("failure", ["raise", "exit"])
 def test_worker_failure_is_a_runtime_error(micro, tmp_path, monkeypatch, capsys, forks, failure):
-    if not _can_train_concurrently():
+    if not parallel._can_fork():
         pytest.skip("needs two usable cores and an OpenBLAS thread setter")
     pids = forks
     parent = os.getpid()
@@ -640,6 +636,8 @@ HUGE = 10**11
                  "counts.*", id="counts"),
     pytest.param(("datagen", "problem=burgers", f"data.sensors={HUGE}"),
                  "radonet.pde_data.dataset.dataset_build", "data.sensors", id="sensors"),
+    pytest.param(("datagen", "problem=burgers", f"data.grf_modes={HUGE}"),
+                 "radonet.pde_data.dataset.dataset_build", "data.grf_modes", id="grf_modes"),
     pytest.param(("preprocess", f"preprocess.n_xi={HUGE}"), "radonet.parallel.split_rows",
                  "preprocess.n_xi", id="n_xi"),
     pytest.param(("train", f"model.output_points={HUGE}"), "radonet.training.train",
@@ -730,7 +728,9 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  # split names that no file name can carry
                  ('counts={"a/b": 2, "test": 1}',), ('counts={"train": 2, "x\\u0000y": 1}',),
                  ('counts={"train": 2, "x\\udc80y": 1}',),
-                 ('counts={"train": 2, "%s": 1}' % ("s" * 250),)):
+                 ('counts={"train": 2, "%s": 1}' % ("s" * 250),),
+                 # no split at all: datagen exited 1 with "need at least one split count"
+                 ("counts={}",)):
         run_cli("datagen", *(arg for s in spec for arg in ("--set", s)), "--out", str(out),
                 expect=2)
         err = read_error(capsys)

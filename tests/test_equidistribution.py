@@ -216,6 +216,18 @@ def test_limiter_matches_the_full_hull_bit_for_bit(periodic):
                 assert got.values.tobytes() == want.tobytes(), (m, n_xi, spread, lam)
 
 
+def test_limiter_takes_a_ratio_cap_past_float_range_as_no_cap():
+    # exp(0.6 * 10 * 512 / 4) is past float range: np.exp overflowed with a
+    # RuntimeWarning (an error under this suite's filter), and the min with
+    # an infinite cap is the cap the mesh wants, as the oracle computes it
+    _, u = box_signal(m=64)
+    rho = density_arclength(u, dx=1.0 / 64, periodic=True)
+    got = limit_density_ratio(rho, 512, max_log_ratio=10.0)
+    with np.errstate(over="ignore"):
+        want = limit_density_ratio_full_hull(rho.values, rho.dx, 512, True, 10.0)
+    assert got.values.tobytes() == want.tobytes()
+
+
 def test_limiter_validation():
     rho = DensityField(values=np.ones(16), dx=0.1)
     with pytest.raises(ValueError):

@@ -133,6 +133,8 @@ ROWS = {
     "datagen-sod-n_grid": ("datagen", (256, 4096), lambda n: ("problem=sod", f"data.n_grid={n}")),
     "datagen-burgers-n_modes": ("datagen", (64, 512), lambda n: (*BURGERS, f"data.n_modes={n}")),
     "datagen-burgers-sensors": ("datagen", (16, 512), lambda n: (*BURGERS, f"data.sensors={n}")),
+    "datagen-burgers-grf_modes": ("datagen", (63, 2000), lambda n: (
+        *BURGERS, f"data.grf_modes={n}")),
     "preprocess-n_xi": ("preprocess", (64, 512), lambda n: (f"preprocess.n_xi={n}",)),
     "train-vanilla-output_points": ("train", (64, 1024), lambda n: (f"model.output_points={n}",)),
     "train-vanilla-n_basis": ("train", (16, 256), lambda n: (f"model.n_basis={n}",)),

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from radonet import cli, parallel
+from radonet import cli, parallel, training
 from radonet.cli import main
 from radonet.models import DeepOnetModel
 from radonet.nn import mlp_init, substream
@@ -14,11 +14,7 @@ from radonet.parallel import run_pair, split_rows
 from radonet.training import TrainConfig, train
 
 
-def _can_fork() -> bool:
-    return parallel.usable_cores() >= 2 and parallel._openblas() is not None
-
-
-needs_two_cores = pytest.mark.skipif(not _can_fork(),
+needs_two_cores = pytest.mark.skipif(not parallel._can_fork(),
                                      reason="needs two usable cores and an OpenBLAS thread setter")
 
 
@@ -82,6 +78,19 @@ def test_run_pair_drops_the_job_each_process_does_not_run(forks):
     assert got == ((True, True), (True, True)) and len(forks) == 1
 
 
+@needs_two_cores
+def test_run_pair_runs_each_job_on_one_blas_thread_for_a_library_caller(forks):
+    get_threads, set_threads = parallel._openblas()
+    threads = get_threads()
+    set_threads(2)
+    try:
+        assert run_pair(get_threads, get_threads) == (1, 1)
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+    assert len(forks) == 1
+
+
 def _rows_job(split, rows, out):
     for i in rows:
         out["rows"][i] = [ord(split), i]
@@ -93,7 +102,7 @@ _ROW_WIDTHS = {"rows": 2, "pid": 1}
 
 @pytest.mark.parametrize("concurrent", [True, False])
 def test_split_rows_fills_the_halves_in_row_order(monkeypatch, forks, concurrent):
-    if concurrent and not _can_fork():
+    if concurrent and not parallel._can_fork():
         pytest.skip("needs two usable cores and an OpenBLAS thread setter")
     if not concurrent:
         monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
@@ -115,7 +124,7 @@ def test_split_rows_fills_the_halves_in_row_order(monkeypatch, forks, concurrent
 @pytest.mark.parametrize("concurrent", [True, False])
 def test_split_rows_writes_every_row_once_by_the_half_that_owns_it(monkeypatch, forks,
                                                                     concurrent):
-    if concurrent and not _can_fork():
+    if concurrent and not parallel._can_fork():
         pytest.skip("needs two usable cores and an OpenBLAS thread setter")
     if not concurrent:
         monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
@@ -269,3 +278,33 @@ def test_each_forked_radaptive_half_builds_only_its_own_net(tmp_path, monkeypatc
                 if not path.endswith("provenance.json")}
 
     assert bundle("forked") == bundle("in_turn")
+
+
+@needs_two_cores
+def test_both_radaptive_nets_train_on_one_blas_thread(tmp_path, monkeypatch, forks):
+    # main's one thread reaches the forked child: each process writes the
+    # count its net trains at, and main leaves the caller's 2 in place
+    spec = _MICRO_DATA["advection"]
+    _data_stages(tmp_path, spec)
+    forks.clear()
+    log = tmp_path / "threads"
+    get_threads, set_threads = parallel._openblas()
+    real = training.train
+
+    def train(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {get_threads()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train", train)
+    threads = get_threads()
+    set_threads(2)
+    try:
+        assert main(["train", *spec, *_MICRO_NETS, "--set", "preprocess.n_xi=16",
+                     "--set", "model.family=radaptive", "--dataset", str(tmp_path / "data"),
+                     "--prep", str(tmp_path / "prep"), "--out", str(tmp_path / "rad")]) == 0
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+    assert len(forks) == 1
+    assert sorted(log.read_text().splitlines()) == sorted([f"{os.getpid()} 1", f"{forks[0]} 1"])
