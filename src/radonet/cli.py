@@ -13,7 +13,9 @@ onto --out when the stage returns and deleted when it raises, so an --out
 holds exactly one stage's complete output or does not exist. Inside it, main
 resolves the config, checks every artifact flag given (check_inputs), calls
 the stage with the checked paths and writes provenance.json, all with
-OpenBLAS on one thread (parallel.one_blas_thread); the stages only compute.
+OpenBLAS on one thread (parallel.one_blas_thread) and a RuntimeWarning raised
+as an error, so a stage's stderr holds at most its JSON line; the stages only
+compute.
 
 Errors leave through exit codes: 0 success, 2 for configuration/usage
 problems, 1 for runtime failures; in both failure cases a one-line JSON
@@ -46,6 +48,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +65,6 @@ DEFAULT_CONFIG = {
         "n_xi": 128,
         "m_cap": 2.0,
         "mbar_cap": 100.0,
-        "beta": 1.0,
-        "smoothing_passes": 2,
         "ratio_limit": 0.3,
     },
     "model": {
@@ -71,23 +72,19 @@ DEFAULT_CONFIG = {
         "n_basis": 64,
         "branch_hidden": [128, 128, 128],
         "trunk_hidden": [128, 128, 128],
-        "branch_activation": "tanh",
-        "trunk_activation": "relu",
         "output_points": 128,
     },
     "train": {
         "epochs": 10000,
-        "batch_size": None,
         "base_lr": 1e-3,
-        "decay_fraction": 0.1,
         "decay_interval": 2000,
         "validation_cadence": 2000,
     },
     "eval": {"split": "test", "xi_points": 513},
 }
 
-# keys that may also be null, with the type of their other values
-_NULLABLE = {"train.batch_size": int, "preprocess.ratio_limit": float, "eval.xi_points": int}
+# keys that may also be null
+_NULLABLE = {"preprocess.ratio_limit", "eval.xi_points"}
 
 _TYPE_NAMES = {dict: "an object", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -123,6 +120,23 @@ def _box_meets_grid(s: dict) -> bool:
     return s["period"] * (1.0 + n * 2.0**-49) <= s["width_range"][0] * n
 
 
+def _heights_fit(s: dict) -> bool:
+    """Whether preprocess's density arithmetic stays within float range for
+    the tallest box of the data section s. With q = fl(P / n) preprocess's
+    grid spacing, a box edge's slope fl(h / 2q) = fl(h / q) / 2 is at most
+    2^511 where h <= 2^512 q (rounding is monotone). So 1 + du * du stays
+    finite, the density stays within 2^511 (1 + 2^-30) through smoothing and
+    limit_density_ratio (a cap, and the exp of an average of logs below 355)
+    and equidistribute_1d's largest term, 2 * slope * c, within
+    2^1023 (1 + 2^-29). A box's two edges have at most four grid points of
+    slope h / 2q, so a period's density mass is at most P + 2h, and the three
+    periods limit_density_ratio integrates at most 1.5 * 2^1023 where
+    P + 2h <= 2^1022. The float maximum, 2^1024 (1 - 2^-53), is at least 4/3
+    of either, which covers the roundings and a height drawn an ulp above hi."""
+    period, hi = float(s["period"]), float(s["height_range"][1])
+    return hi <= 2.0**512 * (period / s["n_grid"]) and period + 2.0 * hi <= 2.0**1022
+
+
 def _centres_finite(s: dict) -> bool:
     """Whether every box centre advection_exact can compute, shift + speed *
     final_time with shift in data.shift_range, is finite for the data
@@ -133,8 +147,8 @@ def _centres_finite(s: dict) -> bool:
 
 _CENTRES = "data.shift_range + data.speed * data.final_time finite at both ends"
 _COVERS = "data.period * (1 + data.n_grid * 2^-49) <= data.width_range[0] * data.n_grid"
+_FITS = "data.height_range[1] <= 2^512 * data.period / data.n_grid and (2^1022 - data.period) / 2"
 _ABOVE_0 = "above 0", lambda v, _: v > 0
-_POSITIVE = "[lo, hi] with 0 < lo <= hi", lambda v, _: 0 < v[0] <= v[1]
 _LAYERS = "a list of integers at least 1", lambda v, _: all(n >= 1 for n in v)
 
 # (what a value must be, the test of it) for each key whose values of the
@@ -147,11 +161,14 @@ _RULES = {
     "seed": _at_least(0), "counts.*": _at_least(1),
     # a box no wider than the grid spacing, period / n_grid, can fall between
     # two grid points and leave an all-zero sample, which has no relative error
-    "advection.n_grid": (f"at least 3, with {_COVERS}",
-                         lambda v, s: 3 <= v and _box_meets_grid(s)),
-    "advection.period": (f"above the upper end of data.width_range, with {_COVERS}",
-                         lambda v, s: s["width_range"][1] < v and _box_meets_grid(s)),
-    "advection.height_range": _POSITIVE,
+    # and a box too tall for its grid spacing overflows preprocess's density
+    "advection.n_grid": (f"at least 3, with {_COVERS} and {_FITS}",
+                         lambda v, s: 3 <= v and _box_meets_grid(s) and _heights_fit(s)),
+    "advection.period": (f"above the upper end of data.width_range, with {_COVERS} and {_FITS}",
+                         lambda v, s: s["width_range"][1] < v and _box_meets_grid(s)
+                         and _heights_fit(s)),
+    "advection.height_range": (f"[lo, hi] with 0 < lo <= hi, with {_FITS}",
+                               lambda v, s: 0 < v[0] <= v[1] and _heights_fit(s)),
     "advection.width_range": (f"[lo, hi] with 0 < lo <= hi < data.period, with {_COVERS}",
                               lambda v, s: 0 < v[0] <= v[1] < s["period"] and _box_meets_grid(s)),
     # rng.uniform needs a finite hi - lo, and a box centre that is not
@@ -173,15 +190,12 @@ _RULES = {
     "sod.domain": ("[lo, hi] with lo < hi and a finite hi - lo",
                    lambda v, _: v[0] < v[1] and math.isfinite(float(v[1]) - float(v[0]))),
     "preprocess.n_xi": _at_least(2), "preprocess.m_cap": _at_least(1),
-    "preprocess.mbar_cap": _at_least(1), "preprocess.beta": _at_least(0),
-    "preprocess.smoothing_passes": _at_least(0), "preprocess.ratio_limit": _ABOVE_0,
+    "preprocess.mbar_cap": _at_least(1), "preprocess.ratio_limit": _ABOVE_0,
     "model.family": _one_of("vanilla", "radaptive"), "model.n_basis": _at_least(1),
     "model.branch_hidden": _LAYERS, "model.trunk_hidden": _LAYERS,
-    "model.branch_activation": _one_of("relu", "tanh"),
-    "model.trunk_activation": _one_of("relu", "tanh"), "model.output_points": _at_least(1),
-    "train.epochs": _at_least(1), "train.batch_size": _at_least(1), "train.base_lr": _ABOVE_0,
-    "train.decay_fraction": ("in [0, 1)", lambda v, _: 0 <= v < 1),
-    "train.decay_interval": _at_least(1), "train.validation_cadence": _at_least(1),
+    "model.output_points": _at_least(1), "train.epochs": _at_least(1),
+    "train.base_lr": _ABOVE_0, "train.decay_interval": _at_least(1),
+    "train.validation_cadence": _at_least(1),
     "eval.xi_points": _at_least(2),
 }
 
@@ -250,7 +264,7 @@ def _check(schema: dict, cfg: dict, problem: str, path: str = "") -> None:
             raise CliError(f"unknown {problem} parameter {where!r}" if path == "data."
                            else f"unknown config key {where!r}")
         default = schema.get(key, schema.get("*"))
-        kind = _NULLABLE.get(where, type(default))
+        kind = type(default)
         if kind in (list, tuple):
             ok = (type(value) is list and all(_is_a(type(default[0]), v) for v in value)
                   and (kind is list or len(value) == len(default)))
@@ -444,9 +458,10 @@ def _make_deeponet(cfg: dict, n_inputs: int, bounds, *, role: str):
     from .nn import mlp_init
 
     m = cfg["model"]
-    branch, trunk = (mlp_init(sizes, activation=m[f"{net}_activation"],
+    branch, trunk = (mlp_init(sizes, activation=activation,
                               seed=_derived_seed(cfg["seed"], "init", role, net))
-                     for net, sizes in zip(("branch", "trunk"), _layers(cfg, n_inputs)))
+                     for net, activation, sizes in zip(("branch", "trunk"), ("tanh", "relu"),
+                                                       _layers(cfg, n_inputs)))
     cls = CoordinateNet if role == "coord" else DeepOnetModel
     return cls(branch=branch, trunk=trunk, n_basis=m["n_basis"],
                query_lo=[bounds[0]], query_hi=[bounds[1]])
@@ -585,7 +600,7 @@ def cmd_train(args, cfg: dict, inputs: dict, out: Path) -> dict:
     train_ds = _load_split(datasets, "train", "training")
     # without a val split, both families validate on the training rows
     val_ds = datasets.get("val", train_ds)
-    tc = TrainConfig(**cfg["train"], seed=cfg["seed"])
+    tc = TrainConfig(**cfg["train"])
     n_rows, n_in = train_ds.inputs.shape
     widths = "model.n_basis or the model.*_hidden widths"
     encoding = {"advection": "box-params(height,width,shift)",
@@ -936,7 +951,8 @@ def main(argv=None) -> int:
         else:
             from .parallel import one_blas_thread
 
-            with stage_output(args.out) as out, one_blas_thread():
+            with stage_output(args.out) as out, one_blas_thread(), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 analyze = args.command == "analyze"
                 cfg = _args_config(args) if analyze else resolve_config(args)
                 inputs, upstream = check_inputs(args)

@@ -241,13 +241,12 @@ def weight_coordinate(grad_u: np.ndarray, det_j: np.ndarray, cap: float = 100.0)
         raise ValueError(f"cap must be >= 1, got {cap}")
     g = np.asarray(grad_u, dtype=np.float64)
     d = np.asarray(det_j, dtype=np.float64)
-    return np.minimum(cap, np.sqrt(1.0 + g ** 4 * d * d))
+    with np.errstate(over="ignore"):  # past float range the product is inf, and min gives cap
+        return np.minimum(cap, np.sqrt(1.0 + g ** 4 * d * d))
 
 
 def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: int,
-                      m_cap: float = 2.0, mbar_cap: float = 100.0,
-                      smoothing_passes: int = 2, periodic: bool = False,
-                      beta: float = 1.0,
+                      m_cap: float = 2.0, mbar_cap: float = 100.0, periodic: bool = False,
                       ratio_limit: float | None = 0.3) -> dict[str, np.ndarray]:
     """Full preprocessing of one raw sample into adaptive training targets.
 
@@ -256,9 +255,10 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
     (spacing L/(m-1)). Returns the sample's row columns, each on the n_xi + 1
     knots of the uniform computational grid over `domain`: the adaptive
     coordinates x, the solution u on them, and the loss weights w_sol and
-    w_coord, both taken from the mesh Jacobian. ratio_limit (None disables)
-    bounds the cell-to-cell mesh ratio via limit_density_ratio before the
-    mesh is built.
+    w_coord, both taken from the mesh Jacobian. The density is
+    density_arclength's at its default smoothing and beta; ratio_limit (None
+    disables) bounds the cell-to-cell mesh ratio via limit_density_ratio
+    before the mesh is built.
     """
     u = np.asarray(u_values, dtype=np.float64)
     lo, hi = float(domain[0]), float(domain[1])
@@ -268,8 +268,7 @@ def preprocess_sample(u_values: np.ndarray, domain: tuple[float, float], n_xi: i
         raise ValueError("need a 1-d solution array with >= 3 samples")
     length = hi - lo
     dx = length / u.size if periodic else length / (u.size - 1)
-    rho = density_arclength(u, dx, smoothing_passes=smoothing_passes,
-                            periodic=periodic, beta=beta, x0=lo)
+    rho = density_arclength(u, dx, periodic=periodic, x0=lo)
     if ratio_limit is not None:
         rho = limit_density_ratio(rho, n_xi, ratio_limit)
     x = equidistribute_1d(rho, n_xi)

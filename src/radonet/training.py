@@ -1,4 +1,4 @@
-"""Training loop for operator networks.
+"""Training loop for operator networks, one full-batch Adam step per epoch.
 
 One driver covers every model: plain operator regression, weighted
 regression against redistributed-grid targets, and coordinate-map
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import PREDICT_CHUNK, model_predict
-from .nn import adam_init, adam_step, lr_schedule, substream
+from .nn import adam_init, adam_step, lr_schedule
 from .reconstruct import rel_l2_error
 
 LOSS_KINDS = ("mse", "weighted", "coordinate")
@@ -25,18 +25,13 @@ LOSS_KINDS = ("mse", "weighted", "coordinate")
 @dataclass
 class TrainConfig:
     epochs: int = 10000
-    batch_size: int | None = None
     base_lr: float = 1e-3
-    decay_fraction: float = 0.1
     decay_interval: int = 2000
     validation_cadence: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
         if self.validation_cadence < 1:
             raise ValueError("validation_cadence must be >= 1")
 
@@ -126,7 +121,8 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
           config: TrainConfig, *, loss: str = "mse", weights: np.ndarray | None = None,
           val_inputs: np.ndarray | None = None, val_targets: np.ndarray | None = None,
           val_queries: np.ndarray | None = None):
-    """Fit a model with Adam and a stepped learning-rate decay.
+    """Fit a model with one Adam step per epoch on every row of inputs at
+    once, and lr_schedule's stepped learning-rate decay.
 
     Returns (best_model, report): the snapshot with the lowest validation
     error seen at epoch 0, at any cadence point or after the final epoch,
@@ -149,10 +145,7 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
         val_queries = queries
 
     t_start = time.perf_counter()
-    rng = substream(config.seed, "shuffle")
     adam = {name: adam_init(getattr(model, name)) for name in model.nets}
-    n = inputs.shape[0]
-    batch = n if config.batch_size is None else min(config.batch_size, n)
 
     report = TrainReport()
 
@@ -168,42 +161,33 @@ def train(model, inputs: np.ndarray, targets: np.ndarray, queries: np.ndarray,
 
     best_model = model.copy()
     validate(0)
-    epoch_loss = np.nan
 
     # A step holds one working set: each array goes as soon as it is dead,
     # so no step or validation allocates on top of the last step's arrays.
     # The nets' gradients alone stay until the next backward: freed with
     # the rest at the step's end, they would leave the heap top all free,
     # which glibc hands back to the OS, and every step would fault it in
-    # again.
-    for epoch in range(1, config.epochs + 1):
-        lr = lr_schedule(epoch - 1, config.base_lr, config.decay_fraction,
-                         config.decay_interval)
-        order = rng.permutation(n) if batch < n else None
-        losses = []
-        for start in range(0, n, batch):
-            idx = slice(None) if order is None else order[start:start + batch]
-            pred, cache = model.forward(inputs[idx], queries)
-            w = None if weights is None else weights[idx]
-            value, pred_grad = _loss_and_grad(pred, targets[idx], loss, w)
+    # again. A diverging run overflows on its way to the non-finite loss
+    # that aborts it; the loss check reports that, so numpy does not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            lr = lr_schedule(epoch - 1, config.base_lr, decay_interval=config.decay_interval)
+            pred, cache = model.forward(inputs, queries)
+            epoch_loss, pred_grad = _loss_and_grad(pred, targets, loss, weights)
             del pred
-            losses.append(value)
-            if not np.isfinite(value):
+            report.epochs_run = epoch
+            if not np.isfinite(epoch_loss):
+                report.aborted = True
                 break
             grads = None
             grads = model.backward(cache, pred_grad)
             del cache, pred_grad
             for i, name in enumerate(model.nets):
                 adam_step(adam[name], getattr(model, name), grads[i], lr)
-        epoch_loss = float(np.mean(losses))
-        report.epochs_run = epoch
-        if not np.isfinite(epoch_loss):
-            report.aborted = True
-            break
-        if epoch % config.validation_cadence == 0 or epoch == config.epochs:
-            grads = None
-            if validate(epoch):
-                best_model = model.copy()
+            if epoch % config.validation_cadence == 0 or epoch == config.epochs:
+                grads = None
+                if validate(epoch):
+                    best_model = model.copy()
 
     report.final_loss = epoch_loss
     report.wall_seconds = time.perf_counter() - t_start

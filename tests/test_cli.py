@@ -106,6 +106,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     run_cli("datagen", "--set", "model.family=resnet", "--out", str(tmp_path / "d"),
             expect=2)
     assert "family" in read_error(capsys)["message"]
+    # knobs that held one value everywhere, now constants of the code
+    for section, key, value in (("train", "batch_size", None), ("train", "decay_fraction", 0.1),
+                                ("model", "branch_activation", "tanh"),
+                                ("model", "trunk_activation", "relu"),
+                                ("preprocess", "beta", 1.0), ("preprocess", "smoothing_passes", 2)):
+        bad.write_text(json.dumps({section: {key: value}}))
+        for given in (("--config", str(bad)), ("--set", f"{section}.{key}={json.dumps(value)}")):
+            run_cli("datagen", *given, "--out", str(tmp_path / "d"), expect=2)
+            err = read_error(capsys)
+            assert err["kind"] == "config" and f"{section}.{key}" in err["message"]
+            assert not (tmp_path / "d").exists()
 
 
 def test_datagen_outputs_and_determinism(micro, tmp_path):
@@ -155,7 +166,6 @@ def test_train_artifacts(micro):
         assert manifest["input_encoding"] == "box-params(height,width,shift)"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
 def test_aborted_train_writes_strict_json(micro, tmp_path):
     out = tmp_path / "aborted"
     run_cli("train", "--config", str(micro["cfg"]), "--set", "train.base_lr=1e200",
@@ -684,20 +694,17 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                  ("data.height_range=[1,0]",), ("problem=sod", "data.domain=[5,-5]"),
                  ("problem=sod", "data.domain=[1,1]"), ("preprocess.n_xi=1",),
                  ("train.epochs=0",), ("train.validation_cadence=0",),
-                 ("train.decay_interval=0",), ("train.batch_size=0",), ("train.base_lr=-1",),
-                 ("train.base_lr=0",), ("train.base_lr=NaN",), ("train.decay_fraction=1",),
-                 ("train.decay_fraction=-0.1",), ("eval.xi_points=1",),
+                 ("train.decay_interval=0",), ("train.base_lr=-1",), ("train.base_lr=0",),
+                 ("train.base_lr=NaN",), ("eval.xi_points=1",),
                  # values that a solver, preprocess or training refuses at run time
                  ("problem=burgers", "data.dt=0"), ("problem=burgers", "data.nu=-1"),
                  ("problem=burgers", "data.final_time=-1"), ("problem=burgers", "data.grf_modes=0"),
                  ("problem=burgers", "data.n_modes=4"),
                  ("problem=burgers", 'data.grf_convention="x"'), ("problem=sod", "data.final_time=0"),
                  ("data.period=0",), ("data.n_grid=2",), ("preprocess.m_cap=0.5",),
-                 ("preprocess.mbar_cap=0.5",), ("preprocess.beta=-1",),
-                 ("preprocess.smoothing_passes=-1",), ("preprocess.ratio_limit=0",),
+                 ("preprocess.mbar_cap=0.5",), ("preprocess.ratio_limit=0",),
                  ("model.n_basis=0",), ("model.output_points=0",), ("model.branch_hidden=[0]",),
-                 ("model.trunk_hidden=[16,0]",), ('model.branch_activation="sigmoid"',),
-                 ('model.trunk_activation="sigmoid"',),
+                 ("model.trunk_hidden=[16,0]",),
                  # rows that read a neighbouring key
                  ("problem=burgers", "data.final_time=0.00015"),
                  ("problem=burgers", "data.dt=0.003"),
@@ -720,7 +727,10 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
                      ("data.speed=NaN",), ("data.speed=Infinity",),
                      ("data.speed=1e300", "data.final_time=1e300"),
                      ("data.shift_range=[1e400,1e400]",), ("data.shift_range=[-1e308,1e308]",))),
-                 ("data.final_time=-1e308", "data.speed=2"), ("preprocess.beta=Infinity",),
+                 ("data.final_time=-1e308", "data.speed=2"),
+                 # a period this long overflowed preprocess's density mass: exit 1
+                 (MICRO_COUNTS, "data.n_grid=64", "data.width_range=[1e307,2e307]",
+                  "data.period=6.7e307"),
                  # a sod domain this wide made datagen write a grid of NaN and
                  # infinities, which preprocess failed on with exit 1
                  ("problem=sod", "data.domain=[-1e308,1e308]"),
@@ -737,6 +747,29 @@ def test_bad_data_keys_and_counts_are_config_errors(tmp_path, capsys, monkeypatc
         assert err["kind"] == "config"
         assert spec[-1].split("=")[0].split(".")[-1] in err["message"]
         assert not out.exists()
+
+
+def test_the_tallest_accepted_box_preprocesses_and_the_next_is_refused(tmp_path, capsys):
+    # at n_grid 64 and period 1 the bound is 2^512 / 64: a box that tall
+    # preprocesses without an overflow, under the suite's error::RuntimeWarning,
+    # with and without the ratio limiter; at 1e153 preprocess exited 1
+    import math
+
+    def sets(height):
+        return [arg for s in (MICRO_COUNTS, "data.n_grid=64", "seed=3",
+                              f"data.height_range=[{height!r},{height!r}]")
+                for arg in ("--set", s)]
+
+    tallest, data, too_tall = 2.0**506, tmp_path / "data", tmp_path / "too_tall"
+    run_cli("datagen", *sets(tallest), "--out", str(data))
+    for limit in ("0.3", "null"):
+        run_cli("preprocess", *sets(tallest), "--set", f"preprocess.ratio_limit={limit}",
+                "--dataset", str(data), "--out", str(tmp_path / f"prep{limit}"))
+    run_cli("datagen", *sets(math.nextafter(tallest, math.inf)), "--out", str(too_tall),
+            expect=2)
+    err = read_error(capsys)
+    assert err["kind"] == "config" and "data.height_range" in err["message"]
+    assert not too_tall.exists()
 
 
 @pytest.mark.parametrize("spec", [
@@ -758,15 +791,13 @@ def test_config_values_of_the_wrong_json_type_are_config_errors(tmp_path, capsys
 def test_config_types_take_ints_for_floats_and_null_where_allowed(tmp_path):
     class Args:
         config = None
-        set = ["train.base_lr=1", "train.batch_size=null", "train.batch_size=8",
-               "preprocess.ratio_limit=null", "eval.xi_points=null", "preprocess.beta=2",
+        set = ["train.base_lr=1", "preprocess.ratio_limit=null", "eval.xi_points=null",
                "data.speed=2", "data.height_range=[1,2]"]
 
     cfg = resolve_config(Args())
     # values are not converted, so config_hash sees what the user wrote
-    assert type(cfg["train"]["base_lr"]) is int and cfg["train"]["batch_size"] == 8
+    assert type(cfg["train"]["base_lr"]) is int
     assert cfg["preprocess"]["ratio_limit"] is None and cfg["eval"]["xi_points"] is None
-    assert cfg["preprocess"]["beta"] == 2
     assert cfg["data"] == {"speed": 2, "height_range": [1, 2]}
 
 
@@ -777,17 +808,14 @@ def test_config_range_edges_are_accepted():
         # 1.0 * (1 + 3 * 2^-49) <= 0.3333333333333351 * 3
         set = ["data.width_range=[0.3333333333333351,0.3333333333333351]", "preprocess.n_xi=2",
                "train.epochs=1", "train.validation_cadence=1", "train.decay_interval=1",
-               "train.batch_size=1", "train.base_lr=1e-300", "train.decay_fraction=0",
-               "eval.xi_points=2",
-               "data.n_grid=3", "preprocess.m_cap=1", "preprocess.mbar_cap=1", "preprocess.beta=0",
-               "preprocess.smoothing_passes=0", "model.output_points=1", "model.branch_hidden=[]"]
+               "train.base_lr=1e-300", "eval.xi_points=2",
+               "data.n_grid=3", "preprocess.m_cap=1", "preprocess.mbar_cap=1",
+               "model.output_points=1", "model.branch_hidden=[]"]
 
     cfg = resolve_config(Args())
     assert cfg["data"]["width_range"] == [0.3333333333333351] * 2
-    assert cfg["preprocess"]["n_xi"] == 2
-    assert cfg["train"]["decay_fraction"] == 0 and cfg["eval"]["xi_points"] == 2
+    assert cfg["preprocess"]["n_xi"] == 2 and cfg["eval"]["xi_points"] == 2
     assert cfg["data"]["n_grid"] == 3 and cfg["preprocess"]["m_cap"] == 1
-    assert cfg["preprocess"]["beta"] == 0 and cfg["preprocess"]["smoothing_passes"] == 0
     assert cfg["model"]["output_points"] == 1 and cfg["model"]["branch_hidden"] == []
     Args.set = ["problem=burgers", "data.n_modes=8", "data.final_time=0"]
     assert resolve_config(Args())["data"] == {"n_modes": 8, "final_time": 0}
@@ -1484,6 +1512,19 @@ def test_stage_process_that_cannot_flush_its_output_fails_with_one_json_line(tmp
     assert done.returncode == 1
     lines = done.stderr.decode().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "runtime"
+
+
+def test_stage_process_stderr_holds_only_its_json_error_line(tmp_path):
+    # numpy's overflow warnings are errors in a stage process too: this
+    # Burgers solve printed 18 RuntimeWarning messages before its JSON line
+    done = _stage_process("datagen", "--set", "problem=burgers", "--set", MICRO_COUNTS,
+                          "--set", "data.nu=1e300", "--set", "data.final_time=0.01",
+                          "--set", "data.n_modes=64", "--set", "data.sensors=16",
+                          "--out", str(tmp_path / "X"), cwd=tmp_path)
+    assert done.returncode == 1
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "runtime"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stage_process_help(tmp_path):

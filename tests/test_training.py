@@ -106,8 +106,7 @@ def test_train_reduces_error_and_reports():
     # a smooth synthetic operator: scaled and shifted sine read at queries
     targets = (inputs[:, :1] * np.sin(2.0 * np.pi * queries.T)
                + 0.3 * inputs[:, 1:])
-    cfg = TrainConfig(epochs=400, base_lr=3e-3, decay_interval=200,
-                      validation_cadence=100, seed=1)
+    cfg = TrainConfig(epochs=400, base_lr=3e-3, decay_interval=200, validation_cadence=100)
     model, report = train(tiny_model(seed=9), inputs, targets, queries, cfg)
     assert report.epochs_run == 400
     assert not report.aborted
@@ -120,30 +119,14 @@ def test_train_reduces_error_and_reports():
     assert err == pytest.approx(report.best_error, rel=1e-12)
 
 
-def test_train_minibatch_determinism():
-    rng = substream(6, "mb")
-    inputs = rng.uniform(-1.0, 1.0, size=(10, 2))
-    queries = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
-    targets = inputs @ np.array([[1.0], [0.5]]) * np.ones((1, 5))
-    cfg = TrainConfig(epochs=30, batch_size=3, validation_cadence=10, seed=7)
-    m1, r1 = train(tiny_model(seed=3), inputs, targets, queries, cfg)
-    m2, r2 = train(tiny_model(seed=3), inputs, targets, queries, cfg)
-    assert r1.validation_history == r2.validation_history
-    np.testing.assert_array_equal(m1.branch.weights[0], m2.branch.weights[0])
-    # a different shuffle seed changes the path
-    cfg3 = TrainConfig(epochs=30, batch_size=3, validation_cadence=10, seed=8)
-    _, r3 = train(tiny_model(seed=3), inputs, targets, queries, cfg3)
-    assert r3.validation_history[-1] != r1.validation_history[-1]
-
-
 def test_train_aborts_on_divergence():
     rng = substream(7, "blow")
     inputs = rng.uniform(-1.0, 1.0, size=(8, 2))
     queries = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
     targets = 1e150 * np.ones((8, 5))
-    cfg = TrainConfig(epochs=200, base_lr=1e250, validation_cadence=50, seed=0)
-    with np.errstate(all="ignore"):
-        model, report = train(tiny_model(seed=1), inputs, targets, queries, cfg)
+    cfg = TrainConfig(epochs=200, base_lr=1e250, validation_cadence=50)
+    # the run overflows on purpose, and train raises no warning on the way
+    model, report = train(tiny_model(seed=1), inputs, targets, queries, cfg)
     assert report.aborted
     assert report.epochs_run < 200
     # the returned snapshot is still usable
@@ -165,8 +148,6 @@ def test_train_validation_args():
               loss="coordinate")
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
 
 
 def test_train_validates_after_the_final_epoch():
@@ -176,7 +157,7 @@ def test_train_validates_after_the_final_epoch():
     inputs = rng.uniform(-1.0, 1.0, size=(20, 2))
     queries = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
     targets = inputs[:, :1] * np.sin(2.0 * np.pi * queries.T) + 0.3 * inputs[:, 1:]
-    cfg = TrainConfig(epochs=25, base_lr=3e-3, validation_cadence=10, seed=2)
+    cfg = TrainConfig(epochs=25, base_lr=3e-3, validation_cadence=10)
     model, report = train(tiny_model(seed=4), inputs, targets, queries, cfg)
     assert [epoch for epoch, _ in report.validation_history] == [0, 10, 20, 25]
     assert report.best_epoch == 25
